@@ -40,16 +40,12 @@ from .errors import (
 )
 from .forms import (
     DiffForm,
-    basis_form,
-    coefficient_form,
-    exterior_derivative,
     insert_index,
     is_closed,
     merge_indices,
     remove_index,
     sorted_index_sign,
     wedge,
-    zero_form,
 )
 from .operators import (
     SplitCT,
@@ -67,12 +63,7 @@ from .operators import (
     split_rational_irrational,
 )
 from .parser import parse_form
-from .poincare import (
-    IntegrationResult,
-    exactness_oracle,
-    integrate,
-    integrate_with_residual,
-)
+from .poincare import exactness_oracle, integrate
 from .poly import (
     DEFAULT_MAX_DEGREE,
     MultiPoly,
@@ -80,8 +71,8 @@ from .poly import (
     set_max_degree,
     variables,
 )
-from .printer import doc_to_form, form_to_doc, form_to_text, print_form
-from .ratfun import RatFun, clear_denominators, make_ratfun, rat_partial
+from .printer import doc_to_form, form_to_doc, form_to_text
+from .ratfun import RatFun, clear_denominators
 from .scalar import MAX_PRIME, Prime, Scalar, factorial_mod, inv, is_prime
 
 __version__ = "0.1.0"
@@ -97,7 +88,6 @@ __all__ = [
     "DivisionByZero",
     "FpFormsError",
     "IndexOutOfRange",
-    "IntegrationResult",
     "InternalError",
     "InternalResidual",
     "MAX_PRIME",
@@ -119,28 +109,23 @@ __all__ = [
     "SystemTooLarge",
     "VariableOutOfRange",
     "ZeroDenominator",
-    "basis_form",
     "cartier",
     "class_representative",
     "clear_denominators",
-    "coefficient_form",
     "corollary_condition",
     "doc_to_form",
     "exactness_oracle",
-    "exterior_derivative",
     "factorial_mod",
     "form_to_doc",
     "form_to_text",
     "gamma0",
     "insert_index",
     "integrate",
-    "integrate_with_residual",
     "inv",
     "irrational_part",
     "is_closed",
     "is_p_closed",
     "is_prime",
-    "make_ratfun",
     "max_degree_limit",
     "merge_indices",
     "o_operator",
@@ -150,8 +135,6 @@ __all__ = [
     "p_operator",
     "parse_form",
     "phi",
-    "print_form",
-    "rat_partial",
     "remove_index",
     "run_audit",
     "same_class",
@@ -161,5 +144,4 @@ __all__ = [
     "split_rational_irrational",
     "variables",
     "wedge",
-    "zero_form",
 ]

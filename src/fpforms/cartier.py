@@ -4,8 +4,12 @@ For a closed form omega = sum a_I dz_I the Cartier image is
 
     cartier(omega) = (-1)^r sum unfrob(partial_I^(p-1) a_I) dz_I
 
-where unfrob halves every exponent by p (the coefficient is a p-th power
-whenever omega is closed).  Its one-sided inverse is
+where unfrob divides every exponent by p (the coefficient is a p-th power
+whenever omega is closed).  By Wilson's theorem (see
+MultiPoly.residue_mask) the sign (-1)^r cancels that of partial_I^(p-1),
+so cartier keeps the monomials of a_I with every exponent of I at p-1
+(mod p) and lowers them by z_I^(p-1) before unfrob.  Its one-sided inverse
+is
 
     gamma0(alpha) = sum a_I(z^p) z_I^(p-1) dz_I,
 
@@ -23,24 +27,20 @@ from dataclasses import dataclass
 from .errors import DegreeMismatch, DegreeZero, NonPolynomial, NotClosed
 from .forms import DiffForm
 from .operators import irrational_part, is_p_closed
-from .poly import MultiPoly
 
 
 def gamma0(form: DiffForm) -> DiffForm:
     """sum a_I(z^p) z_I^(p-1) dz_I: the canonical closed lift.
 
     Accepts rational coefficients by twisting the numerator and the
-    denominator separately.  The result is always closed.
+    denominator separately.  The result is always closed.  One exponent
+    map per coefficient: z^E goes to z^(p E + (p-1) chi_I).
     """
-    p, n = form.p, form.n
-    k = p.p - 1
+    k = form.p.p - 1
     out = {}
     for index, coeff in form.terms.items():
-        exps = [0] * n
-        for i in index:
-            exps[i - 1] = k
-        mono = MultiPoly.monomial(p, n, tuple(exps))
-        out[index] = coeff.substitute_pth() * mono
+        shift = tuple(k if i in index else 0 for i in range(1, form.n + 1))
+        out[index] = coeff.substitute_pth(shift)
     return form._with_terms(out)
 
 
@@ -67,11 +67,8 @@ def cartier(form: DiffForm) -> DiffForm:
         raise NotClosed("the Cartier operator is defined on closed forms")
     out = {}
     for index, coeff in form.terms.items():
-        out[index] = coeff.partial_multi(index).unsubstitute_pth()
-    result = form._with_terms(out)
-    if form.r % 2:
-        result = -result
-    return result
+        out[index] = coeff.residue_mask(index, lower=True).unsubstitute_pth()
+    return form._with_terms(out)
 
 
 @dataclass(frozen=True)

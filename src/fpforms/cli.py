@@ -40,7 +40,7 @@ from .operators import (
 )
 from .parser import parse_form
 from .poincare import exactness_oracle, integrate
-from .poly import set_max_degree
+from .poly import max_degree_limit, set_max_degree
 from .printer import form_to_doc, form_to_text
 
 _AUDIT_PRIMES = (2, 3, 5, 7)
@@ -240,10 +240,15 @@ def _dispatch(args, out) -> int:
 
 
 def run_command(argv, out=None, err=None) -> int:
-    """Run one invocation; prints to out/err and returns the exit code."""
+    """Run one invocation; prints to out/err and returns the exit code.
+
+    A --max-degree cap holds for this invocation only; the previous
+    process-wide cap is restored on the way out.
+    """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = build_parser()
+    previous_cap = max_degree_limit()
     try:
         args = parser.parse_args(argv)
         for name, value in _DEFAULTS.items():
@@ -264,6 +269,8 @@ def run_command(argv, out=None, err=None) -> int:
     except FpFormsError as exc:  # pragma: no cover - safety net
         print("internal error: %s" % exc, file=err)
         return 3
+    finally:
+        set_max_degree(previous_cap)
 
 
 def main() -> None:

@@ -364,21 +364,6 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     return a.wedge(b)
 
 
-def exterior_derivative(form: DiffForm) -> DiffForm:
-    return form.d()
-
-
 def is_closed(form: DiffForm) -> bool:
     return form.is_closed()
 
-
-def zero_form(p, n, r) -> DiffForm:
-    return DiffForm.zero(p, n, r)
-
-
-def basis_form(p, n, index) -> DiffForm:
-    return DiffForm.basis(p, n, index)
-
-
-def coefficient_form(coeff) -> DiffForm:
-    return DiffForm.from_coefficient(coeff)

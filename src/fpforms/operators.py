@@ -2,7 +2,8 @@
 
 Everything here is driven by one scalar fact: on F_p[z], the operator
 z^(p-1) d^(p-1)/dz^(p-1) acts diagonally on monomials, sending z^m to
--z^m when m = p-1 (mod p) and to 0 otherwise.  Writing
+-z^m when m = p-1 (mod p) and to 0 otherwise (Wilson's theorem; see
+MultiPoly.residue_mask, the one pass every operator below calls).  Writing
 
     P_J f = z_J^(p-1) * partial_J^(p-1) f      (one factor per j in J)
 
@@ -104,9 +105,8 @@ def corollary_condition(form: DiffForm) -> bool:
         return is_p_closed(form)
     if not form.is_closed():
         return False
-    k = form.p.p - 1
     for index, coeff in form.terms.items():
-        if not any(coeff.partial_pow_fast(i, k).is_zero() for i in index):
+        if not any(coeff.residue_mask((i,)).is_zero() for i in index):
             return False
     return True
 
@@ -128,39 +128,26 @@ def p_operator(coeff, index):
     """P_index f = z_index^(p-1) * partial_index^(p-1) f.
 
     Accepts MultiPoly or RatFun coefficients; the variables of index must
-    be distinct and within range.
+    be distinct and within range.  The signed projection onto monomials
+    with every exponent of index at p-1 (mod p).
     """
-    n = coeff.n
-    seen = set()
-    for i in index:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise IndexOutOfRange("variable z%r outside 1..%d" % (i, n))
-        if i in seen:
-            raise IndexOutOfRange("repeated variable z%d in %r" % (i, tuple(index)))
-        seen.add(i)
-    k = coeff.p.p - 1
-    exps = [0] * n
-    for i in index:
-        exps[i - 1] = k
-    mono = MultiPoly.monomial(coeff.p, n, tuple(exps), 1)
-    return coeff.partial_multi(index) * mono
+    return coeff.residue_mask(index, sign=-1 if len(index) % 2 else 1)
 
 
 def irrational_part(form: DiffForm) -> DiffForm:
     """Q_r(omega) = (-1)^r sum_I P_I(a_I) dz_I.
 
     The idempotent projection whose image carries the obstruction to
-    exactness; requires degree at least 1.
+    exactness; requires degree at least 1.  The sign (-1)^r cancels that
+    of P_I, so Q_r keeps the monomials of each a_I with every exponent of
+    I at p-1 (mod p), unchanged.
     """
     if form.r == 0:
         raise DegreeZero("the irrational part needs a form of degree >= 1")
     out = {}
     for index, coeff in form.terms.items():
-        out[index] = p_operator(coeff, index)
-    result = form._with_terms(out)
-    if form.r % 2:
-        result = -result
-    return result
+        out[index] = coeff.residue_mask(index)
+    return form._with_terms(out)
 
 
 @dataclass(frozen=True)
@@ -254,14 +241,14 @@ def o_operator(coeff, index):
     """O_index f: apply the product of (1 + P_j) over j in index, minus f.
 
     Expands to the sum of P_S over nonempty subsets S of index; the sign
-    convention makes O_{(j,)} = P_j and O_index O_index = -O_index.
+    convention makes O_{(j,)} = P_j and O_index O_index = -O_index.  On a
+    monomial hitting p-1 (mod p) at the variables H of index, the signs
+    (-1)^|S| of the nonempty S inside H sum to -1 when H is nonempty, so
+    O_index is minus the projection onto monomials with some hit.
     """
     if isinstance(coeff, RatFun):
         raise NonPolynomial("O operators are defined for polynomial input")
-    acc = coeff
-    for j in index:
-        acc = acc + p_operator(acc, (j,))
-    return acc - coeff
+    return coeff.residue_mask(index, every=False, sign=-1)
 
 
 def o_operator_expanded(coeff, index):
@@ -307,6 +294,6 @@ def split_complete_restricted(form: DiffForm) -> SplitCT:
         raise NonPolynomial("the split is defined for polynomial forms")
     out = {}
     for index, coeff in form.terms.items():
-        out[index] = -o_operator(coeff, index)
+        out[index] = coeff.residue_mask(index, every=False)
     restricted = form._with_terms(out)
     return SplitCT(complete=form - restricted, restricted=restricted)

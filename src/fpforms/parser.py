@@ -26,7 +26,7 @@ from __future__ import annotations
 from .errors import ArityMismatch, ParseError, VariableOutOfRange, ZeroDenominator
 from .forms import DiffForm, sorted_index_sign
 from .poly import MultiPoly
-from .ratfun import RatFun, make_ratfun
+from .ratfun import RatFun
 from .scalar import Prime
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
@@ -301,7 +301,7 @@ class _Parser:
                 den = self.parse_polysum()
                 self.expect("RPAREN", "')'")
                 try:
-                    return make_ratfun(num, den)
+                    return RatFun(num, den)
                 except ZeroDenominator:
                     self.fail("division by the zero polynomial", slash)
             self.expect("RPAREN", "')'")

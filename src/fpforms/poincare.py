@@ -34,7 +34,6 @@ monomial space is decided blockwise by Gaussian elimination over F_p.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -54,14 +53,6 @@ from .ratfun import RatFun, clear_denominators
 DEFAULT_SYSTEM_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    """Outcome of one integration pass: d(potential) + residual = input."""
-
-    potential: DiffForm
-    residual: DiffForm
-
-
 def integrate(form: DiffForm) -> DiffForm:
     """A potential eta with d(eta) = form, for p-closed forms of degree >= 1.
 
@@ -77,33 +68,26 @@ def integrate(form: DiffForm) -> DiffForm:
     >>> theta.d() == omega
     True
     """
-    result = integrate_with_residual(form)
-    if not result.residual.is_zero():
-        raise InternalResidual(
-            "integration left a nonzero residual; this is a bug"
-        )
-    return result.potential
-
-
-def integrate_with_residual(form: DiffForm) -> IntegrationResult:
-    """integrate(), but returning the (always zero) residual explicitly."""
     if form.r == 0:
         raise DegreeZero("only forms of degree >= 1 have potentials")
     reason = p_closed_failure(form)
     if reason is not None:
         raise NotPClosed(reason)
-    if not form.is_polynomial:
+    if form.is_polynomial:
+        potential = _integrate_polynomial(form)
+        _warn_on_degree_growth(form, potential)
+    else:
         lam, cleared = clear_denominators(form)
         inner = _integrate_polynomial(cleared)
         terms = {
             index: RatFun(coeff, lam) for index, coeff in inner.terms.items()
         }
         potential = DiffForm(form.p, form.n, form.r - 1, terms)
-        residual = form - potential.d()
-        return IntegrationResult(potential=potential, residual=residual)
-    potential = _integrate_polynomial(form)
-    _warn_on_degree_growth(form, potential)
-    return IntegrationResult(potential=potential, residual=form - potential.d())
+    if not (form - potential.d()).is_zero():
+        raise InternalResidual(
+            "integration left a nonzero residual; this is a bug"
+        )
+    return potential
 
 
 def _integrate_polynomial(form: DiffForm) -> DiffForm:

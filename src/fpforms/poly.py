@@ -11,8 +11,9 @@ The differential structure is where characteristic p bites:
 * partial(i) kills every monomial whose z_i-exponent is divisible by p,
   so the kernel of all partials is the subring of p-th powers K[z^p]
   rather than the constants;
-* partial_pow(i, p-1) applied to z_i^(p-1) gives (p-1)! = -1 (Wilson),
-  the single obstruction that drives everything downstream;
+* the (p-1)-fold partials act diagonally on monomials by exponent
+  residue mod p, because (p-1)! = -1 (Wilson): the single obstruction that
+  drives everything downstream, stated once in residue_mask;
 * antiderivative(i) inverts partial(i) and is obstructed exactly on
   monomials with z_i-exponent = p-1 (mod p);
 * frobenius_decompose splits f into sum g_E * z^E over residue patterns
@@ -281,8 +282,8 @@ class MultiPoly:
     def partial_pow(self, i: int, k: int) -> "MultiPoly":
         """k-fold partial derivative, computed by naive iteration.
 
-        This is the ground-truth route; partial_pow_fast must agree with it
-        bit for bit.  Iteration stops as soon as the result vanishes, and
+        This is the ground-truth route that residue_mask is checked
+        against.  Iteration stops as soon as the result vanishes, and
         partial(i)^p = 0 identically, so k may be large.
         """
         self._check_var(i)
@@ -297,50 +298,59 @@ class MultiPoly:
             out = out.partial(i)
         return out
 
-    def partial_pow_fast(self, i: int, k: int) -> "MultiPoly":
-        """k-fold partial derivative via falling-factorial coefficients.
+    # kept as a name because the span table of bench/spans.py wraps it
+    partial_pow_fast = partial_pow
 
-        For a monomial z_i^m the k-th derivative is m(m-1)...(m-k+1)
-        z_i^(m-k); the product is taken mod p and the term dies when k > m.
+    def residue_mask(self, index, every=True, sign=1, lower=False) -> "MultiPoly":
+        """The one diagonal pass behind the (p-1)-fold operator calculus.
+
+        Keeps the monomials z^E whose residue pattern on index has every
+        E_i = p-1 (mod p) for i in index (every=True), or at least one such
+        i (every=False); multiplies them by sign (+1 or -1) and, when lower
+        is set, divides them by z_index^(p-1).
+
+        By Wilson's theorem (p-1)! = -1, so the falling factorial of
+        partial_i^(p-1) z_i^m is -1 when m = p-1 (mod p) and 0 otherwise:
+
+            partial_I^(p-1) z^E = (-1)^|I| z^(E - (p-1) chi_I)
+                                  if E_i = p-1 (mod p) for all i in I,
+
+        and 0 otherwise.  That is residue_mask(I, sign=(-1)^|I|,
+        lower=True); the projectors P_I, Q_r, O_I, the restricted slice and
+        Cartier are the other sign, shift and pattern choices.  The
+        variables of index must be distinct and within range.
         """
-        self._check_var(i)
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("derivative order must be a nonnegative int")
-        if k >= self.p.p:
-            return MultiPoly.zero(self.p, self.n)
-        if k == 0:
-            return self
+        n = self.n
+        seen = set()
+        for i in index:
+            if not isinstance(i, int) or not 1 <= i <= n:
+                raise IndexOutOfRange("variable z%r outside 1..%d" % (i, n))
+            if i in seen:
+                raise IndexOutOfRange(
+                    "repeated variable z%d in %r" % (i, tuple(index))
+                )
+            seen.add(i)
         p = self.p.p
+        top = p - 1
+        pos = [i - 1 for i in seen]
+        shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
+        test = all if every else any
         out = {}
-        j = i - 1
         for exps, c in self.terms.items():
-            m = exps[j]
-            if k > m:
-                continue
-            ff = 1
-            for t in range(k):
-                ff = ff * ((m - t) % p) % p
-                if ff == 0:
-                    break
-            v = c * ff % p
-            if v:
-                e = exps[:j] + (m - k,) + exps[j + 1 :]
-                out[e] = (out.get(e, 0) + v) % p
+            if test(exps[j] % p == top for j in pos):
+                if lower:
+                    exps = tuple(e - s for e, s in zip(exps, shift))
+                out[exps] = c if sign == 1 else p - c
         return MultiPoly(self.p, self.n, out)
 
     def partial_multi(self, index) -> "MultiPoly":
         """Product of (p-1)-fold partials over the variables in index.
 
-        The operators commute, so the order of index does not matter.
-        Uses the falling-factorial route, which partial_pow cross-checks.
+        The operators commute, so the order of index does not matter;
+        see residue_mask for the closed form.
         """
-        out = self
-        k = self.p.p - 1
-        for i in index:
-            if out.is_zero():
-                break
-            out = out.partial_pow_fast(i, k)
-        return out
+        sign = -1 if len(index) % 2 else 1
+        return self.residue_mask(index, sign=sign, lower=True)
 
     def antiderivative(self, i: int) -> "MultiPoly":
         """Formal antiderivative in z_i with integration constant 0.
@@ -394,13 +404,20 @@ class MultiPoly:
             for pattern, bucket in sorted(out.items())
         }
 
-    def substitute_pth(self) -> "MultiPoly":
-        """f(z1..zn) -> f(z1^p..zn^p); may raise DegreeOverflow."""
+    def substitute_pth(self, shift=None) -> "MultiPoly":
+        """f(z1..zn) -> f(z1^p..zn^p) * z^shift; may raise DegreeOverflow.
+
+        shift is an exponent vector, zero when omitted.
+        """
         p = self.p.p
+        shift = shift or (0,) * self.n
         return MultiPoly(
             self.p,
             self.n,
-            {tuple(e * p for e in exps): c for exps, c in self.terms.items()},
+            {
+                tuple(e * p + s for e, s in zip(exps, shift)): c
+                for exps, c in self.terms.items()
+            },
         )
 
     def unsubstitute_pth(self) -> "MultiPoly":

@@ -21,8 +21,6 @@ documents round-trip byte for byte.
 
 from __future__ import annotations
 
-import json
-
 from .errors import ParseError, PrimeOutOfRange
 from .forms import DiffForm
 from .poly import MultiPoly, monomial_text
@@ -179,12 +177,3 @@ def doc_to_form(doc: dict) -> DiffForm:
         else:
             terms[key] = RatFun(num, den)
     return DiffForm(p, n, r, terms)
-
-
-def print_form(form: DiffForm, mode: str = "text") -> str:
-    """Render a form as canonical text or as a JSON document string."""
-    if mode == "text":
-        return form_to_text(form)
-    if mode == "json":
-        return json.dumps(form_to_doc(form), indent=2)
-    raise ValueError("mode must be 'text' or 'json', got %r" % (mode,))

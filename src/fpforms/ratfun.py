@@ -29,6 +29,8 @@ class RatFun:
     >>> (z,) = variables(3, 1)
     >>> print(RatFun(MultiPoly.constant(3, 1, 1), z))
     (z1^2)/(z1^3)
+    >>> print(RatFun(MultiPoly.constant(3, 1, 1), z ** 3))
+    (1)/(z1^3)
     >>> print(RatFun(z * z, z ** 3).partial(1))
     (2*z1)/(z1^3)
     """
@@ -153,14 +155,15 @@ class RatFun:
     def partial_pow(self, i: int, k: int) -> "RatFun":
         return RatFun(self.num.partial_pow(i, k), self.den)
 
-    def partial_pow_fast(self, i: int, k: int) -> "RatFun":
-        return RatFun(self.num.partial_pow_fast(i, k), self.den)
-
     def partial_multi(self, index) -> "RatFun":
         return RatFun(self.num.partial_multi(index), self.den)
 
-    def substitute_pth(self) -> "RatFun":
-        return RatFun(self.num.substitute_pth(), self.den.substitute_pth())
+    def residue_mask(self, index, every=True, sign=1, lower=False) -> "RatFun":
+        return RatFun(self.num.residue_mask(index, every, sign, lower), self.den)
+
+    def substitute_pth(self, shift=None) -> "RatFun":
+        """num(z^p) * z^shift / den(z^p)."""
+        return RatFun(self.num.substitute_pth(shift), self.den.substitute_pth())
 
     def to_polynomial(self) -> MultiPoly:
         """The underlying polynomial when den is a nonzero constant."""
@@ -174,27 +177,6 @@ class RatFun:
 
     def __repr__(self):
         return "RatFun(p=%d, n=%d, %s)" % (self.p.p, self.n, self)
-
-
-def make_ratfun(num: MultiPoly, den: MultiPoly) -> RatFun:
-    """The quotient num/den in normal form.
-
-    The denominator is replaced by a p-th power unless it already is a
-    differential constant:
-
-    >>> from .poly import variables
-    >>> (z,) = variables(3, 1)
-    >>> print(make_ratfun(MultiPoly.constant(3, 1, 1), z))
-    (z1^2)/(z1^3)
-    >>> print(make_ratfun(MultiPoly.constant(3, 1, 1), z ** 3))
-    (1)/(z1^3)
-    """
-    return RatFun(num, den)
-
-
-def rat_partial(f: RatFun, i: int) -> RatFun:
-    """Partial derivative of a rational function; acts on the numerator."""
-    return f.partial(i)
 
 
 def clear_denominators(form):

@@ -13,7 +13,7 @@ from .cartier import gamma0
 from .forms import DiffForm
 from .operators import split_rational_irrational
 from .poly import MultiPoly
-from .ratfun import RatFun, make_ratfun
+from .ratfun import RatFun
 
 
 def random_exps(rng: random.Random, n: int, max_degree: int):
@@ -43,7 +43,7 @@ def random_ratfun(
 ) -> RatFun:
     num = random_poly(rng, p, n, max_degree, max_terms)
     den = random_poly(rng, p, n, max_degree, max_terms, nonzero=True)
-    return make_ratfun(num, den)
+    return RatFun(num, den)
 
 
 def random_multi_index(rng: random.Random, n: int, r: int):

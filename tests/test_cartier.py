@@ -75,6 +75,14 @@ def test_gamma0_of_cartier_matches_up_to_p_closed():
         r = rng.randint(1, n)
         omega = random_closed_form(rng, p, n, r)
         assert is_p_closed(gamma0(cartier(omega)) - omega)
+        # the naive route: (-1)^r unfrob of the iterated partial_pow chain
+        naive = {}
+        for index, coeff in omega.terms.items():
+            for i in index:
+                coeff = coeff.partial_pow(i, p - 1)
+            naive[index] = coeff.unsubstitute_pth()
+        sign = -1 if r % 2 else 1
+        assert cartier(omega) == DiffForm(p, n, r, naive) * sign
 
 
 def test_cartier_kills_exact_forms():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fpforms import InternalError, parse_form
+from fpforms import InternalError, max_degree_limit, parse_form
 from fpforms.cli import run_command
 from fpforms.printer import form_to_doc
 
@@ -107,6 +107,15 @@ def test_usage_errors_exit_1():
         code, out, err = run(argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+
+
+def test_max_degree_holds_for_one_invocation_only():
+    before = max_degree_limit()
+    code, _, err = run(["--p", "3", "--n", "1", "--max-degree", "4", "d", "z^5 dz"])
+    assert code == 2 and "DegreeOverflow" in err
+    assert run(["--p", "3", "--n", "1", "--max-degree", "4", "d", "z^2 dz"])[0] == 0
+    assert max_degree_limit() == before
+    assert str(parse_form("z^5 dz", 3, 1)) == "z1^5 dz1"
 
 
 def test_bad_prime_message():

@@ -9,14 +9,12 @@ from fpforms import (
     MultiPoly,
     RatFun,
     Scalar,
-    basis_form,
     insert_index,
     merge_indices,
     remove_index,
     sorted_index_sign,
     variables,
     wedge,
-    zero_form,
 )
 from fpforms.sampling import random_form, random_poly
 
@@ -65,16 +63,16 @@ def test_merge_indices_block_sign():
 
 
 def test_zero_form_compares_across_degrees():
-    assert zero_form(3, 2, 0) == zero_form(3, 2, 2)
-    assert zero_form(3, 2, 1) + basis_form(3, 2, (1,)) == basis_form(3, 2, (1,))
+    assert DiffForm.zero(3, 2, 0) == DiffForm.zero(3, 2, 2)
+    assert DiffForm.zero(3, 2, 1) + DiffForm.basis(3, 2, (1,)) == DiffForm.basis(3, 2, (1,))
     with pytest.raises(DegreeMismatch):
-        basis_form(3, 2, (1,)) + basis_form(3, 2, (1, 2))
+        DiffForm.basis(3, 2, (1,)) + DiffForm.basis(3, 2, (1, 2))
 
 
 def test_wedge_of_basis_forms():
-    dx, dy = basis_form(3, 2, (1,)), basis_form(3, 2, (2,))
-    assert wedge(dx, dy) == basis_form(3, 2, (1, 2))
-    assert wedge(dy, dx) == basis_form(3, 2, (1, 2)) * 2  # -1 mod 3
+    dx, dy = DiffForm.basis(3, 2, (1,)), DiffForm.basis(3, 2, (2,))
+    assert wedge(dx, dy) == DiffForm.basis(3, 2, (1, 2))
+    assert wedge(dy, dx) == DiffForm.basis(3, 2, (1, 2)) * 2  # -1 mod 3
     assert wedge(dx, dx).is_zero()
 
 

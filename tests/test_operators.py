@@ -9,7 +9,6 @@ from fpforms import (
     NonPolynomial,
     NotClosed,
     RatFun,
-    basis_form,
     corollary_condition,
     irrational_part,
     is_p_closed,
@@ -111,6 +110,22 @@ def test_p_operator_products_and_signs():
         # P_J P_J = (-1)^r P_J
         twice = p_operator(once, index)
         assert twice == once * (1 if r % 2 == 0 else -1)
+    # the naive route, z_J^(p-1) times the iterated partial_pow chain, up
+    # to p = 13 and on rational coefficients
+    for _ in range(40):
+        p = rng.choice(PRIMES + (13,))
+        n = rng.randint(1, 3)
+        index = random_multi_index(rng, n, rng.randint(1, n))
+        num = random_poly(rng, p, n, max_degree=2 * p)
+        den = random_poly(rng, p, n, max_degree=1, max_terms=2, nonzero=True)
+        power = MultiPoly.monomial(p, n, tuple(
+            p - 1 if k in index else 0 for k in range(1, n + 1)
+        ))
+        for f in (num, RatFun(num, den)):
+            chain = f
+            for i in index:
+                chain = chain.partial_pow(i, p - 1)
+            assert p_operator(f, index) == chain * power
 
 
 def test_irrational_part_frozen_example():
@@ -167,7 +182,7 @@ def test_p_decompose_step_reconstructs():
         omega = random_p_closed_form(rng, p, n, r)
         i = rng.randint(1, n)
         omega_i, eta_i, tau_i = p_decompose_step(omega, i)
-        dz_i = basis_form(p, n, (i,))
+        dz_i = DiffForm.basis(p, n, (i,))
         power = MultiPoly.monomial(p, n, tuple(
             p - 1 if k == i else 0 for k in range(1, n + 1)
         ))

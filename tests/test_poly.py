@@ -10,6 +10,8 @@ from fpforms import (
     ObstructedAntiderivative,
     NotPthPower,
     PrimeMismatch,
+    o_operator,
+    p_operator,
     set_max_degree,
     variables,
 )
@@ -116,7 +118,8 @@ def test_pth_derivative_vanishes():
 
 
 def test_partial_pow_fast_agrees_with_iterated_partial():
-    # dual route: falling-factorial shortcut vs literally repeated partial
+    # dual route: literally repeated partial vs partial_pow, its alias
+    # partial_pow_fast, and at k = p-1 the closed form of residue_mask
     rng = random.Random(2006)
     for _ in range(TRIALS):
         p, n = rand_pair(rng)
@@ -128,6 +131,8 @@ def test_partial_pow_fast_agrees_with_iterated_partial():
             slow = slow.partial(i)
         assert f.partial_pow_fast(i, k) == slow
         assert f.partial_pow(i, k) == slow
+        if k == p - 1:
+            assert f.partial_multi((i,)) == slow
 
 
 def test_partial_multi_is_mixed_p_minus_1_derivative():
@@ -140,6 +145,16 @@ def test_partial_multi_is_mixed_p_minus_1_derivative():
         for i in index:
             slow = slow.partial_pow(i, p - 1)
         assert f.partial_multi(index) == slow
+    # every residue-mask operator checks its index, even on the zero
+    # polynomial: entries must lie in 1..n and must not repeat
+    for f in (MultiPoly.monomial(3, 2, (2, 2)), MultiPoly.zero(3, 2)):
+        for bad in ((0,), (3,), (1, "2"), (1, 1), (2, 1, 2)):
+            with pytest.raises(IndexOutOfRange):
+                f.partial_multi(bad)
+            with pytest.raises(IndexOutOfRange):
+                p_operator(f, bad)
+            with pytest.raises(IndexOutOfRange):
+                o_operator(f, bad)
 
 
 def test_antiderivative_inverts_partial():

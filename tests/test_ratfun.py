@@ -8,8 +8,6 @@ from fpforms import (
     RatFun,
     ZeroDenominator,
     clear_denominators,
-    make_ratfun,
-    rat_partial,
     variables,
 )
 from fpforms.sampling import random_form, random_poly, random_ratfun
@@ -19,24 +17,23 @@ TRIALS = 120
 
 def test_normal_form_inflates_nonconstant_denominators():
     (z,) = variables(3, 1)
-    f = make_ratfun(z * z, z**3)
+    f = RatFun(z * z, z**3)
     # z^3 is already a differential constant: kept as is
     assert f.num == z * z and f.den == z**3
-    g = make_ratfun(MultiPoly.constant(3, 1, 1), z)
+    g = RatFun(MultiPoly.constant(3, 1, 1), z)
     # 1/z becomes z^2/z^3 so the denominator is a p-th power
     assert g.num == z**2 and g.den == z**3
-    assert g == RatFun(MultiPoly.constant(3, 1, 1), z)
 
 
 def test_zero_denominator_rejected():
     (z,) = variables(3, 1)
     with pytest.raises(ZeroDenominator):
-        make_ratfun(z, MultiPoly.zero(3, 1))
+        RatFun(z, MultiPoly.zero(3, 1))
 
 
 def test_zero_numerator_collapses():
     (z,) = variables(5, 1)
-    f = make_ratfun(MultiPoly.zero(5, 1), z)
+    f = RatFun(MultiPoly.zero(5, 1), z)
     assert f.is_zero() and f.den.is_constant()
 
 
@@ -71,8 +68,8 @@ def test_cross_multiplied_equality():
     (z,) = variables(3, 1)
     one = MultiPoly.constant(3, 1, 1)
     # 1/z and z^2/z^3 are the same element of K(z)
-    assert make_ratfun(one, z) == make_ratfun(z * z, z**3)
-    assert make_ratfun(z, z**3) != make_ratfun(one, z)
+    assert RatFun(one, z) == RatFun(z * z, z**3)
+    assert RatFun(z, z**3) != RatFun(one, z)
 
 
 def test_partial_quotient_rule():
@@ -85,17 +82,17 @@ def test_partial_quotient_rule():
         u = random_poly(rng, p, n)
         v = random_poly(rng, p, n, nonzero=True)
         i = rng.randint(1, n)
-        f = make_ratfun(u, v)
-        quotient_rule = make_ratfun(
+        f = RatFun(u, v)
+        quotient_rule = RatFun(
             u.partial(i) * v - u * v.partial(i), v * v
         )
-        assert rat_partial(f, i) == quotient_rule
+        assert f.partial(i) == quotient_rule
 
 
 def test_frozen_derivative_values():
     (z,) = variables(3, 1)
-    f = make_ratfun(z * z, z**3)
-    assert rat_partial(f, 1) == make_ratfun(z + z, z**3)
+    f = RatFun(z * z, z**3)
+    assert f.partial(1) == RatFun(z + z, z**3)
     g = DiffForm(3, 2, 0, {(): RatFun(MultiPoly.monomial(3, 2, (2, 0)),
                                       MultiPoly.monomial(3, 2, (3, 0)))})
     # no z2 upstairs or downstairs
@@ -152,4 +149,4 @@ def test_closedness_invariant_under_differential_constants():
 def test_hash_is_refused():
     (z,) = variables(3, 1)
     with pytest.raises(TypeError):
-        hash(make_ratfun(z, z**3))
+        hash(RatFun(z, z**3))
