@@ -255,6 +255,8 @@ def run_command(argv, out=None, err=None) -> int:
             if not hasattr(args, name):
                 setattr(args, name, value)
         if args.max_degree is not None:
+            if args.max_degree < 1:
+                raise _UsageError("--max-degree must be a positive integer")
             set_max_degree(args.max_degree)
         return _dispatch(args, out)
     except (_UsageError, ParseError, PrimeOutOfRange) as exc:

@@ -17,6 +17,14 @@ Sign conventions, fixed once here and reused everywhere:
 
 Together these give d(d(omega)) = 0 (mixed partials commute and the two
 insertions anticommute) and the graded Leibniz rule for d over wedge.
+
+As for polynomials, validation happens at the trust boundary.  The
+constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
+characteristic and arity, and promotes mixed coefficients; the parser,
+JSON documents and user calls go through it.  +, -, d, wedge and the
+coefficient-wise maps of _with_terms build their results with the
+_trusted constructor, which checks nothing and only restores the
+canonical index order.
 """
 
 from __future__ import annotations
@@ -186,6 +194,21 @@ class DiffForm:
             clean = {i: _promote(c) for i, c in clean.items()}
         self.terms = dict(sorted(clean.items()))
 
+    @classmethod
+    def _trusted(cls, p, n, r, terms) -> "DiffForm":
+        """A form from terms that are clean by construction.
+
+        p is a Prime, n and r are valid, and terms maps strictly
+        increasing r-tuples in 1..n to nonzero coefficients over (p, n),
+        all MultiPoly or all RatFun.  Only the index order is restored.
+        """
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.r = r
+        self.terms = dict(sorted(terms.items()))
+        return self
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -205,7 +228,16 @@ class DiffForm:
         return cls(coeff.p, coeff.n, 0, {(): coeff})
 
     def _with_terms(self, terms, r=None) -> "DiffForm":
-        return DiffForm(self.p, self.n, self.r if r is None else r, terms)
+        """This form's p and n with new coefficients of one kind.
+
+        Zero coefficients are dropped; everything else is trusted.
+        """
+        return DiffForm._trusted(
+            self.p,
+            self.n,
+            self.r if r is None else r,
+            {i: c for i, c in terms.items() if not c.is_zero()},
+        )
 
     # ------------------------------------------------------------------
     # structure
@@ -264,13 +296,19 @@ class DiffForm:
         out = dict(self.terms)
         for index, coeff in other.terms.items():
             if index in out:
-                out[index] = out[index] + coeff
-            else:
-                out[index] = coeff
-        return self._with_terms(out)
+                coeff = out[index] + coeff
+                if coeff.is_zero():
+                    del out[index]
+                    continue
+            out[index] = coeff
+        if self.is_polynomial != other.is_polynomial:
+            out = {i: _promote(c) for i, c in out.items()}
+        return DiffForm._trusted(self.p, self.n, self.r, out)
 
     def __neg__(self):
-        return self._with_terms({i: -c for i, c in self.terms.items()})
+        return DiffForm._trusted(
+            self.p, self.n, self.r, {i: -c for i, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if not isinstance(other, DiffForm):
@@ -321,7 +359,7 @@ class DiffForm:
                 if index in out:
                     coeff = out[index] + coeff
                 out[index] = coeff
-        return DiffForm(self.p, self.n, r, out)
+        return self._with_terms(out, r)
 
     def d(self) -> "DiffForm":
         """Exterior derivative."""
@@ -339,7 +377,7 @@ class DiffForm:
                 if new_index in out:
                     da = out[new_index] + da
                 out[new_index] = da
-        return DiffForm(self.p, self.n, self.r + 1, out)
+        return self._with_terms(out, self.r + 1)
 
     def is_closed(self) -> bool:
         return self.d().is_zero()

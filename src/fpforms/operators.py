@@ -35,9 +35,8 @@ from .errors import (
     IndexOutOfRange,
     NonPolynomial,
     NotClosed,
-    NotPClosed,
 )
-from .forms import DiffForm
+from .forms import DiffForm, remove_index
 from .poly import MultiPoly
 from .ratfun import RatFun
 
@@ -177,17 +176,20 @@ def split_rational_irrational(form: DiffForm, unchecked: bool = False) -> SplitR
 
 
 def p_decompose_step(form: DiffForm, i: int):
-    """Separate the dz_i layer of a p-closed polynomial form.
+    """Separate the dz_i layer of a polynomial form.
 
     Returns (omega_i, eta_i, tau_i) with
 
         form = z_i^(p-1) dz_i ^ omega_i + dz_i ^ eta_i + tau_i
 
     where omega_i collects the dz_i-coefficient monomials with
-    z_i-exponent = p-1 (mod p), divided by z_i^(p-1); eta_i collects the
-    rest; tau_i is the part of the form without dz_i.  omega_i has no
-    z_i dependence (it is killed by partial_i), eta_i admits a z_i
-    antiderivative, and both facts are what integration consumes.
+    z_i-exponent = p-1 (mod p), divided by z_i^(p-1) (residue_mask on
+    (i,) with lower set); eta_i collects the rest; tau_i is the part of
+    the form without dz_i.  omega_i has no z_i dependence (it is killed by
+    partial_i) and eta_i admits a z_i antiderivative.  The split is exact
+    on every polynomial form of degree >= 1 and none of these facts needs
+    the form to be closed or p-closed: checking that is the caller's job
+    (integrate checks once, at entry).
     """
     if form.r == 0:
         raise DegreeZero("decomposition needs a form of degree >= 1")
@@ -195,45 +197,23 @@ def p_decompose_step(form: DiffForm, i: int):
         raise NonPolynomial("decomposition is defined for polynomial forms")
     if not isinstance(i, int) or not 1 <= i <= form.n:
         raise IndexOutOfRange("variable z%r outside 1..%d" % (i, form.n))
-    reason = p_closed_failure(form)
-    if reason is not None:
-        raise NotPClosed(reason)
-    p = form.p.p
-    pos = i - 1
-    omega_terms: dict = {}
-    eta_terms: dict = {}
-    tau_terms: dict = {}
+    omega_terms = {}
+    eta_terms = {}
+    tau_terms = {}
     for index, coeff in form.terms.items():
         if i not in index:
             tau_terms[index] = coeff
             continue
-        k = index.index(i)
-        sub = index[:k] + index[k + 1 :]
-        flip = k % 2 == 1  # dz_index = (-1)^k dz_i ^ dz_sub
-        high = {}
-        low = {}
-        for exps, c in coeff.terms.items():
-            if flip:
-                c = p - c
-            if exps[pos] % p == p - 1:
-                e = exps[:pos] + (exps[pos] - (p - 1),) + exps[pos + 1 :]
-                high[e] = c
-            else:
-                low[exps] = c
-        if high:
-            block = MultiPoly(form.p, form.n, high)
-            omega_terms[sub] = omega_terms.get(
-                sub, MultiPoly.zero(form.p, form.n)
-            ) + block
-        if low:
-            block = MultiPoly(form.p, form.n, low)
-            eta_terms[sub] = eta_terms.get(
-                sub, MultiPoly.zero(form.p, form.n)
-            ) + block
-    r = form.r
-    omega_i = DiffForm(form.p, form.n, r - 1, omega_terms)
-    eta_i = DiffForm(form.p, form.n, r - 1, eta_terms)
-    tau_i = DiffForm(form.p, form.n, r, tau_terms)
+        # dz_index = sign dz_i ^ dz_sub; sub is distinct for each index
+        sign, sub = remove_index(index, i)
+        hit = coeff.residue_mask((i,))
+        omega_terms[sub] = hit.residue_mask((i,), sign=sign, lower=True)
+        low = coeff - hit
+        eta_terms[sub] = -low if sign < 0 else low
+    # _with_terms drops the zero layers
+    omega_i = form._with_terms(omega_terms, form.r - 1)
+    eta_i = form._with_terms(eta_terms, form.r - 1)
+    tau_i = form._with_terms(tau_terms)
     return omega_i, eta_i, tau_i
 
 

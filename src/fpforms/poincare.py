@@ -15,7 +15,8 @@ the recursive call producing alpha drops the form degree, and eta_i is
 unobstructed by construction.  Subtracting d(piece) keeps the remainder
 equal to input - d(potential so far), so the remainder stays closed and
 p-closed, loses dz_1..dz_i after step i, and must vanish once every
-variable is processed.  A nonzero final remainder is a kernel bug and
+variable is processed.  p-closedness is therefore checked once, at entry,
+and not again per layer; a nonzero final remainder is a kernel bug and
 raises InternalResidual.
 
 Rational input is cleared to a polynomial form first: the collected

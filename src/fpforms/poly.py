@@ -22,6 +22,17 @@ The differential structure is where characteristic p bites:
 Per-variable exponents are capped by a module-wide limit (default 64) so
 that runaway constructions, for example denominators raised to a huge
 characteristic, fail fast with DegreeOverflow instead of exhausting memory.
+
+Validation happens at the trust boundary, not on every result.  The
+constructor MultiPoly(p, n, terms) checks and normalizes whatever it is
+given (the parser, JSON documents and user calls go through it).  Results
+that are clean by construction (sums, negations, scalar multiples,
+partials, residue masks, Frobenius parts) are built by the unchecked
+_trusted constructor instead.  Only the operations that can raise an
+exponent check the cap, and only on the exponents they grow: *, **,
+antiderivative and substitute_pth.  So lowering the cap with
+set_max_degree after building a polynomial does not make the
+exponent-preserving operations on it raise.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from __future__ import annotations
 from .errors import (
     ArityMismatch,
     DegreeOverflow,
-    DivisionByZero,
     IndexOutOfRange,
     NotPthPower,
     ObstructedAntiderivative,
@@ -66,6 +76,22 @@ def monomial_text(exps, coeff=1) -> str:
             continue
         parts.append("z%d" % i if e == 1 else "z%d^%d" % (i, e))
     return "*".join(parts)
+
+
+def _check_degree(terms, var=None):
+    """Raise DegreeOverflow at the first exponent above the cap.
+
+    Scans the exponent vectors of terms in iteration order, all variables
+    or only z_var; the message is the one the constructor gives.
+    """
+    limit = _max_degree
+    for exps in terms:
+        for i, e in enumerate(exps, start=1):
+            if e > limit and (var is None or i == var):
+                raise DegreeOverflow(
+                    "exponent %d of z%d exceeds the degree limit %d"
+                    % (e, i, limit)
+                )
 
 
 class MultiPoly:
@@ -112,6 +138,20 @@ class MultiPoly:
                     if not clean[exps]:
                         del clean[exps]
         self.terms = dict(sorted(clean.items()))
+
+    @classmethod
+    def _trusted(cls, p, n, terms) -> "MultiPoly":
+        """A polynomial from terms that are clean by construction.
+
+        p is a Prime, n a valid arity, and terms a dict in the canonical
+        sorted order mapping exponent vectors of length n to residues in
+        1..p-1.  Nothing is checked, reduced, sorted or copied.
+        """
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.terms = terms
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -190,13 +230,15 @@ class MultiPoly:
                 out[exps] = v
             elif exps in out:
                 del out[exps]
-        return MultiPoly(self.p, self.n, out)
+        return MultiPoly._trusted(self.p, self.n, dict(sorted(out.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.p.p
-        return MultiPoly(self.p, self.n, {e: p - c for e, c in self.terms.items()})
+        return MultiPoly._trusted(
+            self.p, self.n, {e: p - c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -210,12 +252,10 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
-            c = int(other) % self.p.p
-            if c == 0:
-                return MultiPoly.zero(self.p, self.n)
-            return MultiPoly(
-                self.p, self.n, {e: v * c for e, v in self.terms.items()}
-            )
+            p = self.p.p
+            c = int(other) % p
+            terms = {e: v * c % p for e, v in self.terms.items()} if c else {}
+            return MultiPoly._trusted(self.p, self.n, terms)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -229,7 +269,9 @@ class MultiPoly:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return MultiPoly(self.p, self.n, out)
+        if self.max_var_degree() + other.max_var_degree() > _max_degree:
+            _check_degree(out)
+        return MultiPoly._trusted(self.p, self.n, dict(sorted(out.items())))
 
     __rmul__ = __mul__
 
@@ -275,9 +317,10 @@ class MultiPoly:
             m = exps[k]
             v = c * (m % p) % p
             if v:
-                e = exps[:k] + (m - 1,) + exps[k + 1 :]
-                out[e] = (out.get(e, 0) + v) % p
-        return MultiPoly(self.p, self.n, out)
+                # lowering one exponent by 1 keeps distinct keys distinct
+                # and keeps their order
+                out[exps[:k] + (m - 1,) + exps[k + 1 :]] = v
+        return MultiPoly._trusted(self.p, self.n, out)
 
     def partial_pow(self, i: int, k: int) -> "MultiPoly":
         """k-fold partial derivative, computed by naive iteration.
@@ -318,8 +361,14 @@ class MultiPoly:
         and 0 otherwise.  That is residue_mask(I, sign=(-1)^|I|,
         lower=True); the projectors P_I, Q_r, O_I, the restricted slice and
         Cartier are the other sign, shift and pattern choices.  The
-        variables of index must be distinct and within range.
+        variables of index must be distinct and within range, sign is +1
+        or -1, and lower needs every=True (with every=False a kept monomial
+        need not be divisible by z_index^(p-1)).
         """
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+        if lower and not every:
+            raise ValueError("lower=True needs every=True")
         n = self.n
         seen = set()
         for i in index:
@@ -341,7 +390,7 @@ class MultiPoly:
                 if lower:
                     exps = tuple(e - s for e, s in zip(exps, shift))
                 out[exps] = c if sign == 1 else p - c
-        return MultiPoly(self.p, self.n, out)
+        return MultiPoly._trusted(self.p, self.n, out)
 
     def partial_multi(self, index) -> "MultiPoly":
         """Product of (p-1)-fold partials over the variables in index.
@@ -373,7 +422,8 @@ class MultiPoly:
             v = c * inv_mod(m + 1, p) % p
             e = exps[:j] + (m + 1,) + exps[j + 1 :]
             out[e] = v
-        return MultiPoly(self.p, self.n, out)
+        _check_degree(out, i)
+        return MultiPoly._trusted(self.p, self.n, out)
 
     def is_differential_constant(self) -> bool:
         """True when every partial derivative vanishes, i.e. f lies in K[z^p]."""
@@ -400,7 +450,7 @@ class MultiPoly:
             bucket = out.setdefault(pattern, {})
             bucket[base] = c
         return {
-            pattern: MultiPoly(self.p, self.n, bucket)
+            pattern: MultiPoly._trusted(self.p, self.n, bucket)
             for pattern, bucket in sorted(out.items())
         }
 
@@ -410,15 +460,20 @@ class MultiPoly:
         shift is an exponent vector, zero when omitted.
         """
         p = self.p.p
-        shift = shift or (0,) * self.n
-        return MultiPoly(
-            self.p,
-            self.n,
-            {
-                tuple(e * p + s for e, s in zip(exps, shift)): c
-                for exps, c in self.terms.items()
-            },
-        )
+        shift = tuple(shift) if shift else (0,) * self.n
+        if len(shift) != self.n:
+            raise ArityMismatch(
+                "shift %r has length %d, expected %d"
+                % (shift, len(shift), self.n)
+            )
+        if any(not isinstance(s, int) or s < 0 for s in shift):
+            raise ValueError("bad shift %r" % (shift,))
+        out = {
+            tuple(e * p + s for e, s in zip(exps, shift)): c
+            for exps, c in self.terms.items()
+        }
+        _check_degree(out)
+        return MultiPoly._trusted(self.p, self.n, out)
 
     def unsubstitute_pth(self) -> "MultiPoly":
         """Inverse of substitute_pth; needs every exponent divisible by p."""
@@ -431,7 +486,7 @@ class MultiPoly:
                     % (monomial_text(exps, c), p)
                 )
             out[tuple(e // p for e in exps)] = c
-        return MultiPoly(self.p, self.n, out)
+        return MultiPoly._trusted(self.p, self.n, out)
 
     # ------------------------------------------------------------------
     # presentation

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import ParseError, PrimeOutOfRange
 from .forms import DiffForm
-from .poly import MultiPoly, monomial_text
+from .poly import MultiPoly
 from .ratfun import RatFun
 from .scalar import Prime
 

@@ -118,6 +118,19 @@ def test_max_degree_holds_for_one_invocation_only():
     assert str(parse_form("z^5 dz", 3, 1)) == "z1^5 dz1"
 
 
+def test_max_degree_below_one_is_a_usage_error():
+    before = max_degree_limit()
+    for value in ("0", "-3"):
+        for argv in (
+            ["--max-degree", value, "check"],
+            ["--p", "3", "--n", "1", "d", "--max-degree", value, "z dz"],
+        ):
+            code, out, err = run(argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "error: --max-degree must be a positive integer\n"
+    assert max_degree_limit() == before
+
+
 def test_bad_prime_message():
     code, _, err = run(["--p", "4", "--n", "1", "d", "z dz"])
     assert code == 1 and "4 is not prime" in err

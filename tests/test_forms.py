@@ -10,7 +10,9 @@ from fpforms import (
     RatFun,
     Scalar,
     insert_index,
+    irrational_part,
     merge_indices,
+    phi,
     remove_index,
     sorted_index_sign,
     variables,
@@ -19,6 +21,23 @@ from fpforms import (
 from fpforms.sampling import random_form, random_poly
 
 TRIALS = 120
+
+
+def assert_canonical_form(w):
+    """w is exactly what the validating constructor builds from its terms,
+    with one coefficient kind and canonical polynomials inside."""
+    kinds = {type(c) for c in w.terms.values()}
+    assert kinds <= {MultiPoly} or kinds == {RatFun}
+    for c in w.terms.values():
+        assert not c.is_zero()
+        assert c.p == w.p and c.n == w.n
+        for f in (c,) if isinstance(c, MultiPoly) else (c.num, c.den):
+            assert list(MultiPoly(f.p, f.n, f.terms).terms.items()) == list(
+                f.terms.items()
+            )
+    rebuilt = DiffForm(w.p, w.n, w.r, w.terms)
+    assert rebuilt == w
+    assert list(rebuilt.terms.items()) == list(w.terms.items())
 
 
 def brute_sign(perm):
@@ -169,3 +188,40 @@ def test_is_closed_examples():
     assert not DiffForm(3, 2, 1, {(1,): y}).is_closed()
     assert DiffForm(3, 2, 1, {(1,): y, (2,): x}).is_closed()
     assert DiffForm(3, 2, 2, {(1, 2): x * y}).is_closed()  # top degree
+
+
+def test_trusted_results_match_their_validated_rebuild():
+    rng = random.Random(4006)
+    for _ in range(TRIALS):
+        p = rng.choice((2, 3, 5, 13))
+        n = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        a = random_form(rng, p, n, r, max_terms=5)
+        b = random_form(rng, p, n, r, max_terms=5)
+        c = random_form(rng, p, n, rng.randint(0, n - r))
+        q = random_form(rng, p, n, r, max_degree=1, rational=True)
+        f = random_poly(rng, p, n)
+        results = [
+            a + b,
+            a - b,
+            a - a,
+            -a,
+            a.d(),
+            a.wedge(c),
+            c.wedge(a),
+            a * rng.randint(0, p),
+            a * f,
+            phi(a),
+            irrational_part(a),
+            a.to_rational(),
+            # mixed kinds: every coefficient of the result is a RatFun
+            a + q,
+            q - a,
+            -q,
+            q.d(),
+            q.wedge(c),
+            c.wedge(q),
+            q * f,
+        ]
+        for w in results:
+            assert_canonical_form(w)

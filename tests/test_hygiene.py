@@ -1,0 +1,84 @@
+"""Every module of src/fpforms uses each name it imports.
+
+The project ships no linter, so this stdlib-only check (the ast module)
+keeps dead imports from piling up as code moves between modules.
+__init__.py is exempt: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fpforms"
+MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """Name bound by each import -> line of the import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree):
+    """Names read anywhere, including quoted annotations and __all__."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            )
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(
+                    n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)
+                )
+    return used
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted(
+        (line, name)
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+
+
+def test_detector_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from json import dumps, loads as parse\n"
+        "from typing import Any\n"
+        "def f(x: 'Any') -> None:\n"
+        "    return os.sep, parse(x)\n"
+    )
+    assert unused_imports(source) == [(2, "sys"), (3, "dumps")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert unused_imports(source) == [], module

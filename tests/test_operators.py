@@ -174,12 +174,21 @@ def test_irrational_part_of_rational_coefficients():
 
 
 def test_p_decompose_step_reconstructs():
+    # the split is exact on every polynomial form of degree >= 1, whether
+    # p-closed, closed only, or neither
     rng = random.Random(5005)
-    for _ in range(80):
+    not_p_closed = 0
+    for trial in range(240):
         p = rng.choice(PRIMES)
         n = rng.randint(1, 3)
         r = rng.randint(1, n)
-        omega = random_p_closed_form(rng, p, n, r)
+        if trial % 3 == 0:
+            omega = random_p_closed_form(rng, p, n, r)
+        elif trial % 3 == 1:
+            omega = random_closed_form(rng, p, n, r)
+        else:
+            omega = random_form(rng, p, n, r, max_degree=2 * p, max_terms=5)
+        not_p_closed += not is_p_closed(omega)
         i = rng.randint(1, n)
         omega_i, eta_i, tau_i = p_decompose_step(omega, i)
         dz_i = DiffForm.basis(p, n, (i,))
@@ -195,6 +204,7 @@ def test_p_decompose_step_reconstructs():
             assert all(e[i - 1] % p == 0 for e in coeff.terms)
         for coeff in eta_i.terms.values():
             assert all(e[i - 1] % p != p - 1 for e in coeff.terms)
+    assert not_p_closed > 80
 
 
 def test_o_operator_singletons_match_p_operator():

@@ -5,11 +5,15 @@ import pytest
 from fpforms import (
     ArityMismatch,
     DegreeOverflow,
+    DiffForm,
     IndexOutOfRange,
     MultiPoly,
     ObstructedAntiderivative,
     NotPthPower,
+    Prime,
     PrimeMismatch,
+    gamma0,
+    max_degree_limit,
     o_operator,
     p_operator,
     set_max_degree,
@@ -19,6 +23,19 @@ from fpforms.sampling import random_poly
 
 TRIALS = 150
 PRIMES = (2, 3, 5, 7)
+# the results of the unchecked constructor are tested up to p = 13
+TRUST_PRIMES = (2, 3, 5, 13)
+
+
+def assert_canonical(f):
+    """f is exactly what the validating constructor builds from its terms."""
+    assert isinstance(f.p, Prime)
+    assert all(len(e) == f.n for e in f.terms)
+    assert all(type(c) is int and 0 < c < f.p.p for c in f.terms.values())
+    rebuilt = MultiPoly(f.p, f.n, f.terms)
+    assert rebuilt == f
+    assert list(rebuilt.terms.items()) == list(f.terms.items())
+    assert hash(rebuilt) == hash(f)
 
 
 def rand_pair(rng):
@@ -227,3 +244,113 @@ def test_variables_helper():
     xs = variables(5, 3)
     assert len(xs) == 3
     assert xs[0] * xs[1] == MultiPoly.monomial(5, 3, (1, 1, 0))
+
+
+def test_trusted_results_match_their_validated_rebuild():
+    rng = random.Random(2012)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 3)
+        f = random_poly(rng, p, n, max_degree=2 * p, max_terms=6)
+        g = random_poly(rng, p, n, max_degree=2 * p, max_terms=6)
+        # small enough that z^E -> z^(pE + p-1) stays within the cap
+        small = random_poly(
+            rng, p, n, max_degree=(max_degree_limit() - p + 1) // p, max_terms=6
+        )
+        shift = tuple(rng.randint(0, p - 1) for _ in range(n))
+        i = rng.randint(1, n)
+        index = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        every = rng.random() < 0.5
+        k = rng.randint(-p, 2 * p)
+        results = [
+            f + g,
+            f - g,
+            f - f,
+            -f,
+            f * k,
+            k * f,
+            f * g,
+            f**2,
+            f.partial(i),
+            f.residue_mask(
+                index,
+                every=every,
+                sign=rng.choice((1, -1)),
+                lower=every and rng.random() < 0.5,
+            ),
+            f.partial_multi(index),
+            small.substitute_pth(),
+            small.substitute_pth(shift),
+            small.substitute_pth().unsubstitute_pth(),
+        ]
+        results.extend(f.frobenius_decompose().values())
+        try:
+            results.append(f.antiderivative(i))
+        except ObstructedAntiderivative:
+            pass
+        for h in results:
+            assert_canonical(h)
+
+
+def test_exponent_growing_ops_check_the_cap():
+    previous = set_max_degree(12)
+    try:
+        z, w = variables(3, 2)
+        assert (z**6 * z**6).max_var_degree() == 12
+        with pytest.raises(DegreeOverflow):
+            z**6 * z**7
+        with pytest.raises(DegreeOverflow):
+            (z**6 + w**7) * (z**6 + w**6)
+        # the degree sum exceeds the cap, no single exponent does
+        assert (z**7 * w**7).max_var_degree() == 7
+        assert (z**12).max_var_degree() == 12
+        with pytest.raises(DegreeOverflow):
+            z**13
+        # antiderivative grows its own variable only
+        assert (z**10 * w**12).antiderivative(1).max_var_degree() == 12
+        with pytest.raises(DegreeOverflow):
+            (z**12).antiderivative(1)
+        assert (z**4).substitute_pth().max_var_degree() == 12
+        with pytest.raises(DegreeOverflow):
+            (z**5).substitute_pth()
+        with pytest.raises(DegreeOverflow):
+            (z**4).substitute_pth((1, 0))
+        # gamma0 at p = 2 sends z^E dz to z^(2E+1) dz
+        assert gamma0(DiffForm(2, 1, 1, {(1,): MultiPoly.monomial(2, 1, (5,))})) == (
+            DiffForm(2, 1, 1, {(1,): MultiPoly.monomial(2, 1, (11,))})
+        )
+        with pytest.raises(DegreeOverflow):
+            gamma0(DiffForm(2, 1, 1, {(1,): MultiPoly.monomial(2, 1, (6,))}))
+    finally:
+        assert set_max_degree(previous) == 12
+
+
+def test_arguments_of_trusted_ops_are_checked():
+    z = MultiPoly.variable(3, 2, 1)
+    with pytest.raises(ArityMismatch):
+        z.substitute_pth((1,))
+    with pytest.raises(ValueError):
+        z.substitute_pth((1, -1))
+    with pytest.raises(ValueError):
+        z.residue_mask((1,), sign=2)
+    # with every=False a kept monomial need not be divisible by z_index^(p-1)
+    with pytest.raises(ValueError):
+        MultiPoly.monomial(3, 2, (2, 0)).residue_mask((1, 2), every=False, lower=True)
+
+
+def test_lowering_the_cap_spares_exponent_preserving_ops():
+    # the cap is checked where exponents grow; a polynomial built under a
+    # higher cap keeps working with every operation that does not raise one
+    f = MultiPoly.monomial(3, 2, (10, 2)) + 1
+    g = MultiPoly.monomial(3, 2, (10, 1)) + 1
+    previous = set_max_degree(8)
+    try:
+        for h in (-f, f + f, f - 1, 2 * f, f.partial(1), f.residue_mask((2,))):
+            assert h.max_var_degree() in (9, 10)
+        assert g.antiderivative(2).max_var_degree() == 10
+        with pytest.raises(DegreeOverflow):
+            f * f
+        with pytest.raises(DegreeOverflow):
+            MultiPoly(3, 2, f.terms)
+    finally:
+        assert set_max_degree(previous) == 8
