@@ -25,6 +25,14 @@ JSON documents and user calls go through it.  +, -, d, wedge and the
 coefficient-wise maps of _with_terms build their results with the
 _trusted constructor, which checks nothing and only restores the
 canonical index order.
+
+Forms are immutable: no operation changes a form once it is built, and
+every result is a new object.  So a form keeps its exterior derivative:
+d() computes it on first use, in one pass over the monomials for
+polynomial coefficients, and returns the same object from then on.  The
+p-closedness test, the integrator's residual checks and a caller's own
+check of the same form share that one derivative; every result of +, -,
+d, wedge and _with_terms starts without one.
 """
 
 from __future__ import annotations
@@ -127,6 +135,8 @@ def _promote(coeff):
 class DiffForm:
     """A homogeneous differential form of degree r in n variables over F_p.
 
+    Treat instances as immutable; all operations return new objects.
+
     >>> from .poly import variables
     >>> x, y = variables(3, 2)
     >>> w = DiffForm(3, 2, 1, {(1,): x * x * y})
@@ -136,7 +146,7 @@ class DiffForm:
     True
     """
 
-    __slots__ = ("p", "n", "r", "terms")
+    __slots__ = ("p", "n", "r", "terms", "_d")
 
     def __init__(self, p, n, r, terms=None):
         p = Prime(p)
@@ -193,6 +203,7 @@ class DiffForm:
         if rational:
             clean = {i: _promote(c) for i, c in clean.items()}
         self.terms = dict(sorted(clean.items()))
+        self._d = None
 
     @classmethod
     def _trusted(cls, p, n, r, terms) -> "DiffForm":
@@ -207,6 +218,7 @@ class DiffForm:
         self.n = n
         self.r = r
         self.terms = dict(sorted(terms.items()))
+        self._d = None
         return self
 
     # ------------------------------------------------------------------
@@ -281,12 +293,16 @@ class DiffForm:
     # ------------------------------------------------------------------
     # linear structure
 
-    def __add__(self, other):
-        if not isinstance(other, DiffForm):
-            return NotImplemented
+    def _merge(self, other, sign) -> "DiffForm":
+        """self + sign * other, for sign +1 or -1, in one pass.
+
+        A zero form of another degree is the neutral element on either
+        side; coefficients are promoted to RatFun when the operands' kinds
+        differ.
+        """
         self._check(other)
         if self.is_zero() and self.r != other.r:
-            return other
+            return other if sign > 0 else -other
         if other.is_zero() and self.r != other.r:
             return self
         if self.r != other.r:
@@ -296,14 +312,21 @@ class DiffForm:
         out = dict(self.terms)
         for index, coeff in other.terms.items():
             if index in out:
-                coeff = out[index] + coeff
+                coeff = out[index] + coeff if sign > 0 else out[index] - coeff
                 if coeff.is_zero():
                     del out[index]
                     continue
+            elif sign < 0:
+                coeff = -coeff
             out[index] = coeff
         if self.is_polynomial != other.is_polynomial:
             out = {i: _promote(c) for i, c in out.items()}
         return DiffForm._trusted(self.p, self.n, self.r, out)
+
+    def __add__(self, other):
+        if not isinstance(other, DiffForm):
+            return NotImplemented
+        return self._merge(other, 1)
 
     def __neg__(self):
         return DiffForm._trusted(
@@ -313,7 +336,7 @@ class DiffForm:
     def __sub__(self, other):
         if not isinstance(other, DiffForm):
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __mul__(self, other):
         """Coefficient-wise multiplication by a scalar or function."""
@@ -362,20 +385,62 @@ class DiffForm:
         return self._with_terms(out, r)
 
     def d(self) -> "DiffForm":
-        """Exterior derivative."""
+        """Exterior derivative, computed on first use and then kept."""
+        if self._d is None:
+            if self.is_polynomial:
+                self._d = self._d_polynomial()
+            else:
+                self._d = self._d_rational()
+        return self._d
+
+    def _d_polynomial(self) -> "DiffForm":
+        # One pass: every signed c * m * z^(E - e_j) bound for dz_J is
+        # summed into one exponent -> int dict, reduced mod p at the end.
+        p = self.p.p
+        n = self.n
+        sums = {}
+        for index, coeff in self.terms.items():
+            for j in range(1, n + 1):
+                sign, new_index = insert_index(index, j)
+                if not sign:
+                    continue
+                target = sums.setdefault(new_index, {})
+                get = target.get
+                k = j - 1
+                for exps, c in coeff.terms.items():
+                    m = exps[k]
+                    v = m % p
+                    if v:
+                        e = exps[:k] + (m - 1,) + exps[k + 1 :]
+                        target[e] = get(e, 0) + sign * c * v
+        out = {}
+        for new_index, target in sums.items():
+            terms = {}
+            for e in sorted(target):
+                v = target[e] % p
+                if v:
+                    terms[e] = v
+            if terms:
+                out[new_index] = MultiPoly._trusted(self.p, n, terms)
+        return DiffForm._trusted(self.p, n, self.r + 1, out)
+
+    def _d_rational(self) -> "DiffForm":
+        # d acts on numerators only; partials are folded in with RatFun +
+        # and -, in index order
         out = {}
         for index, coeff in self.terms.items():
             for j in range(1, self.n + 1):
-                if j in index:
+                sign, new_index = insert_index(index, j)
+                if not sign:
                     continue
                 da = coeff.partial(j)
                 if da.is_zero():
                     continue
-                sign, new_index = insert_index(index, j)
-                if sign < 0:
-                    da = -da
                 if new_index in out:
-                    da = out[new_index] + da
+                    prev = out[new_index]
+                    da = prev + da if sign > 0 else prev - da
+                elif sign < 0:
+                    da = -da
                 out[new_index] = da
         return self._with_terms(out, self.r + 1)
 

@@ -37,6 +37,8 @@ exponent-preserving operations on it raise.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import (
     ArityMismatch,
     DegreeOverflow,
@@ -137,7 +139,7 @@ class MultiPoly:
                     clean[exps] = (clean.get(exps, 0) + c) % p.p
                     if not clean[exps]:
                         del clean[exps]
-        self.terms = dict(sorted(clean.items()))
+        self.terms = {e: clean[e] for e in sorted(clean)}
 
     @classmethod
     def _trusted(cls, p, n, terms) -> "MultiPoly":
@@ -216,21 +218,36 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # ring operations
 
+    def _merge(self, other, sign) -> "MultiPoly":
+        """self + sign * other, for sign +1 or -1, in one pass.
+
+        The result keeps the canonical order; it is re-sorted only when
+        other brings monomials that self lacks.
+        """
+        self._check(other)
+        p = self.p.p
+        out = dict(self.terms)
+        grown = False
+        for exps, c in other.terms.items():
+            if exps in out:
+                v = (out[exps] + sign * c) % p
+                if v:
+                    out[exps] = v
+                else:
+                    del out[exps]
+            else:
+                out[exps] = c if sign > 0 else p - c
+                grown = True
+        if grown:
+            out = {e: out[e] for e in sorted(out)}
+        return MultiPoly._trusted(self.p, self.n, out)
+
     def __add__(self, other):
         if isinstance(other, (int, Scalar)):
             other = MultiPoly.constant(self.p, self.n, int(other))
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
-        p = self.p.p
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = (out.get(exps, 0) + c) % p
-            if v:
-                out[exps] = v
-            elif exps in out:
-                del out[exps]
-        return MultiPoly._trusted(self.p, self.n, dict(sorted(out.items())))
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -245,7 +262,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.p, self.n, int(other))
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -260,18 +277,44 @@ class MultiPoly:
             return NotImplemented
         self._check(other)
         p = self.p.p
-        out = {}
+        # coefficients are summed unreduced and reduced once per monomial
+        sums = {}
+        get = sums.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+                e = tuple(map(add, e1, e2))
+                sums[e] = get(e, 0) + c1 * c2
+        out = {}
+        for e in sorted(sums):
+            v = sums[e] % p
+            if v:
+                out[e] = v
         if self.max_var_degree() + other.max_var_degree() > _max_degree:
-            _check_degree(out)
-        return MultiPoly._trusted(self.p, self.n, dict(sorted(out.items())))
+            over = {e for e in out if max(e) > _max_degree}
+            if over:
+                self._raise_overflow(other, over)
+        return MultiPoly._trusted(self.p, self.n, out)
+
+    def _raise_overflow(self, other, over):
+        """Raise the DegreeOverflow of a product whose monomials over overflow.
+
+        The message names the first offending exponent in the order of a
+        pairwise fold that reduces as it goes: a monomial takes its place
+        when its running sum last turned nonzero.  Only the monomials of
+        over are replayed.
+        """
+        p = self.p.p
+        live = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                if e in over:
+                    v = (live.get(e, 0) + c1 * c2) % p
+                    if v:
+                        live[e] = v
+                    elif e in live:
+                        del live[e]
+        _check_degree(live)
 
     __rmul__ = __mul__
 
@@ -382,14 +425,32 @@ class MultiPoly:
         p = self.p.p
         top = p - 1
         pos = [i - 1 for i in seen]
-        shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
-        test = all if every else any
         out = {}
-        for exps, c in self.terms.items():
-            if test(exps[j] % p == top for j in pos):
-                if lower:
-                    exps = tuple(e - s for e, s in zip(exps, shift))
-                out[exps] = c if sign == 1 else p - c
+        if len(pos) == 1:
+            # one variable, the common case: every and any coincide
+            (k,) = pos
+            for exps, c in self.terms.items():
+                m = exps[k]
+                if m % p == top:
+                    if lower:
+                        exps = exps[:k] + (m - top,) + exps[k + 1 :]
+                    out[exps] = c if sign == 1 else p - c
+        elif every:
+            shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
+            for exps, c in self.terms.items():
+                for k in pos:
+                    if exps[k] % p != top:
+                        break
+                else:
+                    if lower:
+                        exps = tuple(map(sub, exps, shift))
+                    out[exps] = c if sign == 1 else p - c
+        else:
+            for exps, c in self.terms.items():
+                for k in pos:
+                    if exps[k] % p == top:
+                        out[exps] = c if sign == 1 else p - c
+                        break
         return MultiPoly._trusted(self.p, self.n, out)
 
     def partial_multi(self, index) -> "MultiPoly":

@@ -5,6 +5,7 @@ import pytest
 
 from fpforms import (
     DegreeMismatch,
+    DegreeOverflow,
     DiffForm,
     MultiPoly,
     RatFun,
@@ -225,3 +226,139 @@ def test_trusted_results_match_their_validated_rebuild():
         ]
         for w in results:
             assert_canonical_form(w)
+
+
+def naive_d(form):
+    """d as the sum of coeff.partial(j) placed through insert_index,
+    folded in index order with + and - (the oracle for DiffForm.d)."""
+    out = {}
+    for index, coeff in form.terms.items():
+        for j in range(1, form.n + 1):
+            sign, new_index = insert_index(index, j)
+            if sign == 0:
+                continue
+            da = coeff.partial(j)
+            if da.is_zero():
+                continue
+            if new_index in out:
+                da = out[new_index] + da if sign > 0 else out[new_index] - da
+            elif sign < 0:
+                da = -da
+            out[new_index] = da
+    return DiffForm(form.p, form.n, form.r + 1, out)
+
+
+def assert_same_form(got, expected):
+    """Same degree and the same coefficients in the same order, down to
+    the numerators and denominators (no cross multiplication)."""
+    assert (got.p, got.n, got.r) == (expected.p, expected.n, expected.r)
+    assert list(got.terms) == list(expected.terms)
+    for index, c in got.terms.items():
+        e = expected.terms[index]
+        assert type(c) is type(e)
+        if isinstance(c, MultiPoly):
+            pairs = [(c, e)]
+        else:
+            pairs = [(c.num, e.num), (c.den, e.den)]
+        for a, b in pairs:
+            assert list(a.terms.items()) == list(b.terms.items())
+    assert str(got) == str(expected)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_d_matches_naive_oracle(p):
+    rng = random.Random(4007 + p)
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for _ in range(2):
+                omega = random_form(rng, p, n, r, max_degree=2 * p, max_terms=6)
+                assert_same_form(omega.d(), naive_d(omega))
+                assert_canonical_form(omega.d())
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_d_matches_naive_oracle_rational(p):
+    # coefficients over two denominators; where the fold of many distinct
+    # denominators outgrows the exponent cap, d must fail the same way
+    rng = random.Random(4011 + p)
+    done = 0
+    for n in range(1, 7):
+        for r in range(n + 1):
+            dens = [random_poly(rng, p, n, 1, 2, nonzero=True) for _ in range(2)]
+            terms = {
+                index: RatFun(random_poly(rng, p, n, 2 * p, 3), rng.choice(dens))
+                for index in itertools.combinations(range(1, n + 1), r)
+                if rng.random() < 0.6
+            }
+            omega = DiffForm(p, n, r, terms)
+            try:
+                expected = naive_d(omega)
+            except DegreeOverflow as exc:
+                with pytest.raises(DegreeOverflow, match="^%s$" % exc):
+                    omega.d()
+                continue
+            assert_same_form(omega.d(), expected)
+            done += 1
+    assert done >= 12
+
+
+def test_d_is_computed_once_per_form():
+    rng = random.Random(4015)
+    omega = random_form(rng, 5, 3, 1, max_degree=8, max_terms=6)
+    assert omega.d() is omega.d()
+    assert omega.d().d() is omega.d().d()
+    parsed = DiffForm(5, 3, 1, omega.terms)
+    assert parsed.d() is not omega.d()
+    assert parsed.d() == omega.d()
+
+
+def test_new_forms_start_without_a_derivative():
+    # every operation builds a new object whose d is its own, not a
+    # derivative kept by one of its operands
+    rng = random.Random(4016)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 13))
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n - 1)
+        f = random_form(rng, p, n, r, max_degree=2 * p, max_terms=5)
+        g = random_form(rng, p, n, r, max_degree=2 * p, max_terms=5)
+        c = random_form(rng, p, n, 1)
+        f.d(), g.d(), c.d()
+        results = {
+            "neg": (-f, naive_d(-f)),
+            "add": (f + g, naive_d(f) + naive_d(g)),
+            "sub": (f - g, naive_d(f) - naive_d(g)),
+            "wedge": (f.wedge(c), naive_d(f.wedge(c))),
+            "with_terms": (
+                f._with_terms({i: a * 2 for i, a in f.terms.items()}),
+                naive_d(f) * 2,
+            ),
+        }
+        for name, (w, dw) in results.items():
+            assert w._d is None, name
+            assert w.d() == dw, name
+            assert w.d() is not f.d() and w.d() is not g.d(), name
+
+
+def test_sub_is_add_of_the_negation():
+    x, y = variables(3, 2)
+    poly = DiffForm(3, 2, 1, {(1,): x * y, (2,): y + 1})
+    rat = DiffForm(3, 2, 1, {(1,): RatFun(x, y**3 + 1), (2,): RatFun(y)})
+    zero0 = DiffForm.zero(3, 2, 0)
+    zero2 = DiffForm.zero(3, 2, 2)
+    pairs = [
+        (poly, rat),
+        (rat, poly),
+        (rat, rat),
+        (poly, poly),
+        (poly, zero2),
+        (zero0, poly),
+        (zero0, rat),
+        (zero2, zero0),
+    ]
+    for a, b in pairs:
+        got, expected = a - b, a + (-b)
+        assert_same_form(got, expected)
+        assert got.is_polynomial == expected.is_polynomial
+    with pytest.raises(DegreeMismatch):
+        poly - DiffForm.basis(3, 2, (1, 2))

@@ -17,7 +17,8 @@ from fpforms.cli import run_command
 
 DATA = Path(__file__).parent / "data"
 
-# (p, n, command, form); closed forms wherever the command needs them
+# (p, n, command, form); closed forms wherever the command needs them, and
+# p-closed ones for integrate
 FORMS = [
     (2, 2, "phi", "(x + x*y) dx + y^3 dy"),
     (3, 2, "phi", "x^2*y dx + x dy"),
@@ -41,6 +42,31 @@ FORMS = [
     (3, 1, "class", "(z^2 + z) dz"),
     (3, 2, "class", "x^2*y^3 dx + y^2 dy + 2*x*y dx + x^2 dy"),
     (5, 3, "class", "(x^4*y^4*z^5 + x*y) dx^dy + z^4 dx^dz"),
+    (2, 3, "d", "x*y*z dx + (y^2 + x^3*z) dy + x*z dz"),
+    (3, 4, "d", "z1*z2^2*z4 dz3^dz2 + z3^2*z4 dz1^dz4 + z1^2*z2*z3 dz4^dz2"
+     " + z2^2*z4^2 dz1^dz3"),
+    (5, 3, "d", "(x^4*y^3 + z) dx + x*y*z^2 dy + y^5 dz"),
+    (13, 2, "d", "x^12*y^13 dx + (x^5 + y^12) dy"),
+    (3, 2, "d", "(x/y) dx + (1/(x + y^3)) dy"),
+    (2, 2, "closed", "y dx + x dy"),
+    (3, 2, "closed", "x^2*y dx + x dy"),
+    (5, 3, "closed", "(x^4*y^4*z^5 + x*y) dx^dy + z^4 dx^dz"),
+    (13, 1, "closed", "z^12 dz"),
+    (2, 2, "pclosed", "y dx + x dy"),
+    (3, 1, "pclosed", "z^2 dz"),
+    (5, 3, "pclosed", "(x*y) dx^dy + z^4 dx^dz"),
+    (13, 2, "pclosed", "x^12 dx + y^25 dy"),
+    (13, 2, "pclosed", "x^12 dx + y^25 dy + x*y^3 dx"),
+    (2, 3, "integrate", "y*z dx + x*z dy + x*y dz"),
+    (2, 3, "integrate", "(x^2*z + x*z) dx^dy + (x*y + z) dx^dz + x^3 dy^dz"),
+    (3, 2, "integrate", "(x^2 + y^2) dx^dy"),
+    (3, 4, "integrate", "(2*z2^2*z4 + z2*z4^2) dz1^dz2^dz3 + z1*z2*z3 dz1^dz2^dz4"
+     " + (2*z2^2*z4 + z3*z4) dz1^dz3^dz4 + (z1^2*z2 + 2*z1*z2^2) dz2^dz3^dz4"),
+    (5, 3, "integrate", "(4*x^3*y^2 + y*z) dx + (2*x^4*y + x*z) dy + x*y dz"),
+    (5, 3, "integrate", "(2*x^4*y^2 + y*z^2) dx^dy + 4 dx^dz + 3*x*y*z dy^dz"),
+    (13, 2, "integrate", "(x^13 + y) dx + (x + 3*y^2) dy"),
+    (13, 2, "integrate", "x^12*y^5 dx^dy"),
+    (3, 2, "integrate", "(y/(x^3 + 1)) dx + (x/(x^3 + 1)) dy"),
 ]
 
 

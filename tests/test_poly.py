@@ -354,3 +354,128 @@ def test_lowering_the_cap_spares_exponent_preserving_ops():
             MultiPoly(3, 2, f.terms)
     finally:
         assert set_max_degree(previous) == 8
+
+
+def fold_product(f, g):
+    """f * g as the pairwise fold that reduces as it goes, with the
+    DegreeOverflow message it gives: the first offending exponent in the
+    order in which each monomial's running sum last turned nonzero."""
+    p = f.p.p
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = (out.get(e, 0) + c1 * c2) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    limit = max_degree_limit()
+    for exps in out:
+        for i, e in enumerate(exps, start=1):
+            if e > limit:
+                raise DegreeOverflow(
+                    "exponent %d of z%d exceeds the degree limit %d" % (e, i, limit)
+                )
+    return MultiPoly(f.p, f.n, out)
+
+
+def fold_power(f, k):
+    """f ** k by the square-and-multiply order of MultiPoly.__pow__."""
+    out = MultiPoly.constant(f.p, f.n, 1)
+    base = f
+    while k:
+        if k & 1:
+            out = fold_product(out, base)
+        k >>= 1
+        if k:
+            base = fold_product(base, base)
+    return out
+
+
+def outcome(thunk):
+    try:
+        return ("ok", list(thunk().terms.items()))
+    except DegreeOverflow as exc:
+        return ("overflow", str(exc))
+
+
+def test_product_overflow_names_the_same_exponent():
+    previous = set_max_degree(5)
+    try:
+        # z1^8 cancels (mod 3) and comes back after z1^6 is made, so the
+        # fold names 8; the first monomial made, z1^6, is not the one named
+        f = MultiPoly(3, 1, {(5,): 2, (3,): 1, (2,): 2, (1,): 1})
+        g = MultiPoly(3, 1, {(5,): 2, (4,): 2, (2,): 2, (1,): 2, (0,): 1})
+        with pytest.raises(DegreeOverflow) as caught:
+            f * g
+        assert str(caught.value) == "exponent 8 of z1 exceeds the degree limit 5"
+    finally:
+        set_max_degree(previous)
+    rng = random.Random(2014)
+    overflows = 0
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        cap = rng.randint(3, 8)
+        f = random_poly(rng, p, n, max_degree=cap, max_terms=10)
+        g = random_poly(rng, p, n, max_degree=cap, max_terms=10)
+        k = rng.randint(2, 4)
+        previous = set_max_degree(cap)
+        try:
+            got = outcome(lambda: f * g)
+            assert got == outcome(lambda: fold_product(f, g))
+            assert outcome(lambda: f**k) == outcome(lambda: fold_power(f, k))
+        finally:
+            set_max_degree(previous)
+        overflows += got[0] == "overflow"
+    assert overflows > 500
+
+
+def test_residue_mask_matches_a_per_monomial_reference():
+    # the single-variable pass and the general one against the definition
+    rng = random.Random(2015)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 4)
+        f = random_poly(rng, p, n, max_degree=3 * p, max_terms=12)
+        index = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        every = rng.random() < 0.5
+        lower = every and rng.random() < 0.5
+        sign = rng.choice((1, -1))
+        test = all if every else any
+        expected = {}
+        for exps, c in f.terms.items():
+            if test(exps[i - 1] % p == p - 1 for i in index):
+                if lower:
+                    exps = tuple(
+                        e - (p - 1 if i in index else 0)
+                        for i, e in enumerate(exps, start=1)
+                    )
+                expected[exps] = c * sign % p
+        got = f.residue_mask(index, every=every, sign=sign, lower=lower)
+        assert list(got.terms.items()) == list(
+            MultiPoly(p, n, expected).terms.items()
+        )
+    z = MultiPoly.variable(3, 2, 1)
+    for bad in ((0,), (3,), ("1",)):
+        with pytest.raises(IndexOutOfRange):
+            z.residue_mask(bad)
+
+
+def test_subtraction_is_one_signed_merge():
+    rng = random.Random(2016)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 3)
+        f = random_poly(rng, p, n, max_degree=2 * p, max_terms=6)
+        g = random_poly(rng, p, n, max_degree=2 * p, max_terms=6)
+        k = rng.randint(-p, 2 * p)
+        for got, expected in (
+            (f - g, f + (-g)),
+            (f - f, MultiPoly.zero(p, n)),
+            (f - k, f + (-MultiPoly.constant(p, n, k))),
+            (k - f, (-f) + k),
+        ):
+            assert_canonical(got)
+            assert list(got.terms.items()) == list(expected.terms.items())
