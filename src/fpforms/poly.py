@@ -277,44 +277,18 @@ class MultiPoly:
             return NotImplemented
         self._check(other)
         p = self.p.p
-        # coefficients are summed unreduced and reduced once per monomial
-        sums = {}
-        get = sums.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                sums[e] = get(e, 0) + c1 * c2
         out = {}
-        for e in sorted(sums):
-            v = sums[e] % p
-            if v:
-                out[e] = v
-        if self.max_var_degree() + other.max_var_degree() > _max_degree:
-            over = {e for e in out if max(e) > _max_degree}
-            if over:
-                self._raise_overflow(other, over)
-        return MultiPoly._trusted(self.p, self.n, out)
-
-    def _raise_overflow(self, other, over):
-        """Raise the DegreeOverflow of a product whose monomials over overflow.
-
-        The message names the first offending exponent in the order of a
-        pairwise fold that reduces as it goes: a monomial takes its place
-        when its running sum last turned nonzero.  Only the monomials of
-        over are replayed.
-        """
-        p = self.p.p
-        live = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                if e in over:
-                    v = (live.get(e, 0) + c1 * c2) % p
-                    if v:
-                        live[e] = v
-                    elif e in live:
-                        del live[e]
-        _check_degree(live)
+                v = (out.get(e, 0) + c1 * c2) % p
+                if v:
+                    out[e] = v
+                elif e in out:
+                    del out[e]
+        if self.max_var_degree() + other.max_var_degree() > _max_degree:
+            _check_degree(out)
+        return MultiPoly._trusted(self.p, self.n, {e: out[e] for e in sorted(out)})
 
     __rmul__ = __mul__
 
@@ -426,16 +400,7 @@ class MultiPoly:
         top = p - 1
         pos = [i - 1 for i in seen]
         out = {}
-        if len(pos) == 1:
-            # one variable, the common case: every and any coincide
-            (k,) = pos
-            for exps, c in self.terms.items():
-                m = exps[k]
-                if m % p == top:
-                    if lower:
-                        exps = exps[:k] + (m - top,) + exps[k + 1 :]
-                    out[exps] = c if sign == 1 else p - c
-        elif every:
+        if every:
             shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
             for exps, c in self.terms.items():
                 for k in pos:

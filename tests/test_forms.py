@@ -15,6 +15,7 @@ from fpforms import (
     merge_indices,
     phi,
     remove_index,
+    set_max_degree,
     sorted_index_sign,
     variables,
     wedge,
@@ -310,6 +311,26 @@ def test_d_is_computed_once_per_form():
     parsed = DiffForm(5, 3, 1, omega.terms)
     assert parsed.d() is not omega.d()
     assert parsed.d() == omega.d()
+
+
+def test_lowering_the_cap_keeps_a_computed_derivative():
+    # the rational fold of d can outgrow the cap (the sum over the
+    # denominators z1^3 and z1^3 + 1 has degree 6); a derivative computed
+    # under a higher cap is kept, and only a form that has not computed
+    # its d yet checks the lower one
+    z1, z2 = variables(3, 2)
+    terms = {(1,): RatFun(z2, z1**3), (2,): RatFun(z1, z1**3 + 1)}
+    kept = DiffForm(3, 2, 1, terms)
+    fresh = DiffForm(3, 2, 1, terms)
+    dw = kept.d()
+    previous = set_max_degree(5)
+    try:
+        assert kept.d() is dw
+        with pytest.raises(DegreeOverflow, match="^exponent 6 of z1 exceeds"):
+            fresh.d()
+    finally:
+        assert set_max_degree(previous) == 5
+    assert fresh.d() == dw
 
 
 def test_new_forms_start_without_a_derivative():

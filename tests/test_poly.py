@@ -433,7 +433,7 @@ def test_product_overflow_names_the_same_exponent():
 
 
 def test_residue_mask_matches_a_per_monomial_reference():
-    # the single-variable pass and the general one against the definition
+    # the every and any passes, on one to n variables, against the definition
     rng = random.Random(2015)
     for _ in range(TRIALS):
         p = rng.choice(TRUST_PRIMES)
