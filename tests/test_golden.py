@@ -67,14 +67,73 @@ FORMS = [
     (13, 2, "integrate", "(x^13 + y) dx + (x + 3*y^2) dy"),
     (13, 2, "integrate", "x^12*y^5 dx^dy"),
     (3, 2, "integrate", "(y/(x^3 + 1)) dx + (x/(x^3 + 1)) dy"),
+    # rational forms at larger p; d folds the two distinct denominators of
+    # each of the first three into one dz_J
+    (5, 2, "d", "(y/(x + 1)) dx + (x/(y + 2)) dy"),
+    (5, 3, "d", "(x/(y + 1)) dx^dz + (y/(x*z + 2)) dx^dy"),
+    (13, 2, "d", "(y/(x + 1)) dx + (x/(y + 2)) dy"),
+    (13, 3, "d", "(z/(x + 2)) dy + (y/(z + 1)) dz"),
+    (5, 3, "pclosed", "(x/y) dx + (1/(z + 4)) dy"),
+    (13, 2, "pclosed", "(1/(x + 1)) dy + (x/y^13) dx"),
+    (13, 3, "pclosed", "(z1*z2^11/z2^13) dz1^dz2 + (1/(z + 4)) dx^dz"),
+    (5, 2, "integrate",
+     "(z1^5*z2^4 + 3*z1^5*z2^3 + 4*z1^5*z2^2 + 2*z1^5*z2 + z1^5"
+     " + 4*z1^4*z2^5 + 3*z1^4 + z1^3*z2^5 + 2*z1^3 + 4*z1^2*z2^5"
+     " + 3*z1^2 + z1*z2^5 + 2*z1 + 4*z2^5 + z2^4 + 3*z2^3 + 4*z2^2"
+     " + 2*z2 + 4/z1^5*z2^5 + 2*z1^5 + z2^5 + 2) dz1^dz2"),
+    (5, 3, "integrate",
+     "(z1*z2^3/z2^5) dz1^dz2 + (z3^3 + 2*z3^2 + 3*z3 + 4/z3^5 + 4) dz2^dz3"),
+    (13, 2, "integrate",
+     "(z1^14*z2^11 + 12*z1^11*z2^13 + 8*z1^10*z2^13 + 4*z1^9*z2^13"
+     " + 9*z1^8*z2^13 + 7*z1^7*z2^13 + 8*z1^6*z2^13 + 6*z1^5*z2^13"
+     " + 6*z1^4*z2^13 + 12*z1^3*z2^13 + 3*z1^2*z2^13 + 5*z1*z2^13"
+     " + 4*z1*z2^11 + 3*z2^13/z1^13*z2^13 + 4*z2^13) dz1^dz2"),
+    (13, 3, "integrate",
+     "(z1*z2^11/z2^13) dz1^dz2 + (z3^11 + 5*z3^10 + 9*z3^9 + 4*z3^8"
+     " + 6*z3^7 + 5*z3^6 + 7*z3^5 + 7*z3^4 + z3^3 + 10*z3^2 + 8*z3"
+     " + 10/z3^13 + 4) dz2^dz3"),
+]
+
+# (flags, p, n, command, form) invocations that must fail: the transcript
+# records their exit code and stderr, so a change of which inputs fail, or
+# of what they say, fails here as well
+FAILURES = [
+    # d of a rational 1-form; integrate overflows the default cap in the
+    # residual check, where form - d(potential) cross-multiplies the
+    # denominators z1^13 + 11 and z1^26 + 4*z1^13 + 7 with their product
+    ([], 13, 3, "integrate",
+     "(11*z1^11*z2 + 5*z1^10*z2 + 2*z1^9*z2 + z1^8*z2 + 9*z1^7*z2"
+     " + 6*z1^6*z2 + z1^5*z2 + 6*z1^4*z2 + 7*z1^3*z2 + 4*z1^2*z2 + z1*z2"
+     " + z2/z1^13 + 11) dz1^dz2 + (12*z1^26 + 9*z1^25 + 8*z1^24*z3^2"
+     " + 10*z1^24 + 2*z1^23*z3^2 + z1^23 + 2*z1^22*z3^2 + 4*z1^22"
+     " + 9*z1^21*z3^2 + 3*z1^21 + z1^20*z3^2 + 12*z1^20 + 6*z1^19*z3^2"
+     " + 9*z1^19 + 9*z1^18*z3^2 + 10*z1^18 + 5*z1^17*z3^2 + z1^17"
+     " + 7*z1^16*z3^2 + 4*z1^16 + 10*z1^15*z3^2 + 3*z1^15 + 3*z1^14*z3^2"
+     " + 12*z1^14 + z1^13*z3^2 + 5*z1^13 + 7*z1^12 + 7*z1^11*z3^2"
+     " + 2*z1^11 + 5*z1^10*z3^2 + 8*z1^10 + 5*z1^9*z3^2 + 6*z1^9"
+     " + 3*z1^8*z3^2 + 11*z1^8 + 9*z1^7*z3^2 + 5*z1^7 + 2*z1^6*z3^2"
+     " + 7*z1^6 + 3*z1^5*z3^2 + 2*z1^5 + 6*z1^4*z3^2 + 8*z1^4"
+     " + 11*z1^3*z3^2 + 6*z1^3 + 12*z1^2*z3^2 + 11*z1^2 + z1*z3^2 + 5*z1"
+     " + 9*z3^2/z1^26 + 4*z1^13 + 7) dz1^dz3"),
+    # d folds two denominators in z1 past a lowered cap
+    (["--max-degree", "20"], 13, 2, "d", "(y/(x + 1)) dx + (x/(x + y)) dy"),
+    # the p-th-power normal form of 1/y outgrows a lowered cap while parsing
+    (["--max-degree", "12"], 13, 2, "pclosed", "(x/y) dx"),
+    (["--json"], 5, 2, "integrate", "(x/(y + 1)) dx"),
+    ([], 3, 1, "d", "(1/(z - z)) dz"),
 ]
 
 
-def _run(argv):
+def _invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_command(argv, out=out, err=err)
-    assert (code, err.getvalue()) == (0, ""), argv
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    code, out, err = _invoke(argv)
+    assert (code, err) == (0, ""), argv
+    return out
 
 
 def _cli_transcript():
@@ -84,6 +143,13 @@ def _cli_transcript():
     for flags, (p, n, cmd, form) in runs:
         argv = flags + ["--p", str(p), "--n", str(n), cmd, form]
         blocks.append("$ fpforms %s\n%s" % (" ".join(map(repr, argv)), _run(argv)))
+    for flags, p, n, cmd, form in FAILURES:
+        argv = flags + ["--p", str(p), "--n", str(n), cmd, form]
+        code, out, err = _invoke(argv)
+        assert code != 0, argv
+        blocks.append(
+            "$ fpforms %s\n%sexit %d\n%s" % (" ".join(map(repr, argv)), out, code, err)
+        )
     return "".join(blocks)
 
 
