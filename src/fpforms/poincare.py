@@ -80,10 +80,13 @@ def integrate(form: DiffForm) -> DiffForm:
     else:
         lam, cleared = clear_denominators(form)
         inner = _integrate_polynomial(cleared)
+        # lam is a nonzero differential constant and inner has no zero
+        # coefficient, so the potential is clean by construction
         terms = {
-            index: RatFun(coeff, lam) for index, coeff in inner.terms.items()
+            index: RatFun._trusted(coeff, lam)
+            for index, coeff in inner.terms.items()
         }
-        potential = DiffForm(form.p, form.n, form.r - 1, terms)
+        potential = DiffForm._trusted(form.p, form.n, form.r - 1, terms)
     if not (form - potential.d()).is_zero():
         raise InternalResidual(
             "integration left a nonzero residual; this is a bug"

@@ -11,8 +11,19 @@ coefficients exactly as cheap as the polynomial one.
 
 The constructor normalizes: a denominator that is already a differential
 constant (all exponents divisible by p) is kept as given, anything else is
-inflated by the identity above.  No reduction to lowest terms is attempted;
-equality is decided by cross multiplication.
+inflated by the identity above.  No reduction to lowest terms is attempted,
+so one value has many representations.  Equality compares the numerators
+alone when the two denominators are the same polynomial, which is exact
+because F_p[z] is an integral domain, and cross-multiplies otherwise.
+
+As for polynomials and forms, validation happens at the trust boundary.
+The constructor RatFun(num, den) checks and normalizes whatever it is
+given; the parser, JSON documents, / and user calls go through it.  A
+product of differential constants is again one, so the results of +, -,
+*, the derivatives and the residue masks are clean by construction and
+are built by the unchecked _trusted constructor.  + and - merge only the
+numerators when the denominators are equal.  Mixed characteristics or
+arities still raise, from the MultiPoly operations underneath.
 """
 
 from __future__ import annotations
@@ -54,6 +65,21 @@ class RatFun:
             den = den ** num.p.p
         self.num = num
         self.den = den
+
+    @classmethod
+    def _trusted(cls, num, den) -> "RatFun":
+        """A quotient from parts that are clean by construction.
+
+        num and den are MultiPoly values over the same p and n, and den is
+        a nonzero differential constant.  Nothing is checked; as in the
+        constructor, a zero numerator gets the denominator 1.
+        """
+        self = object.__new__(cls)
+        if not num.terms:
+            den = MultiPoly._trusted(num.p, num.n, {(0,) * num.n: 1})
+        self.num = num
+        self.den = den
+        return self
 
     # ------------------------------------------------------------------
     # structure
@@ -102,21 +128,25 @@ class RatFun:
         if other is None:
             return NotImplemented
         if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(
+            return RatFun._trusted(self.num + other.num, self.den)
+        return RatFun._trusted(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if self.den == other.den:
+            return RatFun._trusted(self.num - other.num, self.den)
+        return RatFun._trusted(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -125,7 +155,7 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        return RatFun._trusted(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -141,25 +171,31 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        raise TypeError("RatFun is unhashable; equality is by cross multiplication")
+        raise TypeError(
+            "RatFun is unhashable: equal values can have different denominators"
+        )
 
     # ------------------------------------------------------------------
     # differential operations
 
     def partial(self, i: int) -> "RatFun":
-        return RatFun(self.num.partial(i), self.den)
+        return RatFun._trusted(self.num.partial(i), self.den)
 
     def partial_pow(self, i: int, k: int) -> "RatFun":
-        return RatFun(self.num.partial_pow(i, k), self.den)
+        return RatFun._trusted(self.num.partial_pow(i, k), self.den)
 
     def partial_multi(self, index) -> "RatFun":
-        return RatFun(self.num.partial_multi(index), self.den)
+        return RatFun._trusted(self.num.partial_multi(index), self.den)
 
     def residue_mask(self, index, every=True, sign=1, lower=False) -> "RatFun":
-        return RatFun(self.num.residue_mask(index, every, sign, lower), self.den)
+        return RatFun._trusted(
+            self.num.residue_mask(index, every, sign, lower), self.den
+        )
 
     def substitute_pth(self, shift=None) -> "RatFun":
         """num(z^p) * z^shift / den(z^p)."""

@@ -479,3 +479,25 @@ def test_subtraction_is_one_signed_merge():
         ):
             assert_canonical(got)
             assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def test_max_var_degree_matches_a_per_monomial_reference():
+    def reference(f):
+        best = 0
+        for exps in f.terms:
+            m = max(exps)
+            if m > best:
+                best = m
+        return best
+
+    (z,) = variables(7, 1)
+    assert (z**9 + z**2 + 3).max_var_degree() == 9
+    assert MultiPoly.zero(7, 1).max_var_degree() == 0
+    assert MultiPoly.zero(5, 3).max_var_degree() == 0
+    assert MultiPoly.constant(5, 3, 4).max_var_degree() == 0
+    rng = random.Random(2017)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 4)
+        f = random_poly(rng, p, n, max_degree=3 * p, max_terms=8)
+        assert f.max_var_degree() == reference(f)

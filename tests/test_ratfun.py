@@ -3,16 +3,34 @@ import random
 import pytest
 
 from fpforms import (
+    ArityMismatch,
+    DegreeOverflow,
     DiffForm,
     MultiPoly,
+    PrimeMismatch,
     RatFun,
     ZeroDenominator,
     clear_denominators,
+    integrate,
+    set_max_degree,
     variables,
 )
 from fpforms.sampling import random_form, random_poly, random_ratfun
 
 TRIALS = 120
+# the results of the unchecked constructor are tested up to p = 13
+TRUST_PRIMES = (2, 3, 5, 13)
+
+
+def assert_clean(f):
+    """f is exactly what the validating constructor builds from its parts."""
+    assert not f.den.is_zero() and f.den.is_differential_constant()
+    if f.num.is_zero():
+        assert f.den.terms == {(0,) * f.n: 1}
+    rebuilt = RatFun(f.num, f.den)
+    assert (rebuilt.p, rebuilt.n) == (f.p, f.n)
+    assert list(rebuilt.num.terms.items()) == list(f.num.terms.items())
+    assert list(rebuilt.den.terms.items()) == list(f.den.terms.items())
 
 
 def test_normal_form_inflates_nonconstant_denominators():
@@ -150,3 +168,131 @@ def test_hash_is_refused():
     (z,) = variables(3, 1)
     with pytest.raises(TypeError):
         hash(RatFun(z, z**3))
+
+
+def test_trusted_results_match_their_validated_rebuild():
+    rng = random.Random(3006)
+    # a - scaled cross-multiplies a.num * a.den by a.den^2, which at
+    # p = 13 can pass the default cap
+    previous = set_max_degree(256)
+    try:
+        for _ in range(TRIALS):
+            p = rng.choice(TRUST_PRIMES)
+            n = rng.randint(1, 3)
+            a = random_ratfun(rng, p, n)
+            b = random_ratfun(rng, p, n)
+            # over a's denominator, so + and - take the numerator-only path
+            same = RatFun(random_poly(rng, p, n, max_degree=3), a.den)
+            # a over a.den^2: unequal denominators whose cross terms cancel
+            scaled = RatFun(a.num * a.den, a.den * a.den)
+            zero = RatFun(MultiPoly.zero(p, n))
+            i = rng.randint(1, n)
+            index = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            every = rng.random() < 0.5
+            results = [
+                a + b,
+                a + same,
+                a + (-a),
+                a + 2,
+                a - b,
+                a - same,
+                a - a,
+                a - scaled,
+                -a,
+                -zero,
+                a * b,
+                a * zero,
+                a * same,
+                a.partial(i),
+                a.partial_pow(i, rng.randint(0, p)),
+                a.partial_multi(index),
+                a.residue_mask(
+                    index,
+                    every=every,
+                    sign=rng.choice((1, -1)),
+                    lower=every and rng.random() < 0.5,
+                ),
+            ]
+            for f in results:
+                assert_clean(f)
+            assert (a - a).is_zero() and (a - scaled).is_zero()
+    finally:
+        set_max_degree(previous)
+
+
+def test_rational_potentials_are_clean():
+    rng = random.Random(3008)
+    integrated = {p: 0 for p in TRUST_PRIMES}
+    for _ in range(80):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(2, 3)
+        r = rng.randint(1, n)
+        eta = random_form(rng, p, n, r - 1, max_degree=1, rational=True)
+        try:
+            omega = eta.d()
+            theta = integrate(omega)
+        except DegreeOverflow:
+            continue
+        integrated[p] += not theta.is_zero()
+        rebuilt = DiffForm(p, n, r - 1, theta.terms)
+        assert list(rebuilt.terms) == list(theta.terms)
+        assert theta.d() == omega
+        for index, coeff in theta.terms.items():
+            assert isinstance(coeff, RatFun) and not coeff.is_zero()
+            assert_clean(coeff)
+            assert rebuilt.terms[index] is coeff
+    assert all(integrated.values()), integrated
+
+
+def test_same_denominator_equality_matches_cross_multiplication():
+    rng = random.Random(3007)
+    # the reference cross-multiplies a.num * a.den by a.den^2, which at
+    # p = 13 can pass the default cap
+    previous = set_max_degree(256)
+    try:
+        for _ in range(TRIALS):
+            p = rng.choice(TRUST_PRIMES)
+            n = rng.randint(1, 3)
+            a = random_ratfun(rng, p, n)
+            den = a.den
+            zero = MultiPoly.zero(p, n)
+            pairs = [
+                (a, a),
+                (a, RatFun(a.num, den)),
+                (a, RatFun(random_poly(rng, p, n, max_degree=3), den)),
+                (a, RatFun(a.num * den, den * den)),
+                (a, RatFun(a.num + 1, den)),
+                (a, random_ratfun(rng, p, n)),
+                (RatFun(zero, den), RatFun(zero)),
+                (RatFun(zero), RatFun(random_poly(rng, p, n), den)),
+            ]
+            for f, g in pairs:
+                expected = f.num * g.den == g.num * f.den
+                assert (f == g) is expected
+                assert (g == f) is expected
+                assert (f != g) is not expected
+    finally:
+        set_max_degree(previous)
+
+
+def test_mixed_characteristics_and_arities_still_raise():
+    x3, y3 = variables(3, 2)
+    x5, y5 = variables(5, 2)
+    (z3,) = variables(3, 1)
+    cases = [
+        (RatFun(x3), RatFun(x5), PrimeMismatch),
+        (RatFun(x3, y3), RatFun(x5, y5), PrimeMismatch),
+        (RatFun(x3), RatFun(z3), ArityMismatch),
+        (RatFun(x3, y3), RatFun(z3, z3 + 1), ArityMismatch),
+    ]
+    for f, g, error in cases:
+        for left, right in ((f, g), (g, f)):
+            with pytest.raises(error):
+                left + right
+            with pytest.raises(error):
+                left - right
+            with pytest.raises(error):
+                left * right
+            # unequal denominators: == cross-multiplies
+            with pytest.raises(error):
+                left == right
