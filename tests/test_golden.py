@@ -67,6 +67,15 @@ FORMS = [
     (13, 2, "integrate", "(x^13 + y) dx + (x + 3*y^2) dy"),
     (13, 2, "integrate", "x^12*y^5 dx^dy"),
     (3, 2, "integrate", "(y/(x^3 + 1)) dx + (x/(x^3 + 1)) dy"),
+    # p-closed forms at p in {3, 5, 13}; all but the first have monomials
+    # z_i^(p-1) dz_i ^ ..., whose weight is 0 (mod p) in z_i
+    (5, 2, "integrate", "(x^2 + y^2) dx^dy"),
+    (5, 2, "integrate", "(x^64 + y^64) dx^dy"),
+    (5, 3, "integrate", "2*x^4*y*z dx^dy + x^4*y^2 dx^dz"),
+    (3, 3, "integrate", "(2*z1^4*z2 + z1^2*z2*z3) dz1^dz2"
+     " + (2*z1^2*z2^2 + z2^2*z3^2) dz1^dz3 + 2*z1*z2*z3^2 dz2^dz3"),
+    (3, 4, "integrate", "z1^2*z2^2*z3 dz1^dz2^dz3 + z1^2*z4^2 dz1^dz2^dz4"),
+    (13, 3, "integrate", "x^12*y^12*z^3 dx^dy^dz"),
     # rational forms at larger p; d folds the two distinct denominators of
     # each of the first three into one dz_J
     (5, 2, "d", "(y/(x + 1)) dx + (x/(y + 2)) dy"),
@@ -121,6 +130,11 @@ FAILURES = [
     (["--max-degree", "12"], 13, 2, "pclosed", "(x/y) dx"),
     (["--json"], 5, 2, "integrate", "(x/(y + 1)) dx"),
     ([], 3, 1, "d", "(1/(z - z)) dz"),
+    # potentials that outgrow the cap: the first names z2; the second has
+    # a z1 and a z3 overflow and names the one of the monomial whose
+    # weight is 0 (mod p) in z1
+    ([], 3, 3, "integrate", "z1^2*z2^64 dz1^dz2"),
+    ([], 3, 3, "integrate", "z1^64 dz1^dz2 + z1^2*z3^64 dz1^dz3"),
 ]
 
 
