@@ -187,9 +187,8 @@ def p_decompose_step(form: DiffForm, i: int):
     (i,) with lower set); eta_i collects the rest; tau_i is the part of
     the form without dz_i.  omega_i has no z_i dependence (it is killed by
     partial_i) and eta_i admits a z_i antiderivative.  The split is exact
-    on every polynomial form of degree >= 1 and none of these facts needs
-    the form to be closed or p-closed: checking that is the caller's job
-    (integrate checks once, at entry).
+    on every polynomial form of degree >= 1, closed or not.  Its only
+    caller is the layered integrator that tests integrate against.
     """
     if form.r == 0:
         raise DegreeZero("decomposition needs a form of degree >= 1")

@@ -1,44 +1,48 @@
 """Constructive integration of p-closed forms, plus a brute-force oracle.
 
-integrate() inverts the exterior derivative on p-closed forms.  It peels
-off one variable at a time: writing the running remainder as
+integrate() inverts d on p-closed forms in one pass over the monomials.
+d keeps the weight w = E + chi(I) of z^E dz_I (chi = 0/1 membership
+vector), so the complex splits into finite weight blocks.  With X =
+z_i d/dz_i, Cartan's formula L_X = d iota_X + iota_X d, and L_X acting on
+weight w as w_i, give omega = d(iota_X omega / w_i) for closed omega of
+weight w with w_i != 0 (mod p), where iota_X(z^E dz_I) is (-1)^k z^(E+e_i)
+dz_(I minus i) for i at position k (0-based) of I, and 0 for i not in I.
+integrate takes the first such i, so each monomial gives at most one
+monomial of the potential, and no two give the same one: its weight is
+w, which fixes i, then E and I.  Every monomial of the potential is an
+input monomial times one z_i, so its degree is at most the input's + 1.
 
-    rem = z_i^(p-1) dz_i ^ omega_i + dz_i ^ eta_i + tau_i
+p-closedness leaves every monomial some w_i != 0 (mod p): one with all
+w_j = 0 has E_j = p-1 (mod p) for each j in its index I, so it is kept by
+partial_I^(p-1) (residue_mask(I, every=True)), under which a p-closed
+form's coefficients vanish; this obstructed set carries Cartier classes.
 
-(the decomposition of p_decompose_step), the two dz_i layers are exact on
-the nose,
-
-    z_i^(p-1) dz_i ^ omega_i = d(-z_i^(p-1) dz_i ^ alpha)   (d alpha = omega_i)
-    dz_i ^ eta_i             = d(antiderivative of eta_i in z_i) + lower;
-
-the recursive call producing alpha drops the form degree, and eta_i is
-unobstructed by construction.  Subtracting d(piece) keeps the remainder
-equal to input - d(potential so far), so the remainder stays closed and
-p-closed, loses dz_1..dz_i after step i, and must vanish once every
-variable is processed.  p-closedness is therefore checked once, at entry,
-and not again per layer; a nonzero final remainder is a kernel bug and
-raises InternalResidual.
+The paper's proof works layer by layer: it splits off z_i^(p-1) dz_i ^
+omega_i and dz_i ^ eta_i per variable (p_decompose_step) and recurses
+into omega_i.  It gives the same potential term for term and is the
+oracle of tests/test_poincare.py.  Only grown exponents are checked
+against the cap; when several outgrow it, the error names the first the
+layered proof meets (it recurses into the layers j < i of a monomial's
+index before it integrates in z_i).
 
 Rational input is cleared to a polynomial form first: the collected
 denominator lam is a differential constant, so omega = (lam * omega)/lam
-integrates to (potential of lam * omega)/lam.
+integrates to (potential of lam * omega)/lam.  p-closedness is checked
+once, at entry, and d(potential) = form on each side of the clearing; a
+nonzero residual is a kernel bug and raises InternalResidual.
 
-exactness_oracle() answers "is omega = d(eta) solvable with eta of bounded
-degree" by exact linear algebra, with no recourse to the integrator: d
-maps the monomial z^E dz_J to a combination of monomials z^(E') dz_I with
-E' + chi(I) = E + chi(J) (chi = 0/1 membership vector), so the linear
-system splits into independent blocks indexed by that weight vector, each
-block involving at most C(n, r-1) unknowns.  Solvability over the bounded
-monomial space is decided blockwise by Gaussian elimination over F_p.
+exactness_oracle() decides bounded exactness by Gaussian elimination over
+F_p, one weight block (at most C(n, r-1) unknowns) at a time, with no
+recourse to the integrator.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import combinations
 from math import comb
 
 from .errors import (
+    DegreeOverflow,
     DegreeZero,
     InternalError,
     InternalResidual,
@@ -47,8 +51,8 @@ from .errors import (
     SystemTooLarge,
 )
 from .forms import DiffForm, insert_index
-from .operators import p_closed_failure, p_decompose_step
-from .poly import MultiPoly
+from .operators import p_closed_failure
+from .poly import MultiPoly, max_degree_limit
 from .ratfun import RatFun, clear_denominators
 
 DEFAULT_SYSTEM_CAP = 200_000
@@ -75,69 +79,66 @@ def integrate(form: DiffForm) -> DiffForm:
     if reason is not None:
         raise NotPClosed(reason)
     if form.is_polynomial:
-        potential = _integrate_polynomial(form)
-        _warn_on_degree_growth(form, potential)
+        potential = _homotopy_potential(form)
     else:
         lam, cleared = clear_denominators(form)
-        inner = _integrate_polynomial(cleared)
+        inner = _homotopy_potential(cleared)
+        _check_residual(cleared, inner)
         # lam is a nonzero differential constant and inner has no zero
         # coefficient, so the potential is clean by construction
-        terms = {
-            index: RatFun._trusted(coeff, lam)
-            for index, coeff in inner.terms.items()
-        }
+        terms = {i: RatFun._trusted(c, lam) for i, c in inner.terms.items()}
         potential = DiffForm._trusted(form.p, form.n, form.r - 1, terms)
+    _check_residual(form, potential)
+    return potential
+
+
+def _check_residual(form: DiffForm, potential: DiffForm) -> None:
     if not (form - potential.d()).is_zero():
         raise InternalResidual(
             "integration left a nonzero residual; this is a bug"
         )
-    return potential
 
 
-def _integrate_polynomial(form: DiffForm) -> DiffForm:
-    p, n, r = form.p, form.n, form.r
-    potential = DiffForm.zero(p, n, r - 1)
-    rem = form
-    for i in range(1, n + 1):
-        if rem.is_zero():
-            break
-        omega_i, eta_i, _tau = p_decompose_step(rem, i)
-        if not omega_i.is_zero():
-            if r == 1:
-                # p-closedness forbids a z_i^(p-1) layer at degree 1
+def _homotopy_potential(form: DiffForm) -> DiffForm:
+    """iota_X(form) / w_i on each weight block of a p-closed polynomial form.
+
+    See the module docstring; the caller checks p-closedness.
+    """
+    p, n = form.p.p, form.n
+    limit = max_degree_limit()
+    out = {}
+    overflow = {}
+    for index, coeff in form.terms.items():
+        chi = [1 if j in index else 0 for j in range(1, n + 1)]
+        for exps, c in coeff.terms.items():
+            for j in range(n):
+                if (exps[j] + chi[j]) % p:
+                    break
+            else:
                 raise InternalError(
-                    "unexpected obstruction layer in a p-closed 1-form"
+                    "a monomial of weight 0 (mod %d) in every variable" % p
                 )
-            alpha = _integrate_polynomial(omega_i)
-            exps = [0] * n
-            exps[i - 1] = p.p - 1
-            beta = DiffForm(p, n, 1, {(i,): MultiPoly.monomial(p, n, exps)})
-            piece = -beta.wedge(alpha)
-            potential = potential + piece
-            rem = rem - piece.d()
-        if not eta_i.is_zero():
-            theta = eta_i._with_terms(
-                {idx: c.antiderivative(i) for idx, c in eta_i.terms.items()}
-            )
-            potential = potential + theta
-            rem = rem - theta.d()
-    if not rem.is_zero():
-        raise InternalResidual(
-            "integration left a nonzero residual; this is a bug"
+            if not chi[j]:
+                continue
+            k = index.index(j + 1)
+            m = exps[j] + 1
+            if m > limit:
+                # the layered proof's order: the layers index[:k], then z_j
+                overflow.setdefault(index[: k + 1] + (n + 1,), (m, j + 1))
+            v = c * pow(m, -1, p) % p
+            e = exps[:j] + (m,) + exps[j + 1 :]
+            rest = index[:k] + index[k + 1 :]
+            out.setdefault(rest, {})[e] = p - v if k % 2 else v
+    if overflow:
+        m, i = min(overflow.items())[1]
+        raise DegreeOverflow(
+            "exponent %d of z%d exceeds the degree limit %d" % (m, i, limit)
         )
-    return potential
-
-
-def _warn_on_degree_growth(form: DiffForm, potential: DiffForm) -> None:
-    # Observed bound: one antiderivative per variable, so +1.  Kept as a
-    # soft warning rather than an invariant.
-    if potential.max_var_degree() > form.max_var_degree() + 1:
-        warnings.warn(
-            "potential degree %d exceeds input degree %d + 1"
-            % (potential.max_var_degree(), form.max_var_degree()),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    terms = {
+        rest: MultiPoly._trusted(form.p, n, {e: t[e] for e in sorted(t)})
+        for rest, t in out.items()
+    }
+    return DiffForm._trusted(form.p, n, form.r - 1, terms)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import itertools
 import random
-import warnings
 
 import pytest
 
 from fpforms import (
+    DegreeOverflow,
     DegreeZero,
     DiffForm,
+    InternalError,
+    InternalResidual,
     MultiPoly,
     NotPClosed,
     RatFun,
@@ -14,9 +16,13 @@ from fpforms import (
     exactness_oracle,
     integrate,
     is_p_closed,
+    p_decompose_step,
+    parse_form,
+    set_max_degree,
     variables,
 )
-from fpforms.poincare import _warn_on_degree_growth
+from fpforms import poincare
+from fpforms.ratfun import clear_denominators
 from fpforms.sampling import (
     random_exact_form,
     random_form,
@@ -52,13 +58,13 @@ def test_integrate_rejects_degree_zero():
 def test_integrate_roundtrip_random():
     rng = random.Random(6001)
     for _ in range(TRIALS):
-        p = rng.choice((2, 3, 5))
-        n = rng.randint(1, 3)
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        n = rng.randint(1, 6)
         r = rng.randint(1, n)
         omega = random_p_closed_form(rng, p, n, r)
         theta = integrate(omega)
         assert theta.d() == omega
-        # observed degree bound: one antiderivative per variable
+        # each monomial of the potential is an input monomial times one z_i
         assert theta.max_var_degree() <= omega.max_var_degree() + 1
 
 
@@ -98,15 +104,168 @@ def test_integrate_rational_random():
         assert theta.d() == rational_omega
 
 
-def test_degree_growth_warning_fires_on_regression():
-    x, y = variables(3, 2)
-    omega = DiffForm(3, 2, 1, {(1,): x})
-    inflated = DiffForm(3, 2, 0, {(): (x**4) * y})
-    with pytest.warns(RuntimeWarning, match="exceeds input degree"):
-        _warn_on_degree_growth(omega, inflated)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _warn_on_degree_growth(omega, DiffForm(3, 2, 0, {(): x * x}))
+# ----------------------------------------------------------------------
+# reference route for integrate: the paper's layer-by-layer proof
+
+
+def layered_potential(form):
+    """The potential of a p-closed polynomial form, one variable at a time.
+
+    Splits the remainder as z_i^(p-1) dz_i ^ omega_i + dz_i ^ eta_i + tau_i
+    (p_decompose_step).  The first layer is d(-z_i^(p-1) dz_i ^ alpha) with
+    d(alpha) = omega_i, found by recursion at one degree lower; the second
+    is d of the z_i-antiderivative of eta_i, up to terms without dz_i.
+    Subtracting d(piece) leaves a p-closed remainder without dz_1..dz_i,
+    which must vanish after the last variable.
+    """
+    p, n, r = form.p, form.n, form.r
+    potential = DiffForm.zero(p, n, r - 1)
+    rem = form
+    for i in range(1, n + 1):
+        if rem.is_zero():
+            break
+        omega_i, eta_i, _tau = p_decompose_step(rem, i)
+        if not omega_i.is_zero():
+            # p-closedness forbids a z_i^(p-1) layer at degree 1
+            assert r > 1
+            exps = [0] * n
+            exps[i - 1] = p.p - 1
+            beta = DiffForm(p, n, 1, {(i,): MultiPoly.monomial(p, n, exps)})
+            piece = -beta.wedge(layered_potential(omega_i))
+            potential = potential + piece
+            rem = rem - piece.d()
+        if not eta_i.is_zero():
+            theta = eta_i._with_terms(
+                {idx: c.antiderivative(i) for idx, c in eta_i.terms.items()}
+            )
+            potential = potential + theta
+            rem = rem - theta.d()
+    assert rem.is_zero()
+    return potential
+
+
+def _ordered_terms(form):
+    return [
+        (index, list(c.terms.items())) for index, c in form.terms.items()
+    ]
+
+
+def _layered_cases(rng, per_cell):
+    """p-closed and exact forms, and rational forms over a cleared
+    denominator, per_cell of them for every p, n <= 6 and 1 <= r <= n."""
+    for p in (2, 3, 5, 7, 13):
+        for n in range(1, 7):
+            for r in range(1, n + 1):
+                for k in range(per_cell):
+                    if k % 3 == 0:
+                        omega = random_p_closed_form(rng, p, n, r)
+                    else:
+                        omega = random_exact_form(rng, p, n, r, max_degree=3)
+                    if k % 3 == 2:
+                        lam = random_poly(
+                            rng, p, n, max_degree=1, nonzero=True
+                        ).substitute_pth()
+                        omega = omega * RatFun(MultiPoly.constant(p, n, 1), lam)
+                    yield omega
+
+
+def test_integrate_matches_the_layered_proof():
+    rng = random.Random(6005)
+    rational = 0
+    for omega in _layered_cases(rng, 20):
+        if omega.is_polynomial:
+            theta = integrate(omega)
+            assert _ordered_terms(theta) == _ordered_terms(
+                layered_potential(omega)
+            )
+            continue
+        rational += 1
+        lam, cleared = clear_denominators(omega)
+        inner = layered_potential(cleared)
+        assert _ordered_terms(integrate(cleared)) == _ordered_terms(inner)
+        theta = integrate(omega)
+        assert list(theta.terms) == list(inner.terms)
+        for index, coeff in theta.terms.items():
+            assert coeff.den == lam
+            assert list(coeff.num.terms.items()) == list(
+                inner.terms[index].terms.items()
+            )
+    assert rational > 400
+
+
+def _capped_monomials(rng, p, n, r):
+    """A p-closed sum of closed monomials z^E dz_I, each with E_j in
+    {p-1, 2p} for j in I and in {0, p} elsewhere, and some E_j = 2p in I.
+
+    Under the cap 2p each monomial's potential outgrows the cap in the
+    first z_j of I with E_j = 2p, after the layers z_k^(p-1) dz_k before it.
+    """
+    terms = {}
+    for index in itertools.combinations(range(1, n + 1), r):
+        for _ in range(rng.randint(0, 2)):
+            exps = tuple(
+                rng.choice((p - 1, 2 * p)) if j in index else rng.choice((0, p))
+                for j in range(1, n + 1)
+            )
+            if 2 * p in (exps[j - 1] for j in index):
+                terms.setdefault(index, {})[exps] = rng.randint(1, p - 1)
+    return DiffForm(
+        p, n, r, {index: MultiPoly(p, n, t) for index, t in terms.items()}
+    )
+
+
+def test_overflow_names_the_variable_the_layered_proof_meets_first():
+    rng = random.Random(6006)
+    named = set()
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(2, 4)
+        omega = _capped_monomials(rng, p, n, rng.randint(1, n))
+        if omega.is_zero():
+            continue
+        old = set_max_degree(2 * p)
+        try:
+            with pytest.raises(DegreeOverflow) as expected:
+                layered_potential(omega)
+            with pytest.raises(DegreeOverflow) as got:
+                integrate(omega)
+        finally:
+            set_max_degree(old)
+        assert str(got.value) == str(expected.value)
+        named.add(str(got.value).split()[3])
+    assert named == {"z1", "z2", "z3", "z4"}
+
+
+def test_residual_checks_catch_a_dropped_term(monkeypatch):
+    build = poincare._homotopy_potential
+
+    def lossy(form):
+        eta = build(form)
+        index, coeff = next(iter(eta.terms.items()))
+        first = next(iter(coeff.terms))
+        rest = {e: c for e, c in coeff.terms.items() if e != first}
+        return eta._with_terms(
+            {**eta.terms, index: MultiPoly._trusted(coeff.p, coeff.n, rest)}
+        )
+
+    monkeypatch.setattr(poincare, "_homotopy_potential", lossy)
+    for text, p, n in [
+        ("(x^2 + y^2) dx^dy", 3, 2),
+        ("(y/(x^3 + 1)) dx + (x/(x^3 + 1)) dy", 3, 2),
+    ]:
+        with pytest.raises(InternalResidual):
+            integrate(parse_form(text, p, n))
+
+
+def test_an_unintegrable_monomial_is_an_internal_error():
+    # z^(p-1) dz has weight p; integrate rejects it at entry as not
+    # p-closed, so only a direct call reaches the builder
+    for p in (2, 3, 5, 13):
+        omega = DiffForm(p, 1, 1, {(1,): MultiPoly.monomial(p, 1, (p - 1,))})
+        with pytest.raises(InternalError) as info:
+            poincare._homotopy_potential(omega)
+        assert type(info.value) is InternalError
+        assert "weight 0 (mod %d)" % p in str(info.value)
 
 
 # ----------------------------------------------------------------------
