@@ -63,7 +63,7 @@ def integrate(form: DiffForm) -> DiffForm:
 
     The potential is polynomial for polynomial input; rational input
     yields coefficients over the cleared denominator.  Raises NotPClosed
-    (naming the offending layer) when no potential exists.
+    (naming the obstructed multi-index) when no potential exists.
 
     >>> from fpforms.parser import parse_form
     >>> omega = parse_form("(x^2 + y^2) dx^dy", 3, 2)

@@ -255,6 +255,15 @@ def test_residual_checks_catch_a_dropped_term(monkeypatch):
     ]:
         with pytest.raises(InternalResidual):
             integrate(parse_form(text, p, n))
+    # the check on the polynomial side comes first: on the rational side
+    # this form's residual outgrows the cap
+    eta = parse_form("(4/z2) dz1 + (11*z1*z2*z3^2/6*z2) dz2", 13, 3)
+    monkeypatch.setattr(poincare, "_homotopy_potential", build)
+    with pytest.raises(DegreeOverflow):
+        integrate(eta.d())
+    monkeypatch.setattr(poincare, "_homotopy_potential", lossy)
+    with pytest.raises(InternalResidual):
+        integrate(eta.d())
 
 
 def test_an_unintegrable_monomial_is_an_internal_error():
