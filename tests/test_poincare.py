@@ -151,8 +151,8 @@ def _ordered_terms(form):
 
 
 def _layered_cases(rng, per_cell):
-    """p-closed and exact forms, and rational forms over a cleared
-    denominator, per_cell of them for every p, n <= 6 and 1 <= r <= n."""
+    """per_cell forms for every p, n <= 6 and 1 <= r <= n: p-closed ones,
+    exact ones, and exact ones divided by a differential constant."""
     for p in (2, 3, 5, 7, 13):
         for n in range(1, 7):
             for r in range(1, n + 1):
