@@ -54,6 +54,7 @@ from .forms import DiffForm, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, max_degree_limit
 from .ratfun import RatFun, clear_denominators
+from .scalar import inv_mod
 
 DEFAULT_SYSTEM_CAP = 200_000
 
@@ -94,9 +95,7 @@ def integrate(form: DiffForm) -> DiffForm:
 
 def _check_residual(form: DiffForm, potential: DiffForm) -> None:
     if not (form - potential.d()).is_zero():
-        raise InternalResidual(
-            "integration left a nonzero residual; this is a bug"
-        )
+        raise InternalResidual("integration left a nonzero residual; this is a bug")
 
 
 def _homotopy_potential(form: DiffForm) -> DiffForm:
@@ -125,7 +124,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             if m > limit:
                 # the layered proof's order: the layers index[:k], then z_j
                 overflow.setdefault(index[: k + 1] + (n + 1,), (m, j + 1))
-            v = c * pow(m, -1, p) % p
+            v = c * inv_mod(m, p) % p
             e = exps[:j] + (m,) + exps[j + 1 :]
             rest = index[:k] + index[k + 1 :]
             out.setdefault(rest, {})[e] = p - v if k % 2 else v
