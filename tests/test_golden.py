@@ -170,6 +170,14 @@ def _cli_transcript():
 GOLDEN = {
     "check_seed42.txt": lambda: _run(["check", "--seed", "42"]),
     "check_seed42.json": lambda: _run(["check", "--seed", "42", "--json"]),
+    # reach what seed 42 never does: the max_n < 2 early exit of
+    # operator-o-commute-outside, and the fallback to an odd prime
+    "check_seed7_p2_n1.txt": lambda: _run(
+        ["check", "--seed", "7", "--p", "2", "--n", "1"]
+    ),
+    "check_seed7_p7_n4.txt": lambda: _run(
+        ["check", "--seed", "7", "--p", "7", "--n", "4", "--trials", "30"]
+    ),
     "cli_operators.txt": _cli_transcript,
 }
 
