@@ -9,7 +9,6 @@ inverse gamma0.
 
 from .audit import run_audit
 from .cartier import (
-    CohomologyWitness,
     cartier,
     class_representative,
     gamma0,
@@ -48,8 +47,6 @@ from .forms import (
     wedge,
 )
 from .operators import (
-    SplitCT,
-    SplitRI,
     corollary_condition,
     irrational_part,
     is_p_closed,
@@ -65,7 +62,6 @@ from .operators import (
 from .parser import parse_form
 from .poincare import exactness_oracle, integrate
 from .poly import (
-    DEFAULT_MAX_DEGREE,
     MultiPoly,
     max_degree_limit,
     set_max_degree,
@@ -73,14 +69,12 @@ from .poly import (
 )
 from .printer import doc_to_form, form_to_doc, form_to_text
 from .ratfun import RatFun, clear_denominators
-from .scalar import MAX_PRIME, Prime, Scalar, factorial_mod, inv, is_prime
+from .scalar import MAX_PRIME, Prime, is_prime
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch",
-    "CohomologyWitness",
-    "DEFAULT_MAX_DEGREE",
     "DegreeMismatch",
     "DegreeOverflow",
     "DegreeZero",
@@ -103,9 +97,6 @@ __all__ = [
     "PrimeMismatch",
     "PrimeOutOfRange",
     "RatFun",
-    "Scalar",
-    "SplitCT",
-    "SplitRI",
     "SystemTooLarge",
     "VariableOutOfRange",
     "ZeroDenominator",
@@ -115,13 +106,11 @@ __all__ = [
     "corollary_condition",
     "doc_to_form",
     "exactness_oracle",
-    "factorial_mod",
     "form_to_doc",
     "form_to_text",
     "gamma0",
     "insert_index",
     "integrate",
-    "inv",
     "irrational_part",
     "is_closed",
     "is_p_closed",

@@ -79,37 +79,30 @@ def _poly_payload(p, n, index, f, detail):
 
 
 # ----------------------------------------------------------------------
-# claim runners; each returns (failures, first_counterexample_or_None)
+# claim trials; each runs trial t and returns None when the claim held,
+# or a zero-argument callable that builds the counterexample
 
 
-def _run_phi_d_constant(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        omega = random_closed_form(rng, p, n, r)
-        image = phi(omega)
-        if not all(c.is_differential_constant() for c in image.terms.values()):
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+def _trial_phi_d_constant(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_closed_form(rng, p, n, r)
+    image = phi(omega)
+    if not all(c.is_differential_constant() for c in image.terms.values()):
+        return lambda: _form_payload("omega", omega)
 
 
-def _run_irrational_closed(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        omega = random_closed_form(rng, p, n, r)
-        split = split_rational_irrational(omega)
-        ok = (
-            split.irrational.is_closed()
-            and is_p_closed(split.rational)
-            and split.rational + split.irrational == omega
-            and irrational_part(split.rational).is_zero()
-        )
-        if not ok:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+def _trial_irrational_closed(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_closed_form(rng, p, n, r)
+    split = split_rational_irrational(omega)
+    ok = (
+        split.irrational.is_closed()
+        and is_p_closed(split.rational)
+        and split.rational + split.irrational == omega
+        and irrational_part(split.rational).is_zero()
+    )
+    if not ok:
+        return lambda: _form_payload("omega", omega)
 
 
 def _reciprocal(lam: MultiPoly) -> RatFun:
@@ -118,156 +111,121 @@ def _reciprocal(lam: MultiPoly) -> RatFun:
     return RatFun(one, lam)
 
 
-def _run_sweedler_r1(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p = primes[rng.randrange(len(primes))]
-        n = rng.randint(1, max_n)
-        rational = t % 3 == 0 and p <= 5
-        omega = random_closed_form(rng, p, n, 1)
-        if rational:
-            lam = MultiPoly.variable(p, n, rng.randint(1, n)) ** int(p)
-            omega = omega * _reciprocal(lam)
-        split = split_rational_irrational(omega)
-        try:
-            potential = integrate(split.rational)
-        except NotPClosed:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-            continue
-        if potential.d() != split.rational or not split.irrational.is_closed():
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+def _trial_sweedler_r1(rng, t, primes, max_n):
+    p = primes[rng.randrange(len(primes))]
+    n = rng.randint(1, max_n)
+    omega = random_closed_form(rng, p, n, 1)
+    if t % 3 == 0 and p <= 5:
+        lam = MultiPoly.variable(p, n, rng.randint(1, n)) ** int(p)
+        omega = omega * _reciprocal(lam)
+    split = split_rational_irrational(omega)
+    try:
+        ok = integrate(split.rational).d() == split.rational
+    except NotPClosed:
+        ok = False
+    if not (ok and split.irrational.is_closed()):
+        return lambda: _form_payload("omega", omega)
 
 
-def _run_p_operator_basic(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p = primes[rng.randrange(len(primes))]
-        n = rng.randint(1, max_n)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        i = rng.randint(1, n)
-        ok = p_operator(p_operator(f, (i,)), (i,)) == -p_operator(f, (i,))
-        if ok and n >= 2:
-            j = rng.randint(1, n)
-            if j != i:
-                pair = tuple(sorted((i, j)))
-                ok = p_operator(f, pair) == p_operator(p_operator(f, (j,)), (i,))
-        if not ok:
-            failures += 1
-            first = first or _poly_payload(p, n, (i,), f, "P_i composition")
-    return failures, first
+def _trial_p_operator_basic(rng, t, primes, max_n):
+    p = primes[rng.randrange(len(primes))]
+    n = rng.randint(1, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    i = rng.randint(1, n)
+    ok = p_operator(p_operator(f, (i,)), (i,)) == -p_operator(f, (i,))
+    if ok and n >= 2:
+        j = rng.randint(1, n)
+        if j != i:
+            pair = tuple(sorted((i, j)))
+            ok = p_operator(f, pair) == p_operator(p_operator(f, (j,)), (i,))
+    if not ok:
+        return lambda: _poly_payload(p, n, (i,), f, "P_i composition")
 
 
-def _run_p_operator_kernel(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p = primes[rng.randrange(len(primes))]
-        n = rng.randint(1, max_n)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        r = rng.randint(1, n)
-        index = random_multi_index(rng, n, r)
-        i = index[rng.randrange(len(index))]
-        ok = (
-            p_operator(f.partial(i), index).is_zero()
-            and p_operator(p_operator(f, index), (i,)) == -p_operator(f, index)
-        )
-        if not ok:
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "P_J derivative kernel")
-    return failures, first
+def _trial_p_operator_kernel(rng, t, primes, max_n):
+    p = primes[rng.randrange(len(primes))]
+    n = rng.randint(1, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    r = rng.randint(1, n)
+    index = random_multi_index(rng, n, r)
+    i = index[rng.randrange(len(index))]
+    ok = (
+        p_operator(f.partial(i), index).is_zero()
+        and p_operator(p_operator(f, index), (i,)) == -p_operator(f, index)
+    )
+    if not ok:
+        return lambda: _poly_payload(p, n, index, f, "P_J derivative kernel")
 
 
-def _run_p_operator_idempotent(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        index = random_multi_index(rng, n, r)
-        sign = -1 if r % 2 else 1
-        ok = p_operator(p_operator(f, index), index) == p_operator(f, index) * sign
-        if ok:
-            omega = random_form(rng, p, n, r, max_degree=2 * int(p))
-            q1 = irrational_part(omega)
-            ok = irrational_part(q1) == q1
-        if not ok:
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "projector idempotency")
-    return failures, first
-
-
-def _run_p_operator_annihilates(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
+def _trial_p_operator_idempotent(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    index = random_multi_index(rng, n, r)
+    sign = -1 if r % 2 else 1
+    ok = p_operator(p_operator(f, index), index) == p_operator(f, index) * sign
+    if ok:
         omega = random_form(rng, p, n, r, max_degree=2 * int(p))
-        rational = omega - irrational_part(omega)
-        if not irrational_part(rational).is_zero():
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+        q1 = irrational_part(omega)
+        ok = irrational_part(q1) == q1
+    if not ok:
+        return lambda: _poly_payload(p, n, index, f, "projector idempotency")
 
 
-def _run_equivalence(rng, trials, primes, max_n):
+def _trial_p_operator_annihilates(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_form(rng, p, n, r, max_degree=2 * int(p))
+    rational = omega - irrational_part(omega)
+    if not irrational_part(rational).is_zero():
+        return lambda: _form_payload("omega", omega)
+
+
+def _trial_equivalence(rng, t, primes, max_n):
     small = tuple(q for q in primes if q <= 3) or (2, 3)
-    failures, first = 0, None
-    for t in range(trials):
-        p = small[rng.randrange(len(small))]
-        n = rng.randint(1, min(max_n, 3))
-        r = rng.randint(1, n)
-        kind = t % 3
-        if kind == 0:
-            omega = random_form(rng, p, n, r, max_degree=3)
-        elif kind == 1:
-            omega = random_closed_form(rng, p, n, r, max_degree=2)
-        else:
-            omega = random_exact_form(rng, p, n, r, max_degree=2)
-        a = is_p_closed(omega)
-        b = exactness_oracle(omega) is not None
-        c = omega.is_closed() and irrational_part(omega).is_zero()
-        if not (a == b == c):
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
-
-
-def _run_poincare_roundtrip(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        omega = random_p_closed_form(rng, p, n, r, max_degree=2)
-        eta = integrate(omega)
-        ok = eta.d() == omega and is_p_closed(random_exact_form(rng, p, n, r))
-        if ok:
-            bad = random_closed_form(rng, p, n, r, max_degree=2)
-            if not is_p_closed(bad):
-                try:
-                    integrate(bad)
-                    ok = False
-                except NotPClosed:
-                    pass
-        if not ok:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
-
-
-def _run_cartier_inverse(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        alpha = random_form(rng, p, n, r, max_degree=2)
+    p = small[rng.randrange(len(small))]
+    n = rng.randint(1, min(max_n, 3))
+    r = rng.randint(1, n)
+    kind = t % 3
+    if kind == 0:
+        omega = random_form(rng, p, n, r, max_degree=3)
+    elif kind == 1:
         omega = random_closed_form(rng, p, n, r, max_degree=2)
-        ok = (
-            cartier(gamma0(alpha)) == alpha
-            and gamma0(cartier(omega)) == irrational_part(omega)
-            and cartier(random_exact_form(rng, p, n, r, max_degree=2)).is_zero()
-        )
-        if not ok:
-            failures += 1
-            first = first or _form_payload("alpha", alpha)
-    return failures, first
+    else:
+        omega = random_exact_form(rng, p, n, r, max_degree=2)
+    a = is_p_closed(omega)
+    b = exactness_oracle(omega) is not None
+    c = omega.is_closed() and irrational_part(omega).is_zero()
+    if not (a == b == c):
+        return lambda: _form_payload("omega", omega)
+
+
+def _trial_poincare_roundtrip(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_p_closed_form(rng, p, n, r, max_degree=2)
+    eta = integrate(omega)
+    ok = eta.d() == omega and is_p_closed(random_exact_form(rng, p, n, r))
+    if ok:
+        bad = random_closed_form(rng, p, n, r, max_degree=2)
+        if not is_p_closed(bad):
+            try:
+                integrate(bad)
+                ok = False
+            except NotPClosed:
+                pass
+    if not ok:
+        return lambda: _form_payload("omega", omega)
+
+
+def _trial_cartier_inverse(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    alpha = random_form(rng, p, n, r, max_degree=2)
+    omega = random_closed_form(rng, p, n, r, max_degree=2)
+    ok = (
+        cartier(gamma0(alpha)) == alpha
+        and gamma0(cartier(omega)) == irrational_part(omega)
+        and cartier(random_exact_form(rng, p, n, r, max_degree=2)).is_zero()
+    )
+    if not ok:
+        return lambda: _form_payload("alpha", alpha)
 
 
 def _minus_product_o(coeff, index):
@@ -278,226 +236,184 @@ def _minus_product_o(coeff, index):
     return acc - coeff
 
 
-def _run_o_minus_sign(rng, trials, primes, max_n):
+def _trial_o_minus_sign(rng, t, primes, max_n):
     odd = tuple(q for q in primes if q > 2) or (3,)
-    failures, first = 0, None
-    for t in range(trials):
-        p = odd[rng.randrange(len(odd))]
-        n = rng.randint(1, max_n)
-        i = rng.randint(1, n)
-        if t == 0:
-            exps = [0] * n
-            exps[i - 1] = int(p) - 1
-            f = MultiPoly.monomial(p, n, tuple(exps))
-        else:
-            f = random_poly(rng, p, n, max_degree=2 * int(p))
-        if _minus_product_o(f, (i,)) != p_operator(f, (i,)):
-            failures += 1
-            if first is None:
-                first = _poly_payload(
-                    p,
-                    n,
-                    (i,),
-                    f,
-                    "minus-product gives %s, single-variable operator is %s"
-                    % (_minus_product_o(f, (i,)), p_operator(f, (i,))),
-                )
-    return failures, first
-
-
-def _run_o_eigen(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
+    p = odd[rng.randrange(len(odd))]
+    n = rng.randint(1, max_n)
+    i = rng.randint(1, n)
+    if t == 0:
+        exps = [0] * n
+        exps[i - 1] = int(p) - 1
+        f = MultiPoly.monomial(p, n, tuple(exps))
+    else:
         f = random_poly(rng, p, n, max_degree=2 * int(p))
-        index = random_multi_index(rng, n, r)
-        i = index[rng.randrange(len(index))]
-        k = int(p) - 1
-        # naive iterated derivative on the outside: an independent route
-        lhs = o_operator(f, index).partial_pow(i, k)
-        rhs = -(f.partial_pow(i, k))
-        if lhs != rhs:
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "outer derivative eigenvalue")
-    return failures, first
+    if _minus_product_o(f, (i,)) != p_operator(f, (i,)):
+        return lambda: _poly_payload(
+            p,
+            n,
+            (i,),
+            f,
+            "minus-product gives %s, single-variable operator is %s"
+            % (_minus_product_o(f, (i,)), p_operator(f, (i,))),
+        )
 
 
-def _run_o_commute(rng, trials, primes, max_n):
+def _trial_o_eigen(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    index = random_multi_index(rng, n, r)
+    i = index[rng.randrange(len(index))]
+    k = int(p) - 1
+    # naive iterated derivative on the outside: an independent route
+    lhs = o_operator(f, index).partial_pow(i, k)
+    rhs = -(f.partial_pow(i, k))
+    if lhs != rhs:
+        return lambda: _poly_payload(p, n, index, f, "outer derivative eigenvalue")
+
+
+def _trial_o_commute(rng, t, primes, max_n):
     # literal statement: commutation for every k, including k in J;
     # the first trial is a deterministic probe with k in J, where the
     # exponent-residue slice moves under differentiation
-    failures, first = 0, None
-    for t in range(trials):
-        if t == 0:
-            p, n = 2, 2
-            f = MultiPoly.variable(p, n, 1)
-            index, k = (1,), 1
-        else:
-            p, n, r = _pick_config(rng, primes, max_n)
-            f = random_poly(rng, p, n, max_degree=2 * int(p))
-            index = random_multi_index(rng, n, r)
-            k = rng.randint(1, n)
-        before = o_operator(f.partial(k), index)
-        after = o_operator(f, index).partial(k)
-        if before != after:
-            failures += 1
-            first = first or _poly_payload(
-                p, n, index, f,
-                "f=%s, d/dz%d then O gives %s, O then d/dz%d gives %s"
-                % (f, k, before, k, after),
-            )
-    return failures, first
+    if t == 0:
+        p, n = 2, 2
+        f = MultiPoly.variable(p, n, 1)
+        index, k = (1,), 1
+    else:
+        p, n, r = _pick_config(rng, primes, max_n)
+        f = random_poly(rng, p, n, max_degree=2 * int(p))
+        index = random_multi_index(rng, n, r)
+        k = rng.randint(1, n)
+    before = o_operator(f.partial(k), index)
+    after = o_operator(f, index).partial(k)
+    if before != after:
+        return lambda: _poly_payload(
+            p, n, index, f,
+            "f=%s, d/dz%d then O gives %s, O then d/dz%d gives %s"
+            % (f, k, before, k, after),
+        )
 
 
-def _run_o_commute_outside(rng, trials, primes, max_n):
-    failures, first = 0, None
+def _trial_o_commute_outside(rng, t, primes, max_n):
     if max_n < 2:
-        return failures, first
-    for t in range(trials):
-        p = primes[rng.randrange(len(primes))]
-        n = rng.randint(2, max_n)
-        r = rng.randint(1, n - 1)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        index = random_multi_index(rng, n, r)
-        outside = [k for k in range(1, n + 1) if k not in index]
-        k = outside[rng.randrange(len(outside))]
-        if o_operator(f.partial(k), index) != o_operator(f, index).partial(k):
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "commutation with d/dz%d" % k)
-    return failures, first
+        return None
+    p = primes[rng.randrange(len(primes))]
+    n = rng.randint(2, max_n)
+    r = rng.randint(1, n - 1)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    index = random_multi_index(rng, n, r)
+    outside = [k for k in range(1, n + 1) if k not in index]
+    k = outside[rng.randrange(len(outside))]
+    if o_operator(f.partial(k), index) != o_operator(f, index).partial(k):
+        return lambda: _poly_payload(p, n, index, f, "commutation with d/dz%d" % k)
 
 
-def _run_o_idempotent(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        index = random_multi_index(rng, n, r)
-        if o_operator(o_operator(f, index), index) != -o_operator(f, index):
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "O_J squared")
-    return failures, first
+def _trial_o_idempotent(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    index = random_multi_index(rng, n, r)
+    if o_operator(o_operator(f, index), index) != -o_operator(f, index):
+        return lambda: _poly_payload(p, n, index, f, "O_J squared")
 
 
-def _run_o_expanded(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        f = random_poly(rng, p, n, max_degree=2 * int(p))
-        index = random_multi_index(rng, n, r)
-        if o_operator(f, index) != o_operator_expanded(f, index):
-            failures += 1
-            first = first or _poly_payload(p, n, index, f, "subset expansion")
-    return failures, first
+def _trial_o_expanded(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    f = random_poly(rng, p, n, max_degree=2 * int(p))
+    index = random_multi_index(rng, n, r)
+    if o_operator(f, index) != o_operator_expanded(f, index):
+        return lambda: _poly_payload(p, n, index, f, "subset expansion")
 
 
 def _restricted(form):
     return split_complete_restricted(form).restricted
 
 
-def _run_or_sign(rng, trials, primes, max_n):
+def _trial_or_sign(rng, t, primes, max_n):
     odd = tuple(q for q in primes if q > 2) or (3,)
-    failures, first = 0, None
-    for t in range(trials):
-        p = odd[rng.randrange(len(odd))]
-        n = rng.randint(1, max_n)
-        r = rng.randint(1, n)
-        if t == 0:
-            exps = [0] * n
-            exps[0] = int(p) - 1
-            omega = DiffForm(p, n, 1, {(1,): MultiPoly.monomial(p, n, tuple(exps))})
-        else:
-            omega = random_form(rng, p, n, r, max_degree=2 * int(p))
-        restricted = _restricted(omega)
-        if _restricted(restricted) != -restricted:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
-
-
-def _run_or_idempotent(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
+    p = odd[rng.randrange(len(odd))]
+    n = rng.randint(1, max_n)
+    r = rng.randint(1, n)
+    if t == 0:
+        exps = [0] * n
+        exps[0] = int(p) - 1
+        omega = DiffForm(p, n, 1, {(1,): MultiPoly.monomial(p, n, tuple(exps))})
+    else:
         omega = random_form(rng, p, n, r, max_degree=2 * int(p))
-        restricted = _restricted(omega)
-        if _restricted(restricted) != restricted:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+    restricted = _restricted(omega)
+    if _restricted(restricted) != -restricted:
+        return lambda: _form_payload("omega", omega)
 
 
-def _run_ct_split_closed(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        omega = random_closed_form(rng, p, n, r, max_degree=2)
-        split = split_complete_restricted(omega)
-        if not (split.complete.is_closed() and split.restricted.is_closed()):
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+def _trial_or_idempotent(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_form(rng, p, n, r, max_degree=2 * int(p))
+    restricted = _restricted(omega)
+    if _restricted(restricted) != restricted:
+        return lambda: _form_payload("omega", omega)
+
+
+def _trial_ct_split_closed(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    omega = random_closed_form(rng, p, n, r, max_degree=2)
+    split = split_complete_restricted(omega)
+    if not (split.complete.is_closed() and split.restricted.is_closed()):
+        return lambda: _form_payload("omega", omega)
 
 
 def _pattern_hit(exps, index, p):
     return any(exps[i - 1] % p == p - 1 for i in index)
 
 
-def _run_ct_split_laws(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        p, n, r = _pick_config(rng, primes, max_n)
-        pint = int(p)
-        omega = random_form(rng, p, n, r, max_degree=2 * pint)
-        split = split_complete_restricted(omega)
-        ok = split.complete + split.restricted == omega
-        ok = ok and _restricted(split.complete).is_zero()
-        # independent route: the split must agree with the plain monomial
-        # slicing by exponent pattern inside each multi-index
-        for index, coeff in split.complete.terms.items():
-            ok = ok and not any(
-                _pattern_hit(e, index, pint) for e in coeff.terms
-            )
-        for index, coeff in split.restricted.terms.items():
-            ok = ok and all(_pattern_hit(e, index, pint) for e in coeff.terms)
-        if not ok:
-            failures += 1
-            first = first or _form_payload("omega", omega)
-    return failures, first
+def _trial_ct_split_laws(rng, t, primes, max_n):
+    p, n, r = _pick_config(rng, primes, max_n)
+    pint = int(p)
+    omega = random_form(rng, p, n, r, max_degree=2 * pint)
+    split = split_complete_restricted(omega)
+    ok = split.complete + split.restricted == omega
+    ok = ok and _restricted(split.complete).is_zero()
+    # independent route: the split must agree with the plain monomial
+    # slicing by exponent pattern inside each multi-index
+    for index, coeff in split.complete.terms.items():
+        ok = ok and not any(
+            _pattern_hit(e, index, pint) for e in coeff.terms
+        )
+    for index, coeff in split.restricted.terms.items():
+        ok = ok and all(_pattern_hit(e, index, pint) for e in coeff.terms)
+    if not ok:
+        return lambda: _form_payload("omega", omega)
 
 
-def _run_ct_d_vanishing(rng, trials, primes, max_n):
-    failures, first = 0, None
-    for t in range(trials):
-        if t == 0:
-            p, n = 2, 2
-            x, y = MultiPoly.variable(p, n, 1), MultiPoly.variable(p, n, 2)
-            eta = DiffForm(p, n, 1, {(1,): x * y})
-        else:
-            p, n, _ = _pick_config(rng, primes, max_n)
-            if n < 2:
-                n = 2
-            r = rng.randint(1, n - 1)
-            eta = random_form(rng, p, n, r, max_degree=2 * int(p))
-        domega = eta.d()
-        if domega.is_zero():
-            continue
-        restricted = _restricted(domega)
-        if not restricted.is_zero():
-            # reconfirm through the literal subset expansion before
-            # accepting the counterexample
-            out = {}
-            for index, coeff in domega.terms.items():
-                out[index] = -o_operator_expanded(coeff, index)
-            confirmed = domega._with_terms(out)
-            if confirmed == restricted:
-                failures += 1
-                if first is None:
-                    payload = _form_payload("eta", eta)
-                    payload["d_eta_text"] = form_to_text(domega)
-                    payload["restricted_text"] = form_to_text(restricted)
-                    first = payload
-    return failures, first
+def _trial_ct_d_vanishing(rng, t, primes, max_n):
+    if t == 0:
+        p, n = 2, 2
+        x, y = MultiPoly.variable(p, n, 1), MultiPoly.variable(p, n, 2)
+        eta = DiffForm(p, n, 1, {(1,): x * y})
+    else:
+        p, n, _ = _pick_config(rng, primes, max_n)
+        if n < 2:
+            n = 2
+        r = rng.randint(1, n - 1)
+        eta = random_form(rng, p, n, r, max_degree=2 * int(p))
+    domega = eta.d()
+    if domega.is_zero():
+        return None
+    restricted = _restricted(domega)
+    if restricted.is_zero():
+        return None
+    # reconfirm through the literal subset expansion before accepting the
+    # counterexample
+    confirmed = domega._with_terms(
+        {
+            index: -o_operator_expanded(coeff, index)
+            for index, coeff in domega.terms.items()
+        }
+    )
+    if confirmed == restricted:
+        return lambda: {
+            **_form_payload("eta", eta),
+            "d_eta_text": form_to_text(domega),
+            "restricted_text": form_to_text(restricted),
+        }
 
 
 @dataclass(frozen=True)
@@ -506,7 +422,7 @@ class Claim:
     statement: str
     status: str  # "verified" | "contested"
     note: str
-    runner: object
+    trial: object
 
 
 CLAIMS = (
@@ -515,7 +431,7 @@ CLAIMS = (
         "phi of a closed form has differential-constant coefficients",
         "verified",
         "",
-        _run_phi_d_constant,
+        _trial_phi_d_constant,
     ),
     Claim(
         "prop-irrational-closed",
@@ -523,42 +439,42 @@ CLAIMS = (
         "and the irrational projector kills the rational part",
         "verified",
         "",
-        _run_irrational_closed,
+        _trial_irrational_closed,
     ),
     Claim(
         "prop-sweedler-r1",
         "closed 1-forms split as an exact form plus a closed irrational part",
         "verified",
         "rational coefficients enter every third trial",
-        _run_sweedler_r1,
+        _trial_sweedler_r1,
     ),
     Claim(
         "prop-properties-i",
         "P_i P_i = -P_i and P_(i,j) = P_i P_j",
         "verified",
         "",
-        _run_p_operator_basic,
+        _trial_p_operator_basic,
     ),
     Claim(
         "prop-properties-ii",
         "P_J annihilates partial_i images and P_i P_J = -P_J for i in J",
         "verified",
         "",
-        _run_p_operator_kernel,
+        _trial_p_operator_kernel,
     ),
     Claim(
         "prop-properties-iii",
         "P_J P_J = (-1)^|J| P_J and the irrational projector is idempotent",
         "verified",
         "",
-        _run_p_operator_idempotent,
+        _trial_p_operator_idempotent,
     ),
     Claim(
         "prop-properties-iv",
         "the irrational projector annihilates every rational part",
         "verified",
         "",
-        _run_p_operator_annihilates,
+        _trial_p_operator_annihilates,
     ),
     Claim(
         "thm-equivalence",
@@ -566,14 +482,14 @@ CLAIMS = (
         "part coincide",
         "verified",
         "oracle claims run over p <= 3",
-        _run_equivalence,
+        _trial_equivalence,
     ),
     Claim(
         "thm-poincare-roundtrip",
         "integrate inverts d on p-closed forms and rejects the rest",
         "verified",
         "",
-        _run_poincare_roundtrip,
+        _trial_poincare_roundtrip,
     ),
     Claim(
         "thm-cartier-inverse",
@@ -581,7 +497,7 @@ CLAIMS = (
         "cartier . d = 0",
         "verified",
         "",
-        _run_cartier_inverse,
+        _trial_cartier_inverse,
     ),
     Claim(
         "operator-o-def-sign",
@@ -590,14 +506,14 @@ CLAIMS = (
         "contested",
         "fails for p > 2; the kernel uses the product of (1 + P_j), "
         "which does satisfy O_(i,) = P_i",
-        _run_o_minus_sign,
+        _trial_o_minus_sign,
     ),
     Claim(
         "lemma-propriedades-a",
         "partial_i^(p-1) O_I = -partial_i^(p-1) for i in I",
         "verified",
         "",
-        _run_o_eigen,
+        _trial_o_eigen,
     ),
     Claim(
         "lemma-propriedades-b",
@@ -607,28 +523,28 @@ CLAIMS = (
         "of J shifts its exponent residue, so the obstruction slice moves "
         "(operator-o-commute-outside checks the version that holds, which "
         "is the one the decomposition argument uses)",
-        _run_o_commute,
+        _trial_o_commute,
     ),
     Claim(
         "operator-o-commute-outside",
         "O_J commutes with partials in variables outside J",
         "verified",
         "",
-        _run_o_commute_outside,
+        _trial_o_commute_outside,
     ),
     Claim(
         "lemma-propriedades-c",
         "O_J O_J = -O_J",
         "verified",
         "",
-        _run_o_idempotent,
+        _trial_o_idempotent,
     ),
     Claim(
         "lemma-propriedades-d",
         "O_J equals its expansion as a sum of P_S over nonempty subsets",
         "verified",
         "",
-        _run_o_expanded,
+        _trial_o_expanded,
     ),
     Claim(
         "operator-or-sign",
@@ -636,14 +552,14 @@ CLAIMS = (
         "contested",
         "fails for p > 2; the projector is idempotent "
         "(see operator-or-idempotent)",
-        _run_or_sign,
+        _trial_or_sign,
     ),
     Claim(
         "operator-or-idempotent",
         "the restricted projector is idempotent",
         "verified",
         "",
-        _run_or_idempotent,
+        _trial_or_idempotent,
     ),
     Claim(
         "prop-decomp-a",
@@ -651,7 +567,7 @@ CLAIMS = (
         "are closed",
         "verified",
         "",
-        _run_ct_split_closed,
+        _trial_ct_split_closed,
     ),
     Claim(
         "prop-decomp-b",
@@ -659,7 +575,7 @@ CLAIMS = (
         "and the restricted projector kills the complete part",
         "verified",
         "",
-        _run_ct_split_laws,
+        _trial_ct_split_laws,
     ),
     Claim(
         "prop-decomp-c",
@@ -668,7 +584,7 @@ CLAIMS = (
         "false: d can create restricted monomials; first probe is the "
         "deterministic counterexample eta = z1*z2 dz1 at p=2, reconfirmed "
         "through the subset expansion",
-        _run_ct_d_vanishing,
+        _trial_ct_d_vanishing,
     ),
 )
 
@@ -686,7 +602,12 @@ def run_audit(
     unconfirmed = 0
     for claim in CLAIMS:
         rng = random.Random("%d:%s" % (seed, claim.id))
-        failures, counterexample = claim.runner(rng, trials, primes, max_n)
+        failures, counterexample = 0, None
+        for t in range(trials):
+            build = claim.trial(rng, t, primes, max_n)
+            if build is not None:
+                failures += 1
+                counterexample = counterexample or build()
         ok = failures == 0 if claim.status == "verified" else failures > 0
         if claim.status == "verified" and failures:
             regressions += 1

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .poly import MultiPoly
 from .ratfun import RatFun
-from .scalar import Prime, Scalar
+from .scalar import Prime
 
 # ----------------------------------------------------------------------
 # multi-index helpers; multi-indices are plain strictly increasing tuples
@@ -178,8 +178,8 @@ class DiffForm:
                             "index %r is not strictly increasing" % (index,)
                         )
                     last = i
-                if isinstance(coeff, (int, Scalar)):
-                    coeff = MultiPoly.constant(p, n, int(coeff))
+                if isinstance(coeff, int):
+                    coeff = MultiPoly.constant(p, n, coeff)
                 if not isinstance(coeff, (MultiPoly, RatFun)):
                     raise TypeError("coefficient must be MultiPoly or RatFun")
                 if coeff.p != p:
@@ -233,11 +233,6 @@ class DiffForm:
         """The basis form dz_index with coefficient 1."""
         index = tuple(index)
         return cls(p, n, len(index), {index: 1})
-
-    @classmethod
-    def from_coefficient(cls, coeff) -> "DiffForm":
-        """The degree-0 form with the given MultiPoly or RatFun value."""
-        return cls(coeff.p, coeff.n, 0, {(): coeff})
 
     def _with_terms(self, terms, r=None) -> "DiffForm":
         """This form's p and n with new coefficients of one kind.
@@ -340,9 +335,9 @@ class DiffForm:
 
     def __mul__(self, other):
         """Coefficient-wise multiplication by a scalar or function."""
-        if isinstance(other, (int, Scalar, MultiPoly, RatFun)):
-            if isinstance(other, (int, Scalar)):
-                other = MultiPoly.constant(self.p, self.n, int(other))
+        if isinstance(other, (int, MultiPoly, RatFun)):
+            if isinstance(other, int):
+                other = MultiPoly.constant(self.p, self.n, other)
             return self._with_terms(
                 {i: c * other for i, c in self.terms.items()}
             )

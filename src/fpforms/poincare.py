@@ -164,7 +164,7 @@ def _solve_mod_p(matrix, rhs, p):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
+        inv = inv_mod(m[rank][c], p)
         m[rank] = [v * inv % p for v in m[rank]]
         for r0 in range(rows):
             if r0 != rank and m[r0][c]:

@@ -48,7 +48,7 @@ from .errors import (
     ObstructedAntiderivative,
     PrimeMismatch,
 )
-from .scalar import Prime, Scalar, inv_mod
+from .scalar import Prime, inv_mod
 
 DEFAULT_MAX_DEGREE = 64
 
@@ -241,8 +241,8 @@ class MultiPoly:
         return MultiPoly._trusted(self.p, self.n, out)
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = MultiPoly.constant(self.p, self.n, int(other))
+        if isinstance(other, int):
+            other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._merge(other, 1)
@@ -256,8 +256,8 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = MultiPoly.constant(self.p, self.n, int(other))
+        if isinstance(other, int):
+            other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._merge(other, -1)
@@ -266,9 +266,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, int):
             p = self.p.p
-            c = int(other) % p
+            c = other % p
             terms = {e: v * c % p for e, v in self.terms.items()} if c else {}
             return MultiPoly._trusted(self.p, self.n, terms)
         if not isinstance(other, MultiPoly):
@@ -304,8 +304,8 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = MultiPoly.constant(self.p, self.n, int(other))
+        if isinstance(other, int):
+            other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (

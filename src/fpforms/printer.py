@@ -13,10 +13,11 @@ The JSON layout ("FormDocument") is versioned by a "format" field:
                           "den": [{"exps": [0, 0], "c": 1}]}}]}
 
 Polynomial coefficients carry the constant denominator 1.  A document is
-valid when residues lie in 1..p-1, indices are strictly increasing, the
-term list is sorted by index, monomial lists are sorted by exponent
-vector, and denominators are nonzero differential constants; valid
-documents round-trip byte for byte.
+valid when its integer fields are JSON integers (true and false decode to
+Python bools, which are ints, hence the type(...) is int checks), residues
+lie in 1..p-1, indices are strictly increasing, the term list is sorted by
+index, monomial lists are sorted by exponent vector, and denominators are
+nonzero differential constants; valid documents round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def _monos_to_poly(monos, p: Prime, n: int, where: str) -> MultiPoly:
         if (
             not isinstance(exps, list)
             or len(exps) != n
-            or not all(isinstance(e, int) and e >= 0 for e in exps)
+            or not all(type(e) is int and e >= 0 for e in exps)
         ):
             raise ParseError("%s has a bad exponent vector %r" % (where, exps))
-        if not isinstance(c, int) or not 1 <= c <= p.p - 1:
+        if type(c) is not int or not 1 <= c <= p.p - 1:
             raise ParseError("%s has residue %r outside 1..p-1" % (where, c))
         key = tuple(exps)
         if previous is not None and key <= previous:
@@ -133,10 +134,10 @@ def doc_to_form(doc: dict) -> DiffForm:
     except PrimeOutOfRange as exc:
         raise ParseError("document p: %s" % exc) from exc
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("bad variable count %r" % (n,))
     r = doc["degree"]
-    if not isinstance(r, int) or r < 0:
+    if type(r) is not int or r < 0:
         raise ParseError("bad degree %r" % (r,))
     if not isinstance(doc["terms"], list):
         raise ParseError("terms must be a list")
@@ -150,7 +151,7 @@ def doc_to_form(doc: dict) -> DiffForm:
         if (
             not isinstance(index, list)
             or len(index) != r
-            or not all(isinstance(i, int) for i in index)
+            or not all(type(i) is int for i in index)
         ):
             raise ParseError("bad index %r for a degree-%d form" % (index, r))
         key = tuple(index)

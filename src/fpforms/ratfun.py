@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .errors import ZeroDenominator
 from .poly import MultiPoly
-from .scalar import Scalar
+from .scalar import inv_mod
 
 
 class RatFun:
@@ -103,7 +103,7 @@ class RatFun:
         b = self.num.coefficient(exps)
         if b == 0:
             return False
-        c = b * pow(a, self.p.p - 2, self.p.p) % self.p.p
+        c = b * inv_mod(a, self.p.p) % self.p.p
         return self.num == self.den * c
 
     def is_differential_constant(self) -> bool:
@@ -116,8 +116,8 @@ class RatFun:
             return other
         if isinstance(other, MultiPoly):
             return RatFun(other)
-        if isinstance(other, (int, Scalar)):
-            return RatFun(MultiPoly.constant(self.p, self.n, int(other)))
+        if isinstance(other, int):
+            return RatFun(MultiPoly.constant(self.p, self.n, other))
         return None
 
     # ------------------------------------------------------------------
@@ -206,7 +206,7 @@ class RatFun:
         if not self.den.is_constant():
             raise ValueError("denominator %s is not constant" % self.den)
         c = self.den.constant_value()
-        return self.num * pow(c, self.p.p - 2, self.p.p)
+        return self.num * inv_mod(c, self.p.p)
 
     def __str__(self):
         return "(%s)/(%s)" % (self.num, self.den)
@@ -238,22 +238,20 @@ def clear_denominators(form):
     lam = one
     for d in dens:
         lam = lam * d
+    # each cofactor divides lam, so it cannot overflow where lam did not
+    cofactors = []
+    for k in range(len(dens)):
+        cof = one
+        for d in dens[:k] + dens[k + 1:]:
+            cof = cof * d
+        cofactors.append(cof)
     out = {}
     for index, coeff in form.terms.items():
-        if isinstance(coeff, RatFun):
-            cof = one
-            matched = False
-            for d in dens:
-                if not matched and coeff.den == d:
-                    matched = True
-                    continue
-                cof = cof * d
-            if not matched:
-                # denominator was constant; fold it into the numerator
-                scaled = coeff.to_polynomial()
-                out[index] = scaled * lam
-                continue
-            out[index] = coeff.num * cof
-        else:
+        if not isinstance(coeff, RatFun):
             out[index] = coeff * lam
+        elif coeff.den.is_constant():
+            # fold the constant denominator into the numerator
+            out[index] = coeff.to_polynomial() * lam
+        else:
+            out[index] = coeff.num * cofactors[dens.index(coeff.den)]
     return lam, form._with_terms(out)

@@ -1,14 +1,14 @@
-"""Exact arithmetic in the prime field F_p.
+"""The prime field F_p: its characteristic and its inverses.
 
-Residues are stored in least nonnegative form, so -1 appears as p - 1 and
-equality is plain integer equality.  The characteristic is wrapped in
+Residues are plain ints in least nonnegative form, so -1 appears as p - 1
+and equality is integer equality.  The characteristic is wrapped in
 :class:`Prime`, which verifies primality once at construction; everything
 downstream can then trust it.  Primes up to 2**31 - 1 are supported.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, PrimeMismatch, PrimeOutOfRange
+from .errors import DivisionByZero, PrimeOutOfRange
 
 MAX_PRIME = 2**31 - 1
 
@@ -85,139 +85,14 @@ class Prime:
         return str(self.p)
 
 
-class Scalar:
-    """A residue in F_p.
-
-    >>> a = Scalar(5, 3)
-    >>> a
-    Scalar(2 mod 3)
-    >>> int(a + a)
-    1
-    >>> int(Scalar(2, 7) ** -1)
-    4
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        p = Prime(p)
-        self.p = p
-        self.value = int(value) % p.p
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.p != self.p:
-                raise PrimeMismatch(
-                    "mixed characteristics %d and %d" % (self.p.p, other.p.p)
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.p.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(-self.value, self.p)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        return Scalar(pow(self.value, k, self.p.p), self.p)
-
-    def inv(self) -> "Scalar":
-        if self.value == 0:
-            raise DivisionByZero("0 has no inverse in F_%d" % self.p.p)
-        # Fermat: a**(p-2) inverts a for 0 < a < p.
-        return Scalar(pow(self.value, self.p.p - 2, self.p.p), self.p)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self * Scalar(v, self.p).inv()
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(v, self.p) * self.inv()
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p.p))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "Scalar(%d mod %d)" % (self.value, self.p.p)
-
-    def __str__(self):
-        return str(self.value)
-
-
-def inv(a: Scalar) -> Scalar:
-    """Multiplicative inverse; raises DivisionByZero on the zero residue."""
-    return a.inv()
-
-
 def inv_mod(a: int, p: int) -> int:
-    """Inverse of a raw residue, for callers that bypass Scalar."""
+    """Inverse of the residue a mod p; raises DivisionByZero on 0 mod p.
+
+    >>> inv_mod(2, 7), inv_mod(-1, 5)
+    (4, 4)
+    """
     a %= p
     if a == 0:
         raise DivisionByZero("0 has no inverse in F_%d" % p)
+    # Fermat: a**(p-2) inverts a for 0 < a < p.
     return pow(a, p - 2, p)
-
-
-def factorial_mod(k: int, p) -> Scalar:
-    """k! mod p for 0 <= k < p.
-
-    Runs in O(k) multiplications, which is fine for the small k the kernel
-    needs (Wilson's theorem gives (p-1)! = -1, the largest case tested).
-
-    >>> int(factorial_mod(6, 7))
-    6
-    """
-    p = Prime(p)
-    if not 0 <= k < p.p:
-        raise ValueError("factorial_mod needs 0 <= k < p, got k=%d, p=%d" % (k, p.p))
-    acc = 1
-    for m in range(2, k + 1):
-        acc = acc * m % p.p
-    return Scalar(acc, p)

@@ -9,7 +9,6 @@ from fpforms import (
     DiffForm,
     MultiPoly,
     RatFun,
-    Scalar,
     insert_index,
     irrational_part,
     merge_indices,
@@ -173,7 +172,6 @@ def test_scalar_and_poly_multiplication():
     x, y = variables(3, 2)
     omega = DiffForm(3, 2, 1, {(1,): x})
     assert omega * 2 == DiffForm(3, 2, 1, {(1,): x + x})
-    assert omega * Scalar(2, 3) == omega * 2
     assert omega * y == DiffForm(3, 2, 1, {(1,): x * y})
     assert (omega * 3).is_zero()
 

@@ -1,16 +1,22 @@
-"""Every module of src/fpforms uses each name it imports.
+"""Every module of src/fpforms uses each name it imports, and every public
+name has a user.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
-__init__.py is exempt: its imports are the package's re-exports.
+__init__.py is exempt: its imports are the package's re-exports.  A name
+in fpforms.__all__ has to appear in the CLI, a demo, the README or a test.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fpforms"
+import fpforms
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fpforms"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -82,3 +88,23 @@ def test_detector_flags_only_unused_names():
 def test_no_unused_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unused_imports(source) == [], module
+
+
+def _public_name_users():
+    paths = [SRC / "cli.py", ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]
+    paths += [
+        path
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != Path(__file__).name
+    ]
+    return "\n".join(path.read_text(encoding="utf-8") for path in paths)
+
+
+def test_every_public_name_has_a_user():
+    text = _public_name_users()
+    unused = [
+        name
+        for name in fpforms.__all__
+        if not re.search(r"\b%s\b" % re.escape(name), text)
+    ]
+    assert unused == []

@@ -70,6 +70,12 @@ def broken(mutate):
         lambda d: d["terms"][0]["coeff"].pop("den"),
         lambda d: d["terms"][0]["coeff"]["num"][0].update(extra=1),
         lambda d: d["terms"][0].update(extra=1),
+        # JSON booleans are ints to Python; each would decode as 0 or 1
+        lambda d: d["terms"][0]["coeff"]["num"][0].update(exps=[False, True]),
+        lambda d: d["terms"][1]["coeff"]["num"][0].update(c=True),
+        lambda d: d["terms"][0].update(index=[True]),
+        lambda d: d.update(n=True, terms=[]),
+        lambda d: d.update(degree=True),
     ],
     ids=[
         "missing-degree",
@@ -92,6 +98,11 @@ def broken(mutate):
         "missing-den",
         "extra-monomial-key",
         "extra-term-key",
+        "bool-exponent",
+        "bool-residue",
+        "bool-index",
+        "bool-n",
+        "bool-degree",
     ],
 )
 def test_strict_validation_rejects(mutate):
