@@ -158,6 +158,8 @@ def _dispatch(args, out) -> int:
             if not 1 <= args.n <= 4:
                 raise _UsageError("check supports --n between 1 and 4")
             max_n = args.n
+        if args.trials < 1:
+            raise _UsageError("--trials must be a positive integer")
         report = run_audit(
             seed=args.seed, trials=args.trials, primes=primes, max_n=max_n
         )

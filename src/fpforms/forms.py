@@ -37,13 +37,15 @@ d, wedge and _with_terms starts without one.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import (
     ArityMismatch,
     DegreeMismatch,
     IndexOutOfRange,
     PrimeMismatch,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -363,7 +365,20 @@ class DiffForm:
     # exterior operations
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
+        """Exterior product self ^ other.
+
+        For polynomial forms, as for d, the result is one signed sum per
+        target index: every sign * c1 * c2 bound for z^(E1+E2) dz_K goes
+        unreduced into one exponent -> int dict, and _reduced_form reduces
+        each dict once.  A pair of coefficients whose degree bound passes
+        the cap is multiplied by the checked MultiPoly product, in pair
+        order, so DegreeOverflow is raised exactly where the pairwise
+        route raises it.  Rational forms take the pairwise route: one
+        RatFun product per pair of indices, folded with + in index order.
+        """
         self._check(other)
+        if self.is_polynomial and other.is_polynomial:
+            return self._wedge_polynomial(other)
         r = self.r + other.r
         out = {}
         for left, a in self.terms.items():
@@ -379,8 +394,40 @@ class DiffForm:
                 out[index] = coeff
         return self._with_terms(out, r)
 
+    def _wedge_polynomial(self, other) -> "DiffForm":
+        cap = max_degree_limit()
+        right = [
+            (index, b, b.max_var_degree(), list(b.terms.items()))
+            for index, b in other.terms.items()
+        ]
+        sums = {}
+        for left, a in self.terms.items():
+            bound = a.max_var_degree()
+            for index, b, degree, b_terms in right:
+                sign, new_index = merge_indices(left, index)
+                if not sign:
+                    continue
+                target = sums.setdefault(new_index, {})
+                get = target.get
+                if bound + degree > cap:
+                    for e, c in (a * b).terms.items():
+                        target[e] = get(e, 0) + sign * c
+                    continue
+                for e1, c1 in a.terms.items():
+                    c1 *= sign
+                    for e2, c2 in b_terms:
+                        e = tuple(map(add, e1, e2))
+                        target[e] = get(e, 0) + c1 * c2
+        return _reduced_form(self.p, self.n, self.r + other.r, sums)
+
     def d(self) -> "DiffForm":
-        """Exterior derivative, computed on first use and then kept."""
+        """Exterior derivative, computed on first use and then kept.
+
+        For polynomial forms it is one signed sum per target index: every
+        sign * c * m * z^(E - e_j) bound for dz_J goes unreduced into one
+        exponent -> int dict, and _reduced_form reduces each dict once,
+        as for wedge.
+        """
         if self._d is None:
             if self.is_polynomial:
                 self._d = self._d_polynomial()
@@ -389,8 +436,6 @@ class DiffForm:
         return self._d
 
     def _d_polynomial(self) -> "DiffForm":
-        # One pass: every signed c * m * z^(E - e_j) bound for dz_J is
-        # summed into one exponent -> int dict, reduced mod p at the end.
         p = self.p.p
         n = self.n
         sums = {}
@@ -408,16 +453,7 @@ class DiffForm:
                     if v:
                         e = exps[:k] + (m - 1,) + exps[k + 1 :]
                         target[e] = get(e, 0) + sign * c * v
-        out = {}
-        for new_index, target in sums.items():
-            terms = {}
-            for e in sorted(target):
-                v = target[e] % p
-                if v:
-                    terms[e] = v
-            if terms:
-                out[new_index] = MultiPoly._trusted(self.p, n, terms)
-        return DiffForm._trusted(self.p, n, self.r + 1, out)
+        return _reduced_form(self.p, n, self.r + 1, sums)
 
     def _d_rational(self) -> "DiffForm":
         # d acts on numerators only; partials are folded in with RatFun +
@@ -451,6 +487,29 @@ class DiffForm:
 
     def __repr__(self):
         return "DiffForm(p=%d, n=%d, r=%d, %s)" % (self.p.p, self.n, self.r, self)
+
+
+# ----------------------------------------------------------------------
+
+
+def _reduced_form(p, n, r, sums) -> "DiffForm":
+    """The degree-r form sum_K sums[K] dz_K over F_p, p a Prime.
+
+    sums maps each target index K to an unreduced exponent -> int dict.
+    Each dict is reduced mod p, cleared of zeros and sorted once; the
+    one-pass d and wedge both end here.
+    """
+    q = p.p
+    out = {}
+    for index, target in sums.items():
+        terms = {}
+        for e in sorted(target):
+            v = target[e] % q
+            if v:
+                terms[e] = v
+        if terms:
+            out[index] = MultiPoly._trusted(p, n, terms)
+    return DiffForm._trusted(p, n, r, out)
 
 
 # ----------------------------------------------------------------------

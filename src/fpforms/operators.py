@@ -157,19 +157,18 @@ class SplitRI:
     irrational: DiffForm
 
 
-def split_rational_irrational(form: DiffForm, unchecked: bool = False) -> SplitRI:
+def split_rational_irrational(form: DiffForm) -> SplitRI:
     """Split a closed form into an exact part and the projector image.
 
     For closed input the irrational part is closed and the rational part
-    is p-closed (hence exact).  Pass unchecked=True to skip the closedness
-    check and split an arbitrary form at your own risk.
+    is p-closed (hence exact).
 
     >>> from fpforms.parser import parse_form
     >>> s = split_rational_irrational(parse_form("(x^2 + x) dx", 3, 2))
     >>> print(s.rational, "|", s.irrational)
     z1 dz1 | z1^2 dz1
     """
-    if not unchecked and not form.is_closed():
+    if not form.is_closed():
         raise NotClosed("cannot split a non-closed form")
     omega_i = irrational_part(form)
     return SplitRI(rational=form - omega_i, irrational=omega_i)

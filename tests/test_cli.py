@@ -131,6 +131,18 @@ def test_max_degree_below_one_is_a_usage_error():
     assert max_degree_limit() == before
 
 
+def test_check_trials_below_one_is_a_usage_error():
+    # no trial would run, and every verified claim would read PASS
+    for value in ("0", "-3"):
+        for argv in (
+            ["--trials", value, "check"],
+            ["check", "--p", "2", "--n", "1", "--trials", value],
+        ):
+            code, out, err = run(argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "error: --trials must be a positive integer\n"
+
+
 def test_bad_prime_message():
     code, _, err = run(["--p", "4", "--n", "1", "d", "z dz"])
     assert code == 1 and "4 is not prime" in err

@@ -275,6 +275,92 @@ def test_d_matches_naive_oracle(p):
                 assert_canonical_form(omega.d())
 
 
+def naive_wedge(a, b):
+    """a ^ b as one checked MultiPoly product per pair of indices, placed
+    through merge_indices and folded in pair order with + and - (the
+    oracle for DiffForm.wedge)."""
+    out = {}
+    for left, x in a.terms.items():
+        for right, y in b.terms.items():
+            sign, index = merge_indices(left, right)
+            if sign == 0:
+                continue
+            c = x * y
+            if index in out:
+                c = out[index] + c if sign > 0 else out[index] - c
+            elif sign < 0:
+                c = -c
+            out[index] = c
+    return DiffForm(a.p, a.n, a.r + b.r, out)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_wedge_matches_naive_oracle(p):
+    # every pair of degrees 0..n, so pairs above n overlap everywhere,
+    # plus zero forms on either side and a form against itself
+    rng = random.Random(4021 + p)
+    for n in range(1, 7):
+        for r in range(n + 1):
+            zero = DiffForm.zero(p, n, r)
+            for s in range(n + 1):
+                a = random_form(rng, p, n, r, max_degree=2 * p, max_terms=4)
+                b = random_form(rng, p, n, s, max_degree=2 * p, max_terms=4)
+                for x, y in ((a, b), (a, a), (zero, b), (a, zero)):
+                    got = x.wedge(y)
+                    assert_same_form(got, naive_wedge(x, y))
+                    assert_canonical_form(got)
+                    assert got.is_polynomial
+        assert DiffForm.basis(p, n, (1,)).wedge(
+            DiffForm.basis(p, n, (1,))
+        ).is_zero()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_wedge_overflows_where_the_naive_oracle_does(p):
+    # under a lowered cap a product that passes it must raise the
+    # oracle's DegreeOverflow, for the first such pair in pair order;
+    # pairs within the cap, and pairs whose degree bound passes the cap
+    # while their product stays below it, must give the oracle's form
+    rng = random.Random(4031 + p)
+    cap = 2 * p
+    raised = done = 0
+    previous = set_max_degree(cap)
+    try:
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            r = rng.randint(0, n)
+            s = rng.randint(0, n - r)
+            a = random_form(rng, p, n, r, max_degree=cap, max_terms=4)
+            b = random_form(rng, p, n, s, max_degree=cap, max_terms=4)
+            try:
+                expected = naive_wedge(a, b)
+            except DegreeOverflow as exc:
+                with pytest.raises(DegreeOverflow, match="^%s$" % exc):
+                    a.wedge(b)
+                raised += 1
+                continue
+            assert_same_form(a.wedge(b), expected)
+            done += 1
+        z1, z2, z3, z4 = variables(p, 4)
+        # in pair order dz1^dz3 fits, dz1^dz4 overflows in z2 and
+        # dz2^dz3 in z1; taken by the right factor first, z1 would come
+        # first
+        a = DiffForm(p, 4, 1, {(1,): z2**cap, (2,): z1**cap})
+        b = DiffForm(p, 4, 1, {(3,): z1 * z4, (4,): z2})
+        message = "^exponent %d of z2 exceeds the degree limit %d$" % (cap + 1, cap)
+        for route in (naive_wedge, DiffForm.wedge):
+            with pytest.raises(DegreeOverflow, match=message):
+                route(a, b)
+        # the bound is 2 * cap, the product z1^cap * z2^cap stays within it
+        a = DiffForm(p, 4, 1, {(1,): z2**cap})
+        b = DiffForm(p, 4, 1, {(2,): z1**cap + z3})
+        assert_same_form(a.wedge(b), naive_wedge(a, b))
+        assert a.wedge(b).max_var_degree() == cap
+    finally:
+        assert set_max_degree(previous) == cap
+    assert raised >= 5 and done >= 5
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 13))
 def test_d_matches_naive_oracle_rational(p):
     # coefficients over two denominators; where the fold of many distinct
