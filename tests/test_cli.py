@@ -197,3 +197,48 @@ def test_check_exits_2_on_regression(monkeypatch):
     monkeypatch.setattr("fpforms.cli.report_to_text", lambda report: "forced")
     code, out, _ = run(["check"])
     assert code == 2 and out == "forced\n"
+
+
+_CHOICES = (
+    "(choose from 'd', 'closed', 'pclosed', 'integrate', 'split-ri', "
+    "'split-ct', 'phi', 'cartier', 'gamma0', 'class', 'wedge', "
+    "'same-class', 'oracle', 'check')"
+)
+
+
+def test_flag_placement_and_usage_edges():
+    p3n1 = ["--p", "3", "--n", "1"]
+    empty_2form = '{\n  "format": 1,\n  "p": 3,\n  "n": 1,\n  "degree": 2,\n  "terms": []\n}\n'
+    cases = [
+        # global flags on both sides of the subcommand
+        (["--p", "3", "d", "--n", "2", "x dy"], (0, "dz1^dz2\n", "")),
+        # a repeated flag: the later one wins (d(x^3 dy) is 0 at p = 3 only)
+        (["--p", "5", "--n", "2", "d", "--p", "3", "x^3 dy"], (0, "0\n", "")),
+        (p3n1 + ["d", "z^2 dz", "--json"], (0, empty_2form, "")),
+        (p3n1 + ["oracle", "--margin", "0", "z dz"], (0, "none\n", "")),
+        (p3n1 + ["oracle", "z dz", "--margin", "0"], (0, "none\n", "")),
+        # --margin belongs to oracle alone, so its value reads as the command
+        (
+            p3n1 + ["--margin", "0", "oracle", "z dz"],
+            (1, "", "error: argument command: invalid choice: '0' %s\n" % _CHOICES),
+        ),
+        (
+            p3n1 + ["oracle", "--m", "4", "z dz"],
+            (1, "", "error: ambiguous option: --m could match --max-degree, --margin\n"),
+        ),
+        (
+            p3n1 + ["--max", "4", "d", "z^5 dz"],
+            (2, "", "error: DegreeOverflow: exponent 5 of z1 exceeds the degree limit 4\n"),
+        ),
+        (
+            p3n1 + ["frobnicate", "z dz"],
+            (1, "", "error: argument command: invalid choice: 'frobnicate' %s\n" % _CHOICES),
+        ),
+        (p3n1 + ["d"], (1, "", "error: the following arguments are required: form\n")),
+        (p3n1 + ["wedge", "z dz"], (1, "", "error: the following arguments are required: other\n")),
+        (p3n1 + ["d", "z dz", "z dz"], (1, "", "error: unrecognized arguments: z dz\n")),
+        (["check", "extra"], (1, "", "error: unrecognized arguments: extra\n")),
+        (p3n1 + ["d", "--", "z^2 dz"], (0, "0\n", "")),
+    ]
+    for argv, expected in cases:
+        assert run(argv) == expected, argv
