@@ -24,13 +24,7 @@ from .audit import (
     run_audit,
 )
 from .cartier import cartier, class_representative, gamma0, same_class
-from .errors import (
-    FpFormsError,
-    InternalError,
-    MathDomainError,
-    ParseError,
-    PrimeOutOfRange,
-)
+from .errors import FpFormsError, MathDomainError, ParseError, PrimeOutOfRange
 from .forms import wedge
 from .operators import (
     is_p_closed,
@@ -66,6 +60,33 @@ _DEFAULTS = {
 }
 
 
+def _class(form):
+    witness = class_representative(form)
+    return {
+        "representative": witness.representative,
+        "difference_p_closed": witness.exact_difference_check,
+    }
+
+
+# every form subcommand in parser order: its number of form arguments and
+# its operation; each lambda looks its name up when it runs, so that a
+# name patched on this module takes effect
+_COMMANDS = {
+    "d": (1, lambda f: f.d()),
+    "closed": (1, lambda f: f.is_closed()),
+    "pclosed": (1, lambda f: is_p_closed(f)),
+    "integrate": (1, lambda f: integrate(f)),
+    "split-ri": (1, lambda f: vars(split_rational_irrational(f))),
+    "split-ct": (1, lambda f: vars(split_complete_restricted(f))),
+    "phi": (1, lambda f: phi(f)),
+    "cartier": (1, lambda f: cartier(f)),
+    "gamma0": (1, lambda f: gamma0(f)),
+    "class": (1, _class),
+    "wedge": (2, lambda f, g: wedge(f, g)),
+    "same-class": (2, lambda f, g: same_class(f, g)),
+}
+
+
 def _global_options() -> argparse.ArgumentParser:
     # shared by the root parser and every subcommand, so that flags work
     # both before and after the subcommand name; SUPPRESS keeps a missing
@@ -92,17 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     sub = parser.add_subparsers(dest="command")
-    one = ("d", "closed", "pclosed", "integrate", "split-ri", "split-ct",
-           "phi", "cartier", "gamma0", "class")
-    for name in one:
+    for name, (arity, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, parents=[shared])
-        cmd.add_argument("form")
-    two = sub.add_parser("wedge", parents=[shared])
-    two.add_argument("form")
-    two.add_argument("other")
-    twoc = sub.add_parser("same-class", parents=[shared])
-    twoc.add_argument("form")
-    twoc.add_argument("other")
+        for dest in ("form", "other")[:arity]:
+            cmd.add_argument(dest)
     orc = sub.add_parser("oracle", parents=[shared])
     orc.add_argument("form")
     orc.add_argument("--margin", type=int, default=None)
@@ -118,27 +132,25 @@ def _read_form(text: str, p, n):
     return parse_form(text, p, n)
 
 
-def _emit_form(form, as_json, out):
-    if as_json:
-        print(json.dumps(form_to_doc(form), indent=2), file=out)
+def _leaf(value, as_json):
+    if isinstance(value, bool):
+        return value if as_json else ("true" if value else "false")
+    return form_to_doc(value) if as_json else form_to_text(value)
+
+
+def _emit(value, as_json, out):
+    """Print a form, a bool, or a dict of labelled forms and bools."""
+    if isinstance(value, dict):
+        doc = {label: _leaf(v, as_json) for label, v in value.items()}
+    elif as_json and isinstance(value, bool):
+        doc = {"result": value}
     else:
-        print(form_to_text(form), file=out)
-
-
-def _emit_bool(value, as_json, out):
+        doc = _leaf(value, as_json)
     if as_json:
-        print(json.dumps({"result": bool(value)}, indent=2), file=out)
-    else:
-        print("true" if value else "false", file=out)
-
-
-def _emit_pair(labels, forms, as_json, out):
-    if as_json:
-        doc = {label: form_to_doc(f) for label, f in zip(labels, forms)}
-        print(json.dumps(doc, indent=2), file=out)
-    else:
-        for label, f in zip(labels, forms):
-            print("%s: %s" % (label, form_to_text(f)), file=out)
+        doc = json.dumps(doc, indent=2)
+    elif isinstance(doc, dict):
+        doc = "\n".join("%s: %s" % item for item in doc.items())
+    print(doc, file=out)
 
 
 def _dispatch(args, out) -> int:
@@ -163,81 +175,24 @@ def _dispatch(args, out) -> int:
         report = run_audit(
             seed=args.seed, trials=args.trials, primes=primes, max_n=max_n
         )
-        if args.json:
-            print(json.dumps(report, indent=2), file=out)
-        else:
-            print(report_to_text(report), file=out)
+        text = json.dumps(report, indent=2) if args.json else report_to_text(report)
+        print(text, file=out)
         return 2 if report["regressions"] else 0
-
-    form = _read_form(args.form, args.p, args.n)
-    if cmd == "d":
-        _emit_form(form.d(), args.json, out)
-    elif cmd == "wedge":
-        other = _read_form(args.other, args.p, args.n)
-        _emit_form(wedge(form, other), args.json, out)
-    elif cmd == "closed":
-        _emit_bool(form.is_closed(), args.json, out)
-    elif cmd == "pclosed":
-        _emit_bool(is_p_closed(form), args.json, out)
-    elif cmd == "integrate":
-        _emit_form(integrate(form), args.json, out)
-    elif cmd == "split-ri":
-        split = split_rational_irrational(form)
-        _emit_pair(
-            ("rational", "irrational"),
-            (split.rational, split.irrational),
-            args.json,
-            out,
-        )
-    elif cmd == "split-ct":
-        split = split_complete_restricted(form)
-        _emit_pair(
-            ("complete", "restricted"),
-            (split.complete, split.restricted),
-            args.json,
-            out,
-        )
-    elif cmd == "phi":
-        _emit_form(phi(form), args.json, out)
-    elif cmd == "cartier":
-        _emit_form(cartier(form), args.json, out)
-    elif cmd == "gamma0":
-        _emit_form(gamma0(form), args.json, out)
-    elif cmd == "class":
-        witness = class_representative(form)
-        if args.json:
-            doc = {
-                "representative": form_to_doc(witness.representative),
-                "difference_p_closed": witness.exact_difference_check,
-            }
-            print(json.dumps(doc, indent=2), file=out)
-        else:
-            print(
-                "representative: %s" % form_to_text(witness.representative),
-                file=out,
-            )
-            print(
-                "difference_p_closed: %s"
-                % ("true" if witness.exact_difference_check else "false"),
-                file=out,
-            )
-    elif cmd == "same-class":
-        other = _read_form(args.other, args.p, args.n)
-        _emit_bool(same_class(form, other), args.json, out)
-    elif cmd == "oracle":
+    if cmd == "oracle":
+        form = _read_form(args.form, args.p, args.n)
         eta = exactness_oracle(form, degree_margin=args.margin)
-        if eta is None:
-            if args.json:
-                print(json.dumps({"potential": None}, indent=2), file=out)
-            else:
-                print("none", file=out)
+        if args.json:
+            doc = None if eta is None else form_to_doc(eta)
+            print(json.dumps({"potential": doc}, indent=2), file=out)
         else:
-            if args.json:
-                print(json.dumps({"potential": form_to_doc(eta)}, indent=2), file=out)
-            else:
-                print(form_to_text(eta), file=out)
-    else:  # pragma: no cover - argparse rejects unknown commands
-        raise _UsageError("unknown command %r" % cmd)
+            print("none" if eta is None else form_to_text(eta), file=out)
+        return 0
+    arity, call = _COMMANDS[cmd]
+    forms = [
+        _read_form(getattr(args, dest), args.p, args.n)
+        for dest in ("form", "other")[:arity]
+    ]
+    _emit(call(*forms), args.json, out)
     return 0
 
 
@@ -252,10 +207,7 @@ def run_command(argv, out=None, err=None) -> int:
     parser = build_parser()
     previous_cap = max_degree_limit()
     try:
-        args = parser.parse_args(argv)
-        for name, value in _DEFAULTS.items():
-            if not hasattr(args, name):
-                setattr(args, name, value)
+        args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
         if args.max_degree is not None:
             if args.max_degree < 1:
                 raise _UsageError("--max-degree must be a positive integer")
@@ -267,10 +219,7 @@ def run_command(argv, out=None, err=None) -> int:
     except MathDomainError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=err)
         return 2
-    except InternalError as exc:
-        print("internal error: %s" % exc, file=err)
-        return 3
-    except FpFormsError as exc:  # pragma: no cover - safety net
+    except FpFormsError as exc:  # InternalError and any other kernel fault
         print("internal error: %s" % exc, file=err)
         return 3
     finally:
