@@ -595,7 +595,13 @@ def run_audit(
     primes=DEFAULT_PRIMES,
     max_n: int = DEFAULT_MAX_N,
 ) -> dict:
-    """Run every claim and return the report as a plain dict."""
+    """Run every claim and return the report as a plain dict.
+
+    Fewer than one trial would run nothing and pass every verified claim,
+    so it raises ValueError.
+    """
+    if trials < 1:
+        raise ValueError("trials must be a positive integer, not %d" % trials)
     primes = tuple(int(q) for q in primes)
     claims = []
     regressions = 0

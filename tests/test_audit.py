@@ -1,3 +1,5 @@
+import pytest
+
 from fpforms.audit import CLAIMS, report_to_text, run_audit
 
 CONTESTED = {
@@ -77,3 +79,10 @@ def test_restricted_prime_grid():
     assert report["primes"] == [2, 3]
     assert report["regressions"] == 0
     assert report["unconfirmed_contested"] == 0
+
+
+def test_fewer_than_one_trial_is_rejected():
+    # no trial would run, and every verified claim would read ok
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            run_audit(seed=42, trials=trials)
