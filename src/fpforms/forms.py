@@ -497,7 +497,8 @@ def _reduced_form(p, n, r, sums) -> "DiffForm":
 
     sums maps each target index K to an unreduced exponent -> int dict.
     Each dict is reduced mod p, cleared of zeros and sorted once; the
-    one-pass d and wedge both end here.
+    one-pass d and wedge both end here, and so does the homotopy builder
+    of poincare.integrate.
     """
     q = p.p
     out = {}

@@ -50,7 +50,7 @@ from .errors import (
     NotPClosed,
     SystemTooLarge,
 )
-from .forms import DiffForm, insert_index
+from .forms import DiffForm, _reduced_form, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, max_degree_limit
 from .ratfun import RatFun, clear_denominators
@@ -94,7 +94,7 @@ def integrate(form: DiffForm) -> DiffForm:
 
 
 def _check_residual(form: DiffForm, potential: DiffForm) -> None:
-    if not (form - potential.d()).is_zero():
+    if potential.d() != form:
         raise InternalResidual("integration left a nonzero residual; this is a bug")
 
 
@@ -133,11 +133,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
         raise DegreeOverflow(
             "exponent %d of z%d exceeds the degree limit %d" % (m, i, limit)
         )
-    terms = {
-        rest: MultiPoly._trusted(form.p, n, {e: t[e] for e in sorted(t)})
-        for rest, t in out.items()
-    }
-    return DiffForm._trusted(form.p, n, form.r - 1, terms)
+    return _reduced_form(form.p, n, form.r - 1, out)
 
 
 # ----------------------------------------------------------------------
