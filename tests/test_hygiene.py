@@ -4,9 +4,11 @@ name has a user.
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
 __init__.py is exempt: its imports are the package's re-exports.  A name
-in fpforms.__all__ has to appear in the CLI, a demo, the README or a test.
+in fpforms.__all__ has to appear in the CLI, a demo, the README or a test,
+and the README's list of subcommands names exactly the parser's.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fpforms
+from fpforms.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fpforms"
@@ -108,3 +111,16 @@ def test_every_public_name_has_a_user():
         if not re.search(r"\b%s\b" % re.escape(name), text)
     ]
     assert unused == []
+
+
+def test_readme_lists_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"Subcommands:(.*?)\.\s", readme, re.S).group(1)
+    listed = re.findall(r"`([^`]+)`", section)
+    sub = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(sub.choices)
