@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fpforms import InternalError, max_degree_limit, parse_form
+from fpforms import InternalError, max_degree_limit, parse_form, set_max_degree
 from fpforms.cli import run_command
 from fpforms.printer import form_to_doc
 
@@ -116,6 +116,19 @@ def test_max_degree_holds_for_one_invocation_only():
     assert run(["--p", "3", "--n", "1", "--max-degree", "4", "d", "z^2 dz"])[0] == 0
     assert max_degree_limit() == before
     assert str(parse_form("z^5 dz", 3, 1)) == "z1^5 dz1"
+
+
+def test_caller_cap_holds_unless_max_degree_overrides_it():
+    p3n1 = ["--p", "3", "--n", "1"]
+    previous = set_max_degree(8)
+    try:
+        assert run(p3n1 + ["d", "z^9 dz"]) == (
+            2, "", "error: DegreeOverflow: exponent 9 of z1 exceeds the degree limit 8\n"
+        )
+        assert run(p3n1 + ["--max-degree", "16", "d", "z^9 dz"]) == (0, "0\n", "")
+        assert max_degree_limit() == 8
+    finally:
+        set_max_degree(previous)
 
 
 def test_max_degree_below_one_is_a_usage_error():
