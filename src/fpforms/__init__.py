@@ -63,8 +63,8 @@ from .parser import parse_form
 from .poincare import exactness_oracle, integrate
 from .poly import (
     MultiPoly,
+    degree_limit,
     max_degree_limit,
-    set_max_degree,
     variables,
 )
 from .printer import doc_to_form, form_to_doc, form_to_text
@@ -104,6 +104,7 @@ __all__ = [
     "class_representative",
     "clear_denominators",
     "corollary_condition",
+    "degree_limit",
     "doc_to_form",
     "exactness_oracle",
     "form_to_doc",
@@ -127,7 +128,6 @@ __all__ = [
     "remove_index",
     "run_audit",
     "same_class",
-    "set_max_degree",
     "sorted_index_sign",
     "split_complete_restricted",
     "split_rational_irrational",

@@ -34,7 +34,7 @@ from .operators import (
 )
 from .parser import parse_form
 from .poincare import exactness_oracle, integrate
-from .poly import max_degree_limit, set_max_degree
+from .poly import degree_limit, max_degree_limit
 from .printer import form_to_doc, form_to_text
 
 _AUDIT_PRIMES = (2, 3, 5, 7)
@@ -199,20 +199,19 @@ def _dispatch(args, out) -> int:
 def run_command(argv, out=None, err=None) -> int:
     """Run one invocation; prints to out/err and returns the exit code.
 
-    A --max-degree cap holds for this invocation only; the previous
-    process-wide cap is restored on the way out.
+    A --max-degree cap holds for this invocation, in this thread, only;
+    without it the cap in force in the caller's context holds.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = build_parser()
-    previous_cap = max_degree_limit()
     try:
         args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
-        if args.max_degree is not None:
-            if args.max_degree < 1:
-                raise _UsageError("--max-degree must be a positive integer")
-            set_max_degree(args.max_degree)
-        return _dispatch(args, out)
+        cap = max_degree_limit() if args.max_degree is None else args.max_degree
+        if cap < 1:
+            raise _UsageError("--max-degree must be a positive integer")
+        with degree_limit(cap):
+            return _dispatch(args, out)
     except (_UsageError, ParseError, PrimeOutOfRange) as exc:
         print("error: %s" % exc, file=err)
         return 1
@@ -222,8 +221,6 @@ def run_command(argv, out=None, err=None) -> int:
     except FpFormsError as exc:  # InternalError and any other kernel fault
         print("internal error: %s" % exc, file=err)
         return 3
-    finally:
-        set_max_degree(previous_cap)
 
 
 def main() -> None:

@@ -19,9 +19,11 @@ The differential structure is where characteristic p bites:
 * frobenius_decompose splits f into sum g_E * z^E over residue patterns
   E in {0..p-1}^n, with every g_E a p-th-power-exponent polynomial.
 
-Per-variable exponents are capped by a module-wide limit (default 64) so
-that runaway constructions, for example denominators raised to a huge
-characteristic, fail fast with DegreeOverflow instead of exhausting memory.
+Per-variable exponents are capped (default 64) so that runaway
+constructions, for example denominators raised to a huge characteristic,
+fail fast with DegreeOverflow instead of exhausting memory.  The cap is
+scoped: degree_limit(k) sets it for one with block, in the current thread
+or task only, and max_degree_limit() reads it.
 
 Validation happens at the trust boundary, not on every result.  The
 constructor MultiPoly(p, n, terms) checks and normalizes whatever it is
@@ -31,12 +33,14 @@ partials, residue masks, Frobenius parts) are built by the unchecked
 _trusted constructor instead.  Only the operations that can raise an
 exponent check the cap, and only on the exponents they grow: *, **,
 antiderivative and substitute_pth.  So lowering the cap with
-set_max_degree after building a polynomial does not make the
+degree_limit after building a polynomial does not make the
 exponent-preserving operations on it raise.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from operator import add, sub
 
@@ -52,21 +56,34 @@ from .scalar import Prime, inv_mod
 
 DEFAULT_MAX_DEGREE = 64
 
-_max_degree = DEFAULT_MAX_DEGREE
+_max_degree = ContextVar("fpforms_max_degree", default=DEFAULT_MAX_DEGREE)
 
 
-def set_max_degree(limit: int) -> int:
-    """Set the per-variable exponent cap; returns the previous cap."""
-    global _max_degree
+@contextmanager
+def degree_limit(limit: int):
+    """Cap every per-variable exponent at limit inside the with block.
+
+    The cap belongs to the current context (thread or task), and the one
+    in force before comes back on exit, also when the block raises.
+
+    >>> with degree_limit(4):
+    ...     max_degree_limit()
+    4
+    >>> max_degree_limit()
+    64
+    """
     if not isinstance(limit, int) or limit < 1:
         raise ValueError("degree limit must be a positive integer")
-    old = _max_degree
-    _max_degree = limit
-    return old
+    token = _max_degree.set(limit)
+    try:
+        yield
+    finally:
+        _max_degree.reset(token)
 
 
 def max_degree_limit() -> int:
-    return _max_degree
+    """The per-variable exponent cap in force in the current context."""
+    return _max_degree.get()
 
 
 def monomial_text(exps, coeff=1) -> str:
@@ -87,7 +104,7 @@ def _check_degree(terms, var=None):
     Scans the exponent vectors of terms in iteration order, all variables
     or only z_var; the message is the one the constructor gives.
     """
-    limit = _max_degree
+    limit = _max_degree.get()
     for exps in terms:
         for i, e in enumerate(exps, start=1):
             if e > limit and (var is None or i == var):
@@ -118,7 +135,7 @@ class MultiPoly:
         self.p = p
         self.n = n
         clean = {}
-        limit = _max_degree
+        limit = _max_degree.get()
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
@@ -284,7 +301,7 @@ class MultiPoly:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        if self.max_var_degree() + other.max_var_degree() > _max_degree:
+        if self.max_var_degree() + other.max_var_degree() > _max_degree.get():
             _check_degree(out)
         return MultiPoly._trusted(self.p, self.n, {e: out[e] for e in sorted(out)})
 

@@ -1,9 +1,10 @@
 import io
 import json
+import threading
 
 import pytest
 
-from fpforms import InternalError, max_degree_limit, parse_form, set_max_degree
+from fpforms import InternalError, degree_limit, max_degree_limit, parse_form
 from fpforms.cli import run_command
 from fpforms.printer import form_to_doc
 
@@ -120,15 +121,38 @@ def test_max_degree_holds_for_one_invocation_only():
 
 def test_caller_cap_holds_unless_max_degree_overrides_it():
     p3n1 = ["--p", "3", "--n", "1"]
-    previous = set_max_degree(8)
-    try:
+    with degree_limit(8):
         assert run(p3n1 + ["d", "z^9 dz"]) == (
             2, "", "error: DegreeOverflow: exponent 9 of z1 exceeds the degree limit 8\n"
         )
         assert run(p3n1 + ["--max-degree", "16", "d", "z^9 dz"]) == (0, "0\n", "")
         assert max_degree_limit() == 8
+
+
+def test_cap_does_not_cross_threads(monkeypatch):
+    # one invocation holds --max-degree 4 while this thread keeps the default
+    entered, release = threading.Event(), threading.Event()
+    caps, results = [], []
+
+    def held(form):
+        caps.append(max_degree_limit())
+        entered.set()
+        release.wait(timeout=30)
+        return form
+
+    monkeypatch.setattr("fpforms.cli.integrate", held)
+    argv = ["--p", "3", "--n", "1", "--max-degree", "4", "integrate", "z dz"]
+    worker = threading.Thread(target=lambda: results.append(run(argv)))
+    worker.start()
+    try:
+        assert entered.wait(timeout=30)
+        assert str(parse_form("z^5 dz", 3, 1)) == "z1^5 dz1"
+        assert max_degree_limit() == 64
     finally:
-        set_max_degree(previous)
+        release.set()
+        worker.join()
+    assert caps == [4]
+    assert results == [(0, "z1 dz1\n", "")]
 
 
 def test_max_degree_below_one_is_a_usage_error():

@@ -9,12 +9,13 @@ from fpforms import (
     DiffForm,
     MultiPoly,
     RatFun,
+    degree_limit,
     insert_index,
     irrational_part,
+    max_degree_limit,
     merge_indices,
     phi,
     remove_index,
-    set_max_degree,
     sorted_index_sign,
     variables,
     wedge,
@@ -324,8 +325,7 @@ def test_wedge_overflows_where_the_naive_oracle_does(p):
     rng = random.Random(4031 + p)
     cap = 2 * p
     raised = done = 0
-    previous = set_max_degree(cap)
-    try:
+    with degree_limit(cap):
         for _ in range(60):
             n = rng.randint(1, 4)
             r = rng.randint(0, n)
@@ -356,8 +356,7 @@ def test_wedge_overflows_where_the_naive_oracle_does(p):
         b = DiffForm(p, 4, 1, {(2,): z1**cap + z3})
         assert_same_form(a.wedge(b), naive_wedge(a, b))
         assert a.wedge(b).max_var_degree() == cap
-    finally:
-        assert set_max_degree(previous) == cap
+        assert max_degree_limit() == cap
     assert raised >= 5 and done >= 5
 
 
@@ -407,13 +406,11 @@ def test_lowering_the_cap_keeps_a_computed_derivative():
     kept = DiffForm(3, 2, 1, terms)
     fresh = DiffForm(3, 2, 1, terms)
     dw = kept.d()
-    previous = set_max_degree(5)
-    try:
+    with degree_limit(5):
         assert kept.d() is dw
         with pytest.raises(DegreeOverflow, match="^exponent 6 of z1 exceeds"):
             fresh.d()
-    finally:
-        assert set_max_degree(previous) == 5
+        assert max_degree_limit() == 5
     assert fresh.d() == dw
 
 

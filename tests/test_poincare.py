@@ -13,12 +13,12 @@ from fpforms import (
     NotPClosed,
     RatFun,
     SystemTooLarge,
+    degree_limit,
     exactness_oracle,
     integrate,
     is_p_closed,
     p_decompose_step,
     parse_form,
-    set_max_degree,
     variables,
 )
 from fpforms import poincare
@@ -223,14 +223,11 @@ def test_overflow_names_the_variable_the_layered_proof_meets_first():
         omega = _capped_monomials(rng, p, n, rng.randint(1, n))
         if omega.is_zero():
             continue
-        old = set_max_degree(2 * p)
-        try:
+        with degree_limit(2 * p):
             with pytest.raises(DegreeOverflow) as expected:
                 layered_potential(omega)
             with pytest.raises(DegreeOverflow) as got:
                 integrate(omega)
-        finally:
-            set_max_degree(old)
         assert str(got.value) == str(expected.value)
         named.add(str(got.value).split()[3])
     assert named == {"z1", "z2", "z3", "z4"}

@@ -12,11 +12,11 @@ from fpforms import (
     NotPthPower,
     Prime,
     PrimeMismatch,
+    degree_limit,
     gamma0,
     max_degree_limit,
     o_operator,
     p_operator,
-    set_max_degree,
     variables,
 )
 from fpforms.sampling import random_poly
@@ -67,13 +67,29 @@ def test_construction_guards():
 
 
 def test_max_degree_limit_is_adjustable():
-    previous = set_max_degree(8)
-    try:
+    with degree_limit(8):
         with pytest.raises(DegreeOverflow):
             MultiPoly.variable(3, 1, 1) ** 9
         assert (MultiPoly.variable(3, 1, 1) ** 8).max_var_degree() == 8
-    finally:
-        assert set_max_degree(previous) == 8
+        assert max_degree_limit() == 8
+
+
+def test_degree_limit_restores_the_cap_in_force_before():
+    outer = max_degree_limit()
+    with degree_limit(8):
+        with degree_limit(3):
+            assert max_degree_limit() == 3
+        assert max_degree_limit() == 8
+        with pytest.raises(DegreeOverflow):
+            with degree_limit(2):
+                MultiPoly.variable(3, 1, 1) ** 3
+        assert max_degree_limit() == 8
+    assert max_degree_limit() == outer
+    for bad in (0, -1, 2.0, "8"):
+        with pytest.raises(ValueError):
+            with degree_limit(bad):
+                pass
+    assert max_degree_limit() == outer
 
 
 def test_ring_laws_random():
@@ -293,8 +309,7 @@ def test_trusted_results_match_their_validated_rebuild():
 
 
 def test_exponent_growing_ops_check_the_cap():
-    previous = set_max_degree(12)
-    try:
+    with degree_limit(12):
         z, w = variables(3, 2)
         assert (z**6 * z**6).max_var_degree() == 12
         with pytest.raises(DegreeOverflow):
@@ -321,8 +336,7 @@ def test_exponent_growing_ops_check_the_cap():
         )
         with pytest.raises(DegreeOverflow):
             gamma0(DiffForm(2, 1, 1, {(1,): MultiPoly.monomial(2, 1, (6,))}))
-    finally:
-        assert set_max_degree(previous) == 12
+        assert max_degree_limit() == 12
 
 
 def test_arguments_of_trusted_ops_are_checked():
@@ -343,8 +357,7 @@ def test_lowering_the_cap_spares_exponent_preserving_ops():
     # higher cap keeps working with every operation that does not raise one
     f = MultiPoly.monomial(3, 2, (10, 2)) + 1
     g = MultiPoly.monomial(3, 2, (10, 1)) + 1
-    previous = set_max_degree(8)
-    try:
+    with degree_limit(8):
         for h in (-f, f + f, f - 1, 2 * f, f.partial(1), f.residue_mask((2,))):
             assert h.max_var_degree() in (9, 10)
         assert g.antiderivative(2).max_var_degree() == 10
@@ -352,8 +365,7 @@ def test_lowering_the_cap_spares_exponent_preserving_ops():
             f * f
         with pytest.raises(DegreeOverflow):
             MultiPoly(3, 2, f.terms)
-    finally:
-        assert set_max_degree(previous) == 8
+        assert max_degree_limit() == 8
 
 
 def fold_product(f, g):
@@ -401,8 +413,7 @@ def outcome(thunk):
 
 
 def test_product_overflow_names_the_same_exponent():
-    previous = set_max_degree(5)
-    try:
+    with degree_limit(5):
         # z1^8 cancels (mod 3) and comes back after z1^6 is made, so the
         # fold names 8; the first monomial made, z1^6, is not the one named
         f = MultiPoly(3, 1, {(5,): 2, (3,): 1, (2,): 2, (1,): 1})
@@ -410,8 +421,6 @@ def test_product_overflow_names_the_same_exponent():
         with pytest.raises(DegreeOverflow) as caught:
             f * g
         assert str(caught.value) == "exponent 8 of z1 exceeds the degree limit 5"
-    finally:
-        set_max_degree(previous)
     rng = random.Random(2014)
     overflows = 0
     for _ in range(1500):
@@ -421,13 +430,10 @@ def test_product_overflow_names_the_same_exponent():
         f = random_poly(rng, p, n, max_degree=cap, max_terms=10)
         g = random_poly(rng, p, n, max_degree=cap, max_terms=10)
         k = rng.randint(2, 4)
-        previous = set_max_degree(cap)
-        try:
+        with degree_limit(cap):
             got = outcome(lambda: f * g)
             assert got == outcome(lambda: fold_product(f, g))
             assert outcome(lambda: f**k) == outcome(lambda: fold_power(f, k))
-        finally:
-            set_max_degree(previous)
         overflows += got[0] == "overflow"
     assert overflows > 500
 

@@ -11,8 +11,8 @@ from fpforms import (
     RatFun,
     ZeroDenominator,
     clear_denominators,
+    degree_limit,
     integrate,
-    set_max_degree,
     variables,
 )
 from fpforms.sampling import random_form, random_poly, random_ratfun
@@ -174,8 +174,7 @@ def test_trusted_results_match_their_validated_rebuild():
     rng = random.Random(3006)
     # a - scaled cross-multiplies a.num * a.den by a.den^2, which at
     # p = 13 can pass the default cap
-    previous = set_max_degree(256)
-    try:
+    with degree_limit(256):
         for _ in range(TRIALS):
             p = rng.choice(TRUST_PRIMES)
             n = rng.randint(1, 3)
@@ -216,8 +215,6 @@ def test_trusted_results_match_their_validated_rebuild():
             for f in results:
                 assert_clean(f)
             assert (a - a).is_zero() and (a - scaled).is_zero()
-    finally:
-        set_max_degree(previous)
 
 
 def test_rational_potentials_are_clean():
@@ -248,8 +245,7 @@ def test_same_denominator_equality_matches_cross_multiplication():
     rng = random.Random(3007)
     # the reference cross-multiplies a.num * a.den by a.den^2, which at
     # p = 13 can pass the default cap
-    previous = set_max_degree(256)
-    try:
+    with degree_limit(256):
         for _ in range(TRIALS):
             p = rng.choice(TRUST_PRIMES)
             n = rng.randint(1, 3)
@@ -271,8 +267,6 @@ def test_same_denominator_equality_matches_cross_multiplication():
                 assert (f == g) is expected
                 assert (g == f) is expected
                 assert (f != g) is not expected
-    finally:
-        set_max_degree(previous)
 
 
 def test_mixed_characteristics_and_arities_still_raise():
