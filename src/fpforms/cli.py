@@ -179,6 +179,8 @@ def _dispatch(args, out) -> int:
         print(text, file=out)
         return 2 if report["regressions"] else 0
     if cmd == "oracle":
+        if args.margin is not None and args.margin < 0:
+            raise _UsageError("--margin must be a nonnegative integer")
         form = _read_form(args.form, args.p, args.n)
         eta = exactness_oracle(form, degree_margin=args.margin)
         if args.json:

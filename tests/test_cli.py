@@ -180,6 +180,14 @@ def test_check_trials_below_one_is_a_usage_error():
             assert err == "error: --trials must be a positive integer\n"
 
 
+def test_oracle_margin_below_zero_is_a_usage_error():
+    for argv in (
+        ["--p", "3", "--n", "1", "oracle", "--margin", "-1", "z dz"],
+        ["oracle", "z^2 dz", "--margin", "-5", "--p", "3", "--n", "1"],
+    ):
+        assert run(argv) == (1, "", "error: --margin must be a nonnegative integer\n"), argv
+
+
 def test_bad_prime_message():
     code, _, err = run(["--p", "4", "--n", "1", "d", "z dz"])
     assert code == 1 and "4 is not prime" in err
