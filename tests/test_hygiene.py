@@ -1,5 +1,5 @@
-"""Every module of src/fpforms uses each name it imports, and every public
-name has a user.
+"""Every module of src/fpforms uses each name it imports, rebinds no name
+through global or nonlocal, and every public name has a user.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -91,6 +91,19 @@ def test_detector_flags_only_unused_names():
 def test_no_unused_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unused_imports(source) == [], module
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_global_or_nonlocal_statements(module):
+    # module-wide mutable state leaks from one call, or thread, to the
+    # next; a scoped setting lives in a ContextVar instead
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    rebinds = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert rebinds == [], module
 
 
 def _public_name_users():
