@@ -231,21 +231,17 @@ def exactness_oracle(
             for J in col_indices
             if _nonneg(w, J) and all(e <= bound for e in _drop(w, J))
         ]
-        matrix = []
-        rhs = []
-        for I in rows:
-            row = []
-            for J in cols:
-                # entry: coefficient of z^(w - chi(I)) dz_I in d(z^(w - chi(J)) dz_J)
-                entry = 0
-                j = _difference(I, J)
-                if j is not None:
-                    sign, merged = insert_index(J, j)
-                    if merged == I:
-                        entry = sign * (w[j - 1] % p) % p
-                row.append(entry)
-            matrix.append(row)
-            rhs.append(targets.get(I, 0))
+        # column J is d(z^(w - chi(J)) dz_J): w_j z^(w - chi(I)) dz_j ^ dz_J
+        # for each j outside J, where I = J + {j} and dz_j ^ dz_J = sign dz_I
+        row_of = {I: k for k, I in enumerate(rows)}
+        matrix = [[0] * len(cols) for _ in rows]
+        for c, J in enumerate(cols):
+            for j in range(1, n + 1):
+                if w[j - 1] % p:
+                    sign, I = insert_index(J, j)
+                    if sign:
+                        matrix[row_of[I]][c] = sign * w[j - 1] % p
+        rhs = [targets.get(I, 0) for I in rows]
         x = _solve_mod_p(matrix, rhs, p)
         if x is None:
             return None
@@ -276,18 +272,3 @@ def _drop(w, index):
         e - (1 if i in index else 0) for i, e in enumerate(w, start=1)
     )
 
-
-def _difference(I, J):
-    """The single element of I \\ J when J is I minus one entry, else None."""
-    if len(I) != len(J) + 1:
-        return None
-    extra = None
-    j = 0
-    for i in I:
-        if j < len(J) and J[j] == i:
-            j += 1
-        elif extra is None:
-            extra = i
-        else:
-            return None
-    return extra if j == len(J) else None
