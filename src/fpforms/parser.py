@@ -17,8 +17,9 @@ ambient space the customary name z denotes z1.  A slash may appear once,
 at the top level of a parenthesized coefficient, and splits it into
 numerator and denominator: "(a + b/c)" means (a + b)/c.
 
-All numerals are reduced mod p; exponents stay plain integers.  Errors
-carry 1-based line and column positions plus the expected token kinds.
+All numerals are reduced mod p, at any length; exponents stay plain
+integers.  Parentheses nest at most 100 levels deep.  Errors carry
+1-based line and column positions plus the expected token kinds.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ from .ratfun import RatFun
 from .scalar import Prime
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+
+# each level costs three frames of recursion; far below the interpreter's
+# recursion limit, so deep nesting is a ParseError, not a RecursionError
+_MAX_NESTING = 100
+
+# int() refuses numerals over sys.get_int_max_str_digits() digits, 640 at
+# the lowest setting; coefficient numerals are folded in shorter chunks
+_CHUNK = 600
 
 _SYMBOLS = {
     "+": "PLUS",
@@ -75,9 +84,9 @@ def _tokenize(text):
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("NUMBER", text[i:j], line, column))
             column += j - i
@@ -102,6 +111,7 @@ class _Parser:
         self.pos = 0
         self.p = p
         self.n = n
+        self.depth = 0
 
     # ------------------------------------------------------------------
 
@@ -123,6 +133,23 @@ class _Parser:
     def fail(self, message, tok, expected=()):
         raise ParseError(message, tok.line, tok.column, expected)
 
+    def residue(self, tok):
+        """The coefficient numeral tok mod p."""
+        p, digits, value = self.p.p, tok.text, 0
+        for start in range(0, len(digits), _CHUNK):
+            chunk = digits[start:start + _CHUNK]
+            value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+        return value
+
+    def exponent(self):
+        """Consume a caret and the exponent numeral after it."""
+        self.advance()
+        tok = self.expect("NUMBER", "an exponent")
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail("exponent of %d digits is too large" % len(tok.text), tok)
+
     # ------------------------------------------------------------------
     # name classification
 
@@ -132,7 +159,7 @@ class _Parser:
             if name == "z" and self.n == 1:
                 return 1
             return _ALIASES[name]
-        if name[0] == "z" and name[1:].isdigit():
+        if name[0] == "z" and name[1:].isdecimal():
             return int(name[1:])
         return None
 
@@ -277,7 +304,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return MultiPoly.constant(self.p, self.n, int(tok.text))
+            return MultiPoly.constant(self.p, self.n, self.residue(tok))
         if tok.kind == "NAME":
             idx = self._variable_index(tok.text)
             if idx is None:
@@ -286,29 +313,31 @@ class _Parser:
             self.advance()
             exp = 1
             if self.peek().kind == "CARET":
-                self.advance()
-                exp = int(self.expect("NUMBER", "an exponent").text)
+                exp = self.exponent()
             exps = [0] * self.n
             exps[idx - 1] = exp
             return MultiPoly.monomial(self.p, self.n, tuple(exps))
         if tok.kind == "LPAREN":
+            if self.depth == _MAX_NESTING:
+                self.fail("parentheses nest deeper than %d levels" % _MAX_NESTING, tok)
             self.advance()
+            self.depth += 1
             num = self.parse_polysum()
+            den = slash = None
             if self.peek().kind == "SLASH":
                 if not allow_ratio:
                     self.fail("ratios may not nest", self.peek())
                 slash = self.advance()
                 den = self.parse_polysum()
-                self.expect("RPAREN", "')'")
+            self.depth -= 1
+            self.expect("RPAREN", "')'")
+            if slash is not None:
                 try:
                     return RatFun(num, den)
                 except ZeroDenominator:
                     self.fail("division by the zero polynomial", slash)
-            self.expect("RPAREN", "')'")
             if self.peek().kind == "CARET":
-                self.advance()
-                exp = int(self.expect("NUMBER", "an exponent").text)
-                return num**exp
+                return num**self.exponent()
             return num
         self.fail(
             "unexpected %s" % (tok.text or "end of input"),

@@ -110,6 +110,17 @@ def test_usage_errors_exit_1():
         assert err.startswith("error:"), argv
 
 
+def test_hostile_input_is_a_parse_error():
+    assert run(["--p", "3", "--n", "1", "d", "9" * 5000 + " dz"]) == (0, "0\n", "")
+    for text, column in (
+        ("z^" + "9" * 5000 + " dz", 3),
+        ("(" * 400 + "z" + ")" * 400 + " dz", 101),
+    ):
+        code, out, err = run(["--p", "3", "--n", "1", "d", text])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("column %d\n" % column)
+
+
 def test_max_degree_holds_for_one_invocation_only():
     before = max_degree_limit()
     code, _, err = run(["--p", "3", "--n", "1", "--max-degree", "4", "d", "z^5 dz"])

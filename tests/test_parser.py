@@ -90,6 +90,32 @@ def test_malformed_expressions():
             parse_form(text, 3, 2)
 
 
+def test_hostile_numerals_and_nesting_are_typed_errors():
+    # int() refuses numerals over 4300 digits; coefficients reduce mod p anyway
+    assert form_to_text(parse_form("9" * 5000 + " dz", 3, 1)) == "0"
+    for p in (3, 7, 2**31 - 1):
+        # the repunit (10^5000 - 1) / 9, reduced mod p without int()
+        residue = (pow(10, 5000, 9 * p) - 1) // 9 % p
+        assert parse_form("1" * 5000 + " dz", p, 1) == parse_form("%d dz" % residue, p, 1)
+    with pytest.raises(ParseError, match="^exponent of 5000 digits is too large at line 1, column 3$"):
+        parse_form("z^" + "9" * 5000 + " dz", 3, 1)
+    with pytest.raises(ParseError, match="column 5$"):
+        parse_form("(z)^" + "9" * 5000 + " dz", 3, 1)
+    nested = "(" * 100 + "z" + ")" * 100 + " dz"
+    assert parse_form(nested, 3, 1) == parse_form("z dz", 3, 1)
+    for depth in (101, 400):
+        text = "(" * depth + "z" + ")" * depth + " dz"
+        with pytest.raises(ParseError) as info:
+            parse_form(text, 3, 1)
+        assert str(info.value) == (
+            "parentheses nest deeper than 100 levels at line 1, column 101"
+        )
+    # digits that are not decimal (superscripts) are not numerals
+    for text in ("z\u00b2 dz", "\u00b2 dz"):
+        with pytest.raises(ParseError):
+            parse_form(text, 3, 1)
+
+
 def test_composite_characteristic_rejected():
     with pytest.raises(PrimeOutOfRange):
         parse_form("x dx", 4, 2)
