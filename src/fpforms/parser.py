@@ -32,13 +32,8 @@ from .scalar import Prime
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
-# each level costs three frames of recursion; far below the interpreter's
-# recursion limit, so deep nesting is a ParseError, not a RecursionError
+# three frames of recursion per level stay far below Python's limit
 _MAX_NESTING = 100
-
-# int() refuses numerals over sys.get_int_max_str_digits() digits, 640 at
-# the lowest setting; coefficient numerals are folded in shorter chunks
-_CHUNK = 600
 
 _SYMBOLS = {
     "+": "PLUS",
@@ -64,10 +59,19 @@ class _Token:
         return "_Token(%s, %r)" % (self.kind, self.text)
 
 
+def _residue(digits, p):
+    """The numeral digits mod p; int() refuses more than 4300 digits."""
+    value = 0
+    for start in range(0, len(digits), 600):
+        chunk = digits[start:start + 600]
+        value = (value * 10 ** len(chunk) + int(chunk)) % p
+    return value
+
+
 def _tokenize(text):
     tokens = []
     line, column = 1, 1
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -80,6 +84,10 @@ def _tokenize(text):
             i += 1
             continue
         if ch in _SYMBOLS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                message = "parentheses nest deeper than %d levels" % _MAX_NESTING
+                raise ParseError(message, line, column)
             tokens.append(_Token(_SYMBOLS[ch], ch, line, column))
             column += 1
             i += 1
@@ -111,7 +119,6 @@ class _Parser:
         self.pos = 0
         self.p = p
         self.n = n
-        self.depth = 0
 
     # ------------------------------------------------------------------
 
@@ -132,14 +139,6 @@ class _Parser:
 
     def fail(self, message, tok, expected=()):
         raise ParseError(message, tok.line, tok.column, expected)
-
-    def residue(self, tok):
-        """The coefficient numeral tok mod p."""
-        p, digits, value = self.p.p, tok.text, 0
-        for start in range(0, len(digits), _CHUNK):
-            chunk = digits[start:start + _CHUNK]
-            value = (value * pow(10, len(chunk), p) + int(chunk)) % p
-        return value
 
     def exponent(self):
         """Consume a caret and the exponent numeral after it."""
@@ -304,7 +303,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return MultiPoly.constant(self.p, self.n, self.residue(tok))
+            return MultiPoly.constant(self.p, self.n, _residue(tok.text, self.p.p))
         if tok.kind == "NAME":
             idx = self._variable_index(tok.text)
             if idx is None:
@@ -318,24 +317,19 @@ class _Parser:
             exps[idx - 1] = exp
             return MultiPoly.monomial(self.p, self.n, tuple(exps))
         if tok.kind == "LPAREN":
-            if self.depth == _MAX_NESTING:
-                self.fail("parentheses nest deeper than %d levels" % _MAX_NESTING, tok)
             self.advance()
-            self.depth += 1
             num = self.parse_polysum()
-            den = slash = None
             if self.peek().kind == "SLASH":
                 if not allow_ratio:
                     self.fail("ratios may not nest", self.peek())
                 slash = self.advance()
                 den = self.parse_polysum()
-            self.depth -= 1
-            self.expect("RPAREN", "')'")
-            if slash is not None:
+                self.expect("RPAREN", "')'")
                 try:
                     return RatFun(num, den)
                 except ZeroDenominator:
                     self.fail("division by the zero polynomial", slash)
+            self.expect("RPAREN", "')'")
             if self.peek().kind == "CARET":
                 return num**self.exponent()
             return num
