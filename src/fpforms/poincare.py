@@ -140,15 +140,14 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
 # the linear-algebra oracle
 
 
-def _solve_mod_p(matrix, rhs, p):
-    """One solution of matrix * x = rhs over F_p, or None.
+def _solve_mod_p(m, p):
+    """One solution x of A x = b over F_p for the rows [A | b] of m, or None.
 
-    Plain Gaussian elimination; free variables are set to zero.  The
-    blocks this sees are tiny, so clarity wins over pivot strategy.
+    Plain Gaussian elimination in place; free variables are set to zero.
+    The blocks this sees are tiny, so clarity wins over pivot strategy.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows = len(m)
+    cols = len(m[0]) - 1 if rows else 0
     pivot_of_col = {}
     rank = 0
     for c in range(cols):
@@ -212,15 +211,11 @@ def exactness_oracle(
     row_indices = list(combinations(range(1, n + 1), r))
     col_indices = list(combinations(range(1, n + 1), r - 1))
 
-    def chi(index):
-        return tuple(1 if i in index else 0 for i in range(1, n + 1))
-
     # group the target by weight E + chi(I); d never mixes weights
     blocks: dict[tuple, dict] = {}
     for index, coeff in form.terms.items():
-        ch = chi(index)
         for exps, c in coeff.terms.items():
-            w = tuple(e + x for e, x in zip(exps, ch))
+            w = tuple(e + (i in index) for i, e in enumerate(exps, start=1))
             blocks.setdefault(w, {})[index] = c
 
     solution_terms: dict[tuple, dict] = {}
@@ -232,32 +227,25 @@ def exactness_oracle(
             if _nonneg(w, J) and all(e <= bound for e in _drop(w, J))
         ]
         # column J is d(z^(w - chi(J)) dz_J): w_j z^(w - chi(I)) dz_j ^ dz_J
-        # for each j outside J, where I = J + {j} and dz_j ^ dz_J = sign dz_I
+        # for each j outside J, where I = J + {j} and dz_j ^ dz_J = sign dz_I;
+        # the last column is the target
         row_of = {I: k for k, I in enumerate(rows)}
-        matrix = [[0] * len(cols) for _ in rows]
+        m = [[0] * len(cols) + [targets.get(I, 0)] for I in rows]
         for c, J in enumerate(cols):
             for j in range(1, n + 1):
                 if w[j - 1] % p:
                     sign, I = insert_index(J, j)
                     if sign:
-                        matrix[row_of[I]][c] = sign * w[j - 1] % p
-        rhs = [targets.get(I, 0) for I in rows]
-        x = _solve_mod_p(matrix, rhs, p)
+                        m[row_of[I]][c] = sign * w[j - 1] % p
+        x = _solve_mod_p(m, p)
         if x is None:
             return None
         for J, v in zip(cols, x):
             if v:
                 solution_terms.setdefault(J, {})[_drop(w, J)] = v
 
-    eta = DiffForm(
-        form.p,
-        n,
-        r - 1,
-        {
-            J: MultiPoly(form.p, n, terms)
-            for J, terms in solution_terms.items()
-        },
-    )
+    terms = {J: MultiPoly(form.p, n, t) for J, t in solution_terms.items()}
+    eta = DiffForm(form.p, n, r - 1, terms)
     if eta.d() != form:
         raise InternalError("oracle produced a non-potential; this is a bug")
     return eta

@@ -19,11 +19,10 @@ The differential structure is where characteristic p bites:
 * frobenius_decompose splits f into sum g_E * z^E over residue patterns
   E in {0..p-1}^n, with every g_E a p-th-power-exponent polynomial.
 
-Per-variable exponents are capped (default 64) so that runaway
-constructions, for example denominators raised to a huge characteristic,
-fail fast with DegreeOverflow instead of exhausting memory.  The cap is
-scoped: degree_limit(k) sets it for one with block, in the current thread
-or task only, and max_degree_limit() reads it.
+Per-variable exponents are capped, at 64 by default and for a with block
+by degree_limit, in the current thread or task only, so that runaway
+constructions (denominators raised to a huge characteristic) fail fast
+with DegreeOverflow instead of exhausting memory.
 
 Validation happens at the trust boundary, not on every result.  The
 constructor MultiPoly(p, n, terms) checks and normalizes whatever it is
@@ -61,17 +60,8 @@ _max_degree = ContextVar("fpforms_max_degree", default=DEFAULT_MAX_DEGREE)
 
 @contextmanager
 def degree_limit(limit: int):
-    """Cap every per-variable exponent at limit inside the with block.
-
-    The cap belongs to the current context (thread or task), and the one
-    in force before comes back on exit, also when the block raises.
-
-    >>> with degree_limit(4):
-    ...     max_degree_limit()
-    4
-    >>> max_degree_limit()
-    64
-    """
+    """Cap per-variable exponents at limit for a with block, in the current
+    thread or task only; the cap before comes back on exit."""
     if not isinstance(limit, int) or limit < 1:
         raise ValueError("degree limit must be a positive integer")
     token = _max_degree.set(limit)
@@ -82,7 +72,6 @@ def degree_limit(limit: int):
 
 
 def max_degree_limit() -> int:
-    """The per-variable exponent cap in force in the current context."""
     return _max_degree.get()
 
 
