@@ -153,7 +153,8 @@ def test_cap_does_not_cross_threads(monkeypatch):
         assert max_degree_limit() == 64
     finally:
         release.set()
-        worker.join()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
     assert caps == [4]
     assert results == [(0, "z1 dz1\n", "")]
 
