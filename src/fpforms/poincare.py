@@ -259,4 +259,3 @@ def _drop(w, index):
     return tuple(
         e - (1 if i in index else 0) for i, e in enumerate(w, start=1)
     )
-

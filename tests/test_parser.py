@@ -97,10 +97,12 @@ def test_hostile_numerals_and_nesting_are_typed_errors():
         # the repunit (10^5000 - 1) / 9, reduced mod p without int()
         residue = (pow(10, 5000, 9 * p) - 1) // 9 % p
         assert parse_form("1" * 5000 + " dz", p, 1) == parse_form("%d dz" % residue, p, 1)
-    with pytest.raises(ParseError, match="^exponent of 5000 digits is too large at line 1, column 3$"):
-        parse_form("z^" + "9" * 5000 + " dz", 3, 1)
-    with pytest.raises(ParseError, match="column 5$"):
-        parse_form("(z)^" + "9" * 5000 + " dz", 3, 1)
+    for text, column in (("z^", 3), ("(z)^", 5)):
+        with pytest.raises(ParseError) as info:
+            parse_form(text + "9" * 5000 + " dz", 3, 1)
+        assert str(info.value) == (
+            "exponent of 5000 digits is too large at line 1, column %d" % column
+        )
     nested = "(" * 100 + "z" + ")" * 100 + " dz"
     assert parse_form(nested, 3, 1) == parse_form("z dz", 3, 1)
     for depth in (101, 400):
