@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, DegreeZero, NonPolynomial, NotClosed
-from .forms import DiffForm
+from .forms import DiffForm, _closed_by_construction
 from .operators import irrational_part, is_p_closed
 
 
@@ -33,15 +33,16 @@ def gamma0(form: DiffForm) -> DiffForm:
     """sum a_I(z^p) z_I^(p-1) dz_I: the canonical closed lift.
 
     Accepts rational coefficients by twisting the numerator and the
-    denominator separately.  The result is always closed.  One exponent
-    map per coefficient: z^E goes to z^(p E + (p-1) chi_I).
+    denominator separately.  The result is always closed, and carries
+    its zero derivative.  One exponent map per coefficient: z^E goes to
+    z^(p E + (p-1) chi_I).
     """
     k = form.p.p - 1
     out = {}
     for index, coeff in form.terms.items():
         shift = tuple(k if i in index else 0 for i in range(1, form.n + 1))
         out[index] = coeff.substitute_pth(shift)
-    return form._with_terms(out)
+    return _closed_by_construction(form._with_terms(out))
 
 
 def cartier(form: DiffForm) -> DiffForm:

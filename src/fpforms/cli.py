@@ -119,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(dest)
     orc = sub.add_parser("oracle", parents=[shared])
     orc.add_argument("form")
-    orc.add_argument("--margin", type=int, default=None)
+    orc.add_argument("--margin", type=int, default=None,
+                     help="degrees the potential may exceed the form by "
+                          "(default p); an oracle option, so it goes after "
+                          "'oracle'")
     sub.add_parser("check", parents=[shared])
     return parser
 

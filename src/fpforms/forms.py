@@ -31,8 +31,14 @@ every result is a new object.  So a form keeps its exterior derivative:
 d() computes it on first use, in one pass over the monomials for
 polynomial coefficients, and returns the same object from then on.  The
 p-closedness test, the integrator's residual checks and a caller's own
-check of the same form share that one derivative; every result of +, -,
-d, wedge and _with_terms starts without one.
+check of the same form share that one derivative.  A form that is closed
+by construction is born with its derivative, a new zero form of degree
+r + 1 of its own: every result of d (d(d(omega)) = 0), of
+cartier.gamma0, and of +, -, negation and wedge whose operands all carry
+a zero derivative already (d is linear and obeys the Leibniz rule).
+Every other result, the coefficient-wise maps of _with_terms among them,
+starts without one, so the closedness of a split, a Cartier image or a
+potential is computed, never assumed.
 """
 
 from __future__ import annotations
@@ -318,7 +324,9 @@ class DiffForm:
             out[index] = coeff
         if self.is_polynomial != other.is_polynomial:
             out = {i: _promote(c) for i, c in out.items()}
-        return DiffForm._trusted(self.p, self.n, self.r, out)
+        return _closed_by_construction(
+            DiffForm._trusted(self.p, self.n, self.r, out), self, other
+        )
 
     def __add__(self, other):
         if not isinstance(other, DiffForm):
@@ -326,8 +334,11 @@ class DiffForm:
         return self._merge(other, 1)
 
     def __neg__(self):
-        return DiffForm._trusted(
-            self.p, self.n, self.r, {i: -c for i, c in self.terms.items()}
+        return _closed_by_construction(
+            DiffForm._trusted(
+                self.p, self.n, self.r, {i: -c for i, c in self.terms.items()}
+            ),
+            self,
         )
 
     def __sub__(self, other):
@@ -378,7 +389,9 @@ class DiffForm:
         """
         self._check(other)
         if self.is_polynomial and other.is_polynomial:
-            return self._wedge_polynomial(other)
+            return _closed_by_construction(
+                self._wedge_polynomial(other), self, other
+            )
         r = self.r + other.r
         out = {}
         for left, a in self.terms.items():
@@ -392,7 +405,7 @@ class DiffForm:
                 if index in out:
                     coeff = out[index] + coeff
                 out[index] = coeff
-        return self._with_terms(out, r)
+        return _closed_by_construction(self._with_terms(out, r), self, other)
 
     def _wedge_polynomial(self, other) -> "DiffForm":
         cap = max_degree_limit()
@@ -429,10 +442,8 @@ class DiffForm:
         as for wedge.
         """
         if self._d is None:
-            if self.is_polynomial:
-                self._d = self._d_polynomial()
-            else:
-                self._d = self._d_rational()
+            d = self._d_polynomial() if self.is_polynomial else self._d_rational()
+            self._d = _closed_by_construction(d)
         return self._d
 
     def _d_polynomial(self) -> "DiffForm":
@@ -490,6 +501,16 @@ class DiffForm:
 
 
 # ----------------------------------------------------------------------
+
+
+def _closed_by_construction(form, *operands) -> "DiffForm":
+    """form, given a new zero derivative if every operand carries one.
+
+    With no operands form is closed outright: a d-image or a gamma0 lift.
+    """
+    if all(f._d is not None and not f._d.terms for f in operands):
+        form._d = DiffForm._trusted(form.p, form.n, form.r + 1, {})
+    return form
 
 
 def _reduced_form(p, n, r, sums) -> "DiffForm":

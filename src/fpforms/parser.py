@@ -152,14 +152,22 @@ class _Parser:
     # ------------------------------------------------------------------
     # name classification
 
-    def _variable_index(self, name):
+    def _variable_index(self, name, tok):
         """1-based index for a variable name, or None if not a variable."""
         if name in _ALIASES:
             if name == "z" and self.n == 1:
                 return 1
             return _ALIASES[name]
         if name[0] == "z" and name[1:].isdecimal():
-            return int(name[1:])
+            try:
+                return int(name[1:])
+            except ValueError:
+                raise VariableOutOfRange(
+                    "variable index of %d digits is outside 1..%d"
+                    % (len(name) - 1, self.n),
+                    tok.line,
+                    tok.column,
+                ) from None
         return None
 
     def _check_range(self, idx, name, tok):
@@ -176,7 +184,7 @@ class _Parser:
         name = tok.text
         if tok.kind != "NAME" or len(name) < 2 or name[0] != "d":
             return None
-        return self._variable_index(name[1:])
+        return self._variable_index(name[1:], tok)
 
     def _starts_atom(self, tok):
         if tok.kind in ("NUMBER", "LPAREN"):
@@ -305,7 +313,7 @@ class _Parser:
             self.advance()
             return MultiPoly.constant(self.p, self.n, _residue(tok.text, self.p.p))
         if tok.kind == "NAME":
-            idx = self._variable_index(tok.text)
+            idx = self._variable_index(tok.text, tok)
             if idx is None:
                 self.fail("unknown name %r" % tok.text, tok, ("a variable",))
             self._check_range(idx, tok.text, tok)

@@ -12,13 +12,16 @@ from .errors import DivisionByZero, PrimeOutOfRange
 
 MAX_PRIME = 2**31 - 1
 
-# Deterministic Miller-Rabin witnesses for every modulus below
-# 3_215_031_751, which covers the full supported range.
 _WITNESSES = (2, 3, 5, 7)
 
 
 def is_prime(m: int) -> bool:
     """Deterministic primality test for 0 <= m <= 2**31 - 1.
+
+    Miller-Rabin with the witness bases 2, 3, 5 and 7 is exact for every
+    m below 3215031751 = 151 * 751 * 28351, the first strong pseudoprime
+    to all four, for which it returns True.  That covers the supported
+    range, and Prime rejects larger values before calling it.
 
     >>> [q for q in range(20) if is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19]

@@ -59,7 +59,10 @@ def test_criterion_01_d_squared_is_zero():
             for r in range(0, n + 1):
                 for _ in range(500):
                     omega = random_form(rng, p, n, r, max_degree=6)
-                    assert omega.d().d().is_zero(), (p, n, r, str(omega))
+                    # a checked copy, so d is computed, not the zero that
+                    # omega.d() carries by construction
+                    fresh = DiffForm(p, n, r + 1, omega.d().terms)
+                    assert fresh.d().is_zero(), (p, n, r, str(omega))
                     checked += 1
     _verdict(1, "d(d(omega)) = 0 on %d random forms" % checked, True)
 

@@ -107,10 +107,16 @@ def test_usage_errors_exit_1():
         # numerals int() refuses and nesting past the recursion limit
         ["--p", "3", "--n", "1", "d", "z^" + "9" * 5000 + " dz"],
         ["--p", "3", "--n", "1", "d", "(" * 400 + "z" + ")" * 400 + " dz"],
+        ["--p", "3", "--n", "1", "d", "z" + "9" * 5000 + " dz"],
     ):
         code, out, err = run(argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    # the overlong variable index, the last case, is one typed line
+    assert err == (
+        "error: variable index of 5000 digits is outside 1..1"
+        " at line 1, column 1\n"
+    )
 
 
 def test_max_degree_holds_for_one_invocation_only():

@@ -28,6 +28,23 @@ def test_is_prime_large_values():
     assert not is_prime(1_000_000_007 * 3)
 
 
+def test_witness_bases_stop_at_the_first_strong_pseudoprime(monkeypatch):
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5 and 7, so is_prime is right only below it; Prime refuses it
+    # on range alone, before is_prime runs
+    pseudoprime = 151 * 751 * 28351
+    assert pseudoprime == 3215031751
+    assert is_prime(pseudoprime)
+    assert MAX_PRIME < pseudoprime
+
+    def untouched(m):
+        raise AssertionError("is_prime ran on %d" % m)
+
+    monkeypatch.setattr("fpforms.scalar.is_prime", untouched)
+    with pytest.raises(PrimeOutOfRange, match="^characteristic 3215031751 outside "):
+        Prime(pseudoprime)
+
+
 def test_prime_ctor_rejects_composites_and_overflow():
     with pytest.raises(PrimeOutOfRange):
         Prime(4)
