@@ -508,8 +508,10 @@ def _closed_by_construction(form, *operands) -> "DiffForm":
 
     With no operands form is closed outright: a d-image or a gamma0 lift.
     """
-    if all(f._d is not None and not f._d.terms for f in operands):
-        form._d = DiffForm._trusted(form.p, form.n, form.r + 1, {})
+    for f in operands:
+        if f._d is None or f._d.terms:
+            return form
+    form._d = DiffForm._trusted(form.p, form.n, form.r + 1, {})
     return form
 
 

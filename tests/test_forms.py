@@ -459,7 +459,7 @@ def test_results_carry_a_derivative_only_when_closed_by_construction():
                     assert w.d() == naive_d(w), name
                     for o in operands:
                         assert w.d() is not o._d and w.d() is not o, name
-            w = x._with_terms({i: a * 2 for i, a in x.terms.items()})
+            w = x._with_terms({i: coeff * 2 for i, coeff in x.terms.items()})
             assert w._d is None
             assert w.d() == naive_d(x) * 2
     assert marked >= 500

@@ -104,12 +104,11 @@ def test_hostile_numerals_and_nesting_are_typed_errors():
             "exponent of 5000 digits is too large at line 1, column %d" % column
         )
     # so do variable indices, which are outside 1..n at any such length
-    for text, column in (("z" + "9" * 5000 + " dz", 1), ("dz" + "9" * 5000, 1)):
+    for text in ("z" + "9" * 5000 + " dz", "dz" + "9" * 5000):
         with pytest.raises(VariableOutOfRange) as info:
             parse_form(text, 3, 1)
         assert str(info.value) == (
-            "variable index of 5000 digits is outside 1..1 at line 1, column %d"
-            % column
+            "variable index of 5000 digits is outside 1..1 at line 1, column 1"
         )
     nested = "(" * 100 + "z" + ")" * 100 + " dz"
     assert parse_form(nested, 3, 1) == parse_form("z dz", 3, 1)
