@@ -53,7 +53,6 @@ from .operators import (
     o_operator,
     o_operator_expanded,
     p_closed_failure,
-    p_decompose_step,
     p_operator,
     phi,
     split_complete_restricted,
@@ -121,7 +120,6 @@ __all__ = [
     "o_operator",
     "o_operator_expanded",
     "p_closed_failure",
-    "p_decompose_step",
     "p_operator",
     "parse_form",
     "phi",

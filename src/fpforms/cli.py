@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("form")
     orc.add_argument("--margin", type=int, default=None,
                      help="degrees the potential may exceed the form by "
-                          "(default p); an oracle option, so it goes after "
-                          "'oracle'")
+                          "(default p); any value >= 1 asks the unbounded "
+                          "question, 0 alone differs; an oracle option, so "
+                          "it goes after 'oracle'")
     sub.add_parser("check", parents=[shared])
     return parser
 

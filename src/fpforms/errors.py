@@ -92,7 +92,12 @@ class DegreeMismatch(MathDomainError):
 
 
 class SystemTooLarge(MathDomainError):
-    """The bounded-degree linear system exceeds the configured size cap."""
+    """One weight block of the exactness oracle exceeds 200,000 cells.
+
+    The oracle's degree bound does not enter: any margin >= 1 asks the
+    unbounded question, since a potential's exponents never pass the
+    form's per-variable degree + 1.
+    """
 
 
 class InternalError(FpFormsError):

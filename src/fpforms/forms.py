@@ -304,14 +304,14 @@ class DiffForm:
         differ.
         """
         self._check(other)
-        if self.is_zero() and self.r != other.r:
-            return other if sign > 0 else -other
-        if other.is_zero() and self.r != other.r:
-            return self
-        if self.r != other.r:
-            raise DegreeMismatch(
-                "cannot add forms of degrees %d and %d" % (self.r, other.r)
-            )
+        r = self.r
+        if r != other.r:
+            if self.is_zero():
+                r = other.r
+            elif not other.is_zero():
+                raise DegreeMismatch(
+                    "cannot add forms of degrees %d and %d" % (self.r, other.r)
+                )
         out = dict(self.terms)
         for index, coeff in other.terms.items():
             if index in out:
@@ -325,7 +325,7 @@ class DiffForm:
         if self.is_polynomial != other.is_polynomial:
             out = {i: _promote(c) for i, c in out.items()}
         return _closed_by_construction(
-            DiffForm._trusted(self.p, self.n, self.r, out), self, other
+            DiffForm._trusted(self.p, self.n, r, out), self, other
         )
 
     def __add__(self, other):

@@ -32,8 +32,9 @@ once, at entry, and d(potential) = form on each side of the clearing; a
 nonzero residual is a kernel bug and raises InternalResidual.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
-F_p, one weight block (at most C(n, r-1) unknowns) at a time, with no
-recourse to the integrator.
+F_p, one weight block w at a time, with no recourse to the integrator.
+A block lives on the support S = {i : w_i >= 1} of its weight: its
+equations are the r-indices in S and its unknowns the (r-1)-indices.
 """
 
 from __future__ import annotations
@@ -179,17 +180,20 @@ def _solve_mod_p(m, p):
 
 
 def exactness_oracle(
-    form: DiffForm,
-    degree_margin: int | None = None,
-    system_cap: int = DEFAULT_SYSTEM_CAP,
+    form: DiffForm, degree_margin: int | None = None
 ) -> DiffForm | None:
     """Search for eta with d(eta) = form and bounded per-variable degree.
 
     The bound is (max per-variable degree of form) + degree_margin, with
-    degree_margin defaulting to p.  Returns a verified potential, or None
-    when no potential exists within the bound.  Raises SystemTooLarge when
-    the bounded monomial space C(n, r-1) * (bound+1)^n exceeds system_cap;
-    polynomial forms of degree >= 1 only.
+    degree_margin defaulting to p.  An exponent of a potential is w_j or
+    w_j - 1 for a weight w of the form, so never above the form's
+    per-variable degree + 1: any margin >= 1 asks the unbounded question,
+    and only margin 0 can refuse an exact form (z dz at p = 3).  Returns a
+    verified potential, or None when no potential exists within the
+    bound.  Raises SystemTooLarge when a single weight block, with support
+    S = {i : w_i >= 1}, has more than DEFAULT_SYSTEM_CAP = 200,000 cells
+    C(|S|, r) * C(|S|, r-1); the size is checked before the block is
+    built.  Polynomial forms of degree >= 1 only.
     """
     if form.r == 0:
         raise DegreeZero("only forms of degree >= 1 can be exact")
@@ -202,14 +206,6 @@ def exactness_oracle(
     if margin < 0:
         raise ValueError("degree_margin must be nonnegative")
     bound = form.max_var_degree() + margin
-    size = comb(n, r - 1) * (bound + 1) ** n
-    if size > system_cap:
-        raise SystemTooLarge(
-            "bounded search space has %d cells, cap is %d" % (size, system_cap)
-        )
-
-    row_indices = list(combinations(range(1, n + 1), r))
-    col_indices = list(combinations(range(1, n + 1), r - 1))
 
     # group the target by weight E + chi(I); d never mixes weights
     blocks: dict[tuple, dict] = {}
@@ -220,19 +216,26 @@ def exactness_oracle(
 
     solution_terms: dict[tuple, dict] = {}
     for w, targets in sorted(blocks.items()):
-        rows = [I for I in row_indices if _nonneg(w, I)]
-        cols = [
-            J
-            for J in col_indices
-            if _nonneg(w, J) and all(e <= bound for e in _drop(w, J))
-        ]
+        # every dz_i of a row or column of block w has w_i >= 1
+        support = [i for i, e in enumerate(w, start=1) if e]
+        size = comb(len(support), r) * comb(len(support), r - 1)
+        if size > DEFAULT_SYSTEM_CAP:
+            raise SystemTooLarge(
+                "weight block has %d cells, cap is %d" % (size, DEFAULT_SYSTEM_CAP)
+            )
+        rows = list(combinations(support, r))
+        cols = []
+        for J in combinations(support, r - 1):
+            e = tuple(v - (i in J) for i, v in enumerate(w, start=1))
+            if max(e) <= bound:
+                cols.append((J, e))
         # column J is d(z^(w - chi(J)) dz_J): w_j z^(w - chi(I)) dz_j ^ dz_J
         # for each j outside J, where I = J + {j} and dz_j ^ dz_J = sign dz_I;
         # the last column is the target
         row_of = {I: k for k, I in enumerate(rows)}
         m = [[0] * len(cols) + [targets.get(I, 0)] for I in rows]
-        for c, J in enumerate(cols):
-            for j in range(1, n + 1):
+        for c, (J, _) in enumerate(cols):
+            for j in support:
                 if w[j - 1] % p:
                     sign, I = insert_index(J, j)
                     if sign:
@@ -240,22 +243,12 @@ def exactness_oracle(
         x = _solve_mod_p(m, p)
         if x is None:
             return None
-        for J, v in zip(cols, x):
+        for (J, e), v in zip(cols, x):
             if v:
-                solution_terms.setdefault(J, {})[_drop(w, J)] = v
+                solution_terms.setdefault(J, {})[e] = v
 
     terms = {J: MultiPoly(form.p, n, t) for J, t in solution_terms.items()}
     eta = DiffForm(form.p, n, r - 1, terms)
     if eta.d() != form:
         raise InternalError("oracle produced a non-potential; this is a bug")
     return eta
-
-
-def _nonneg(w, index):
-    return all(w[i - 1] >= 1 for i in index)
-
-
-def _drop(w, index):
-    return tuple(
-        e - (1 if i in index else 0) for i, e in enumerate(w, start=1)
-    )

@@ -76,6 +76,10 @@ def test_oracle_command():
     assert code == 0
     eta = parse_form(out.strip(), 3, 1)
     assert eta.d() == parse_form("z dz", 3, 1)
+    # small weight blocks in a large bounded space are answered
+    form = "z1^20*z2^13 dz1^dz2"
+    assert run(["--p", "7", "--n", "4", "oracle", form]) == (0, "none\n", "")
+    assert run(["--p", "7", "--n", "4", "pclosed", form]) == (0, "false\n", "")
 
 
 def test_json_output():

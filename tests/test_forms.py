@@ -530,3 +530,32 @@ def test_sub_is_add_of_the_negation():
         assert got.is_polynomial == expected.is_polynomial
     with pytest.raises(DegreeMismatch):
         poly - DiffForm.basis(3, 2, (1, 2))
+
+
+def test_a_zero_form_of_another_degree_adds_to_a_new_form():
+    # the neutral zero form gives a new result, which carries a derivative
+    # only when both operands do, and never an operand's own
+    x, y = variables(3, 2)
+    poly = DiffForm(3, 2, 1, {(1,): x * y, (2,): y + 1})
+    rat = DiffForm(3, 2, 1, {(1,): RatFun(x, y**3 + 1), (2,): RatFun(y)})
+    exact = DiffForm(3, 2, 0, {(): x * x * y}).d()
+    assert carries_zero_d(exact)
+    for f in (poly, rat, exact):
+        f.d()
+        for r in (0, 2):
+            bare, carrying = DiffForm.zero(3, 2, r), DiffForm.zero(3, 2, r)
+            carrying.d()
+            for zero in (bare, carrying):
+                for w, expected in (
+                    (f + zero, f),
+                    (zero + f, f),
+                    (f - zero, f),
+                    (zero - f, -f),
+                ):
+                    assert w is not f
+                    assert_same_form(w, expected)
+                    assert w.is_polynomial == f.is_polynomial
+                    if carries_zero_d(f) and carries_zero_d(zero):
+                        assert carries_zero_d(w) and w._d is not f._d
+                    else:
+                        assert w._d is None

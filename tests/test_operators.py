@@ -10,12 +10,13 @@ from fpforms import (
     NotClosed,
     RatFun,
     corollary_condition,
+    degree_limit,
+    gamma0,
     irrational_part,
     is_p_closed,
     o_operator,
     o_operator_expanded,
     p_closed_failure,
-    p_decompose_step,
     p_operator,
     phi,
     split_complete_restricted,
@@ -23,6 +24,7 @@ from fpforms import (
     variables,
     wedge,
 )
+from fpforms.operators import p_decompose_step
 from fpforms.sampling import (
     random_closed_form,
     random_form,
@@ -171,6 +173,59 @@ def test_irrational_part_of_rational_coefficients():
     # while a fully unobstructed numerator projects to zero
     flat = DiffForm(3, 2, 1, {(1,): RatFun(x * y, y**3)})
     assert irrational_part(flat).is_zero()
+
+
+def weight_zero_block(form):
+    """The monomials z^E dz_I of form whose weight E + chi(I) is 0 (mod p)
+    in every variable; a rational coefficient keeps its denominator, a
+    p-th power of weight 0, and filters its numerator."""
+    p = form.p.p
+    out = {}
+    for index, coeff in form.terms.items():
+        num = coeff.num if isinstance(coeff, RatFun) else coeff
+        kept = {
+            e: c
+            for e, c in num.terms.items()
+            if all((v + (i in index)) % p == 0 for i, v in enumerate(e, start=1))
+        }
+        part = MultiPoly(form.p, form.n, kept)
+        out[index] = RatFun(part, coeff.den) if isinstance(coeff, RatFun) else part
+    return DiffForm(form.p, form.n, form.r, out)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_irrational_part_of_a_closed_form_is_its_weight_zero_block(p):
+    # blocks with some w_i != 0 (mod p) are exact, and every monomial of
+    # weight 0 passes the P_I test; so on closed forms Q_r is the weight
+    # filter, and p_closed_failure names the first index of that block
+    rng = random.Random(5100 + p)
+    obstructed = unobstructed = rational_obstructed = 0
+    with degree_limit(50 * p * p):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            r = rng.randint(1, n)
+            for rational in (False, True):
+                def draw(degree, max_degree):
+                    return random_form(
+                        rng, p, n, degree, max_degree=max_degree,
+                        max_terms=3, rational=rational,
+                    )
+
+                omega = draw(r - 1, 2 * p).d()
+                if rng.random() < 0.7:
+                    omega = omega + gamma0(draw(r, 1))
+                block = weight_zero_block(omega)
+                assert irrational_part(omega) == block
+                first = next(iter(block.terms), None)
+                if first is None:
+                    assert p_closed_failure(omega) is None
+                    unobstructed += not omega.is_zero()
+                else:
+                    expected = "obstructed at I=(%s)" % ",".join(map(str, first))
+                    assert p_closed_failure(omega) == expected
+                    obstructed += 1
+                    rational_obstructed += not omega.is_polynomial
+    assert obstructed >= 20 and unobstructed >= 10 and rational_obstructed >= 8
 
 
 def test_p_decompose_step_reconstructs():

@@ -17,11 +17,11 @@ from fpforms import (
     exactness_oracle,
     integrate,
     is_p_closed,
-    p_decompose_step,
     parse_form,
     variables,
 )
 from fpforms import poincare
+from fpforms.operators import p_decompose_step
 from fpforms.ratfun import clear_denominators
 from fpforms.sampling import (
     random_exact_form,
@@ -351,6 +351,11 @@ def test_oracle_agrees_with_dense_reference():
         if eta is not None:
             assert eta.d() == omega
             assert eta.max_var_degree() <= bound
+        # a potential's exponents never pass the form's degree + 1, so
+        # every margin >= 1 asks the same, unbounded, question
+        assert str(exactness_oracle(omega, degree_margin=1)) == str(
+            exactness_oracle(omega, degree_margin=40)
+        )
 
 
 def test_oracle_frozen_cases():
@@ -360,11 +365,25 @@ def test_oracle_frozen_cases():
     assert eta is not None and eta.d() == DiffForm(3, 1, 1, {(1,): z})
 
 
-def test_oracle_system_cap():
+def test_oracle_system_cap(monkeypatch):
     x, y = variables(3, 2)
     omega = DiffForm(3, 2, 1, {(1,): x * y})
-    with pytest.raises(SystemTooLarge):
-        exactness_oracle(omega, system_cap=10)
-    # a wider margin within the cap still works
     eta = exactness_oracle(omega, degree_margin=1)
     assert eta is None or eta.d() == omega
+    # the cap bounds one weight block: z1*...*z12 dz1^...^dz6 is a single
+    # block on 12 variables, with C(12, 6) * C(12, 5) = 924 * 792 cells
+    def product_form(n, r):
+        monomial = "*".join("z%d" % i for i in range(1, n + 1))
+        basis = "^".join("dz%d" % i for i in range(1, r + 1))
+        return parse_form(monomial + " " + basis, 3, n)
+
+    with pytest.raises(SystemTooLarge, match="^weight block has 731808 cells"):
+        exactness_oracle(product_form(12, 6))
+
+    # a block on 40 variables is refused before its index lists are built
+    def enumerated(*args):
+        raise AssertionError("the oracle enumerated an oversized block")
+
+    monkeypatch.setattr(poincare, "combinations", enumerated)
+    with pytest.raises(SystemTooLarge, match="cap is 200000$"):
+        exactness_oracle(product_form(40, 20))
