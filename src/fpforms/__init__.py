@@ -61,6 +61,7 @@ from .operators import (
 from .parser import parse_form
 from .poincare import exactness_oracle, integrate
 from .poly import (
+    MAX_VARIABLES,
     MultiPoly,
     degree_limit,
     max_degree_limit,
@@ -84,6 +85,7 @@ __all__ = [
     "InternalError",
     "InternalResidual",
     "MAX_PRIME",
+    "MAX_VARIABLES",
     "MathDomainError",
     "MultiPoly",
     "NonPolynomial",

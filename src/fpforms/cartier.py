@@ -89,11 +89,15 @@ def class_representative(form: DiffForm) -> CohomologyWitness:
     """The canonical representative of the cohomology class of a closed form.
 
     The representative is the irrational part; the difference is p-closed
-    (checked and recorded), so both forms sit in the same class.
+    (checked and recorded), so both forms sit in the same class.  As in
+    split_rational_irrational, the representative's derivative is
+    computed first, so the difference inherits its zero derivative from
+    d(form) and d(rep) and the check makes no pass of d over it.
     """
     if not form.is_closed():
         raise NotClosed("cohomology classes are classes of closed forms")
     rep = irrational_part(form)
+    rep.d()
     return CohomologyWitness(
         representative=rep,
         exact_difference_check=is_p_closed(form - rep),

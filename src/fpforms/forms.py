@@ -37,8 +37,11 @@ r + 1 of its own: every result of d (d(d(omega)) = 0), of
 cartier.gamma0, and of +, -, negation and wedge whose operands all carry
 a zero derivative already (d is linear and obeys the Leibniz rule).
 Every other result, the coefficient-wise maps of _with_terms among them,
-starts without one, so the closedness of a split, a Cartier image or a
-potential is computed, never assumed.
+starts without one, so the closedness of a projector image, a Cartier
+image or a potential is computed, never assumed.  A split's rational part
+omega - Q_r(omega) is a difference: the splits compute d of the small
+image first, so its zero derivative follows from two computed ones.
+Only this module reads or sets a form's kept derivative.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     IndexOutOfRange,
     PrimeMismatch,
 )
-from .poly import MultiPoly, max_degree_limit
+from .poly import MultiPoly, _check_arity, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -158,8 +161,7 @@ class DiffForm:
 
     def __init__(self, p, n, r, terms=None):
         p = Prime(p)
-        if not isinstance(n, int) or n < 1:
-            raise ArityMismatch("need at least one variable, got n=%r" % (n,))
+        _check_arity(n)
         if not isinstance(r, int) or r < 0:
             raise DegreeMismatch("form degree must be a nonnegative int")
         self.p = p

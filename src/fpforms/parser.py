@@ -24,9 +24,9 @@ integers.  Parentheses nest at most 100 levels deep.  Errors carry
 
 from __future__ import annotations
 
-from .errors import ArityMismatch, ParseError, VariableOutOfRange, ZeroDenominator
+from .errors import ParseError, VariableOutOfRange, ZeroDenominator
 from .forms import DiffForm, sorted_index_sign
-from .poly import MultiPoly
+from .poly import MultiPoly, _check_arity
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -357,6 +357,5 @@ def parse_form(text: str, p, n: int) -> DiffForm:
     4 dz1^dz2
     """
     p = Prime(p)
-    if not isinstance(n, int) or n < 1:
-        raise ArityMismatch("need at least one variable, got n=%r" % (n,))
+    _check_arity(n)
     return _Parser(_tokenize(text), p, n).parse()

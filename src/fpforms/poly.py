@@ -55,6 +55,11 @@ from .scalar import Prime, inv_mod
 
 DEFAULT_MAX_DEGREE = 64
 
+# Every monomial stores a dense exponent tuple of n entries, so the
+# validating constructors refuse an arity above this bound before a tuple
+# is built; every test, demo and benchmark workload uses n <= 40.
+MAX_VARIABLES = 1000
+
 _max_degree = ContextVar("fpforms_max_degree", default=DEFAULT_MAX_DEGREE)
 
 
@@ -85,6 +90,14 @@ def monomial_text(exps, coeff=1) -> str:
             continue
         parts.append("z%d" % i if e == 1 else "z%d^%d" % (i, e))
     return "*".join(parts)
+
+
+def _check_arity(n):
+    """Raise ArityMismatch unless n is an int in 1..MAX_VARIABLES."""
+    if not isinstance(n, int) or n < 1:
+        raise ArityMismatch("need at least one variable, got n=%r" % (n,))
+    if n > MAX_VARIABLES:
+        raise ArityMismatch("n exceeds the variable limit %d" % MAX_VARIABLES)
 
 
 def _check_degree(terms, var=None):
@@ -119,8 +132,7 @@ class MultiPoly:
 
     def __init__(self, p, n, terms=None):
         p = Prime(p)
-        if not isinstance(n, int) or n < 1:
-            raise ArityMismatch("need at least one variable, got n=%r" % (n,))
+        _check_arity(n)
         self.p = p
         self.n = n
         clean = {}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import ParseError, PrimeOutOfRange
 from .forms import DiffForm
-from .poly import MultiPoly
+from .poly import MAX_VARIABLES, MultiPoly
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -134,7 +134,7 @@ def doc_to_form(doc: dict) -> DiffForm:
     except PrimeOutOfRange as exc:
         raise ParseError("document p: %s" % exc) from exc
     n = doc["n"]
-    if type(n) is not int or n < 1:
+    if type(n) is not int or not 1 <= n <= MAX_VARIABLES:
         raise ParseError("bad variable count %r" % (n,))
     r = doc["degree"]
     if type(r) is not int or r < 0:

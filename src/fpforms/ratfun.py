@@ -62,7 +62,8 @@ class RatFun:
             den = MultiPoly.constant(num.p, num.n, 1)
         elif not den.is_differential_constant():
             num = num * den ** (num.p.p - 1)
-            den = den ** num.p.p
+            # Frobenius: den^p over F_p is den with every exponent times p
+            den = den.substitute_pth()
         self.num = num
         self.den = den
 

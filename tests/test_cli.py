@@ -1,10 +1,17 @@
 import io
 import json
+import sys
 import threading
 
 import pytest
 
-from fpforms import InternalError, degree_limit, max_degree_limit, parse_form
+from fpforms import (
+    MAX_VARIABLES,
+    InternalError,
+    degree_limit,
+    max_degree_limit,
+    parse_form,
+)
 from fpforms.cli import run_command
 from fpforms.printer import form_to_doc
 
@@ -205,6 +212,10 @@ def test_math_domain_errors_exit_2():
     assert err == "error: NotPClosed: obstructed at I=(1)\n"
     code, _, err = run(["--p", "3", "--n", "2", "split-ri", "y dx"])
     assert code == 2 and "NotClosed" in err
+    for n in (MAX_VARIABLES + 1, 10**6, sys.maxsize + 1, "9" * 4000):
+        assert run(["--p", "3", "--n", str(n), "d", "x dy"]) == (
+            2, "", "error: ArityMismatch: n exceeds the variable limit 1000\n"
+        )
 
 
 def test_internal_errors_exit_3(monkeypatch):

@@ -8,7 +8,9 @@ from fpforms import (
     DegreeOverflow,
     DiffForm,
     MultiPoly,
+    NotClosed,
     RatFun,
+    class_representative,
     degree_limit,
     gamma0,
     insert_index,
@@ -18,6 +20,7 @@ from fpforms import (
     phi,
     remove_index,
     sorted_index_sign,
+    split_rational_irrational,
     variables,
     wedge,
 )
@@ -506,6 +509,50 @@ def test_carried_zero_derivatives_match_naive_d_of_a_fresh_copy(p):
                     assert fresh.d() == w.d(), name
                     checked += not w.is_zero()
     assert checked >= 80
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_split_rational_parts_inherit_a_zero_derivative(p):
+    # the splits compute d of the irrational image before subtracting it,
+    # so the rational part omega - Q_r(omega) and the difference form - rep
+    # of class_representative carry a zero derivative, which must agree
+    # with naive_d of a copy built by the validating constructor
+    rng = random.Random(4018 + p)
+    checked = refused = 0
+    with degree_limit(50 * p * p):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            r = rng.randint(1, n)
+            for rational in (False, True):
+                def draw(degree, max_degree):
+                    return random_form(
+                        rng, p, n, degree, max_degree=max_degree,
+                        max_terms=3, rational=rational,
+                    )
+
+                w = draw(r - 1, 2 * p).d() + gamma0(draw(r, 1))
+                omega = DiffForm(w.p, w.n, w.r, w.terms)
+                split = split_rational_irrational(omega)
+                rep = class_representative(omega).representative
+                for name, part in (
+                    ("irrational", split.irrational),
+                    ("representative", rep),
+                    ("rational", split.rational),
+                    ("difference", omega - rep),
+                ):
+                    assert carries_zero_d(part), name
+                    fresh = DiffForm(part.p, part.n, part.r, part.terms)
+                    assert naive_d(fresh).is_zero(), (name, str(omega))
+                    assert part.d() == naive_d(fresh), name
+                checked += not split.irrational.is_zero()
+                bent = omega + draw(r, 2)
+                if not naive_d(bent).is_zero():
+                    with pytest.raises(NotClosed):
+                        split_rational_irrational(bent)
+                    with pytest.raises(NotClosed):
+                        class_representative(bent)
+                    refused += 1
+    assert checked >= 10 and refused >= 4
 
 
 def test_sub_is_add_of_the_negation():

@@ -7,15 +7,12 @@ invocations pinned in tests/data/cli_operators.txt.  Hostile fragments
 (5000-digit runs, non-ASCII digits, NUL, 101-deep nesting, truncation and
 empty input) go into the numeric slots of a form, its coefficients,
 exponents and variable indices, and into the values of --p, --n,
---margin, --trials, --max-degree and --seed.  Each form also goes through
-oracle with a hostile --margin.
+--margin, --trials, --max-degree and --seed.  --n also takes values above
+MAX_VARIABLES: 10**6, one past sys.maxsize and 4000 nines.  Each form also
+goes through oracle with a hostile --margin.
 
-Left out on purpose: values of --n above 4 that int() accepts.  Every
-monomial stores a dense exponent tuple, so a mid-size --n is a known
-memory hole, listed in ROADMAP.md (d "z1 dz2" at --n 10**6 takes seconds
-and hundreds of MB), and an --n past sys.maxsize raises OverflowError.
-Valid --trials values above 1 are left out too: they only make check run
-longer.
+Left out on purpose: valid --trials values above 1, which only make check
+run longer.
 """
 
 import io
@@ -23,6 +20,7 @@ import json
 import random
 import re
 import shlex
+import sys
 from pathlib import Path
 
 from fpforms.cli import run_command
@@ -38,6 +36,7 @@ FRAGMENTS = ("\x00", "(" * 101, ")", "^", "*", "+", "-", "/", "dz", "z0",
 HOSTILE = (LONG, "-" + LONG, "-1", "0", "٣", "²", "", "x", "1e3")
 MARGINS = HOSTILE + ("1", "40", "9" * 4000)
 MAX_DEGREES = HOSTILE + ("1", "3", "9" * 4000)
+ARITIES = HOSTILE + (str(10**6), str(sys.maxsize + 1), "9" * 4000)
 
 
 def invocations():
@@ -75,7 +74,8 @@ def cases(rng):
         flags = list(head)
         flag = rng.choice(("--p", "--n", "--max-degree"))
         if flag in flags:
-            flags[flags.index(flag) + 1] = rng.choice(HOSTILE)
+            values = ARITIES if flag == "--n" else HOSTILE
+            flags[flags.index(flag) + 1] = rng.choice(values)
         else:
             flags += [flag, rng.choice(MAX_DEGREES)]
         yield flags + [cmd] + forms

@@ -1,5 +1,6 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
-through global or nonlocal, and every public name has a user.
+through global or nonlocal, and leaves a form's kept derivative _d to
+forms.py; every public name has a user.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -104,6 +105,20 @@ def test_no_global_or_nonlocal_statements(module):
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert rebinds == [], module
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_forms_touches_a_kept_derivative(module):
+    # the rule that lets a result carry its operands' zero derivative
+    # lives in forms.py alone; other modules call d() and
+    # _closed_by_construction instead of reading or setting _d
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    touches = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_d"
+    ]
+    assert bool(touches) == (module == "forms.py"), (module, touches)
 
 
 def _public_name_users():

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from fpforms import (
+    MAX_VARIABLES,
     ArityMismatch,
     DegreeOverflow,
     DiffForm,
@@ -17,6 +19,7 @@ from fpforms import (
     max_degree_limit,
     o_operator,
     p_operator,
+    parse_form,
     variables,
 )
 from fpforms.sampling import random_poly
@@ -64,6 +67,27 @@ def test_construction_guards():
         f + MultiPoly.variable(3, 3, 1)
     with pytest.raises(IndexOutOfRange):
         f.partial(3)
+
+
+@pytest.mark.parametrize(
+    "n", (MAX_VARIABLES + 1, 10**6, sys.maxsize + 1, int("9" * 4000))
+)
+def test_arity_above_the_bound_is_refused_before_any_tuple(n):
+    # a dense exponent tuple of n entries would be built next, so the
+    # validating constructors and the parser refuse n first
+    message = "^n exceeds the variable limit %d$" % MAX_VARIABLES
+    for build in (
+        lambda: MultiPoly(3, n, {}),
+        lambda: DiffForm(3, n, 1, {}),
+        lambda: parse_form("x dy", 3, n),
+    ):
+        with pytest.raises(ArityMismatch, match=message):
+            build()
+
+
+def test_arity_at_the_bound_is_accepted():
+    f = parse_form("x dy", 3, MAX_VARIABLES)
+    assert f.n == MAX_VARIABLES and str(f.d()) == "dz1^dz2"
 
 
 def test_max_degree_limit_is_adjustable():

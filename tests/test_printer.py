@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from fpforms import ParseError, doc_to_form, form_to_doc, form_to_text, parse_form
+from fpforms import (
+    MAX_VARIABLES,
+    ParseError,
+    doc_to_form,
+    form_to_doc,
+    form_to_text,
+    parse_form,
+)
 from fpforms.printer import FORMAT_VERSION
 from fpforms.sampling import random_form
 
@@ -54,6 +61,7 @@ def broken(mutate):
         lambda d: d.update(p="3"),
         lambda d: d.update(degree=3),
         lambda d: d.update(n=0),
+        lambda d: d.update(n=MAX_VARIABLES + 1),
         lambda d: d["terms"].reverse(),
         lambda d: d["terms"][0].update(index=[2, 1]),
         lambda d: d["terms"][0].update(index=[1, 1]),
@@ -84,6 +92,7 @@ def broken(mutate):
         "stringly-p",
         "degree-out-of-range",
         "bad-arity",
+        "arity-above-bound",
         "unsorted-terms",
         "unsorted-index",
         "repeated-index",

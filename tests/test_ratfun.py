@@ -43,6 +43,26 @@ def test_normal_form_inflates_nonconstant_denominators():
     assert g.num == z**2 and g.den == z**3
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_inflated_denominator_is_the_pth_power(p):
+    # the constructor writes den^p as den with every exponent times p
+    # (Frobenius); it must be the square-and-multiply power term for term
+    rng = random.Random(3100 + p)
+    inflated = 0
+    with degree_limit(4 * p):
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            num = random_poly(rng, p, n, 3, 3, nonzero=True)
+            den = random_poly(rng, p, n, 3, 3, nonzero=True)
+            if den.is_differential_constant():
+                continue
+            f = RatFun(num, den)
+            assert list(f.den.terms.items()) == list((den**p).terms.items())
+            assert f.num == num * den ** (p - 1)
+            inflated += 1
+    assert inflated >= 20
+
+
 def test_zero_denominator_rejected():
     (z,) = variables(3, 1)
     with pytest.raises(ZeroDenominator):
