@@ -8,6 +8,32 @@ The hierarchy mirrors how the command line reports failures:
 """
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, even where str() refuses an int.
+
+    An int of more digits than sys.get_int_max_str_digits() allows (4300
+    by default) is named by its digit count, as '<5001-digit int>', also
+    inside a list or tuple; any other value that will not print is named
+    by its type.  Every value that prints is shown exactly as repr shows it.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        m = abs(value)
+        # a (b+1)-bit m has floor(b * log10(2)) + 1 or one more digits
+        k = int((m.bit_length() - 1) * 0.30102999566398120) + 1
+        k += m >= 10**k
+        return "%s<%d-digit int>" % ("-" if value < 0 else "", k)
+    if isinstance(value, (list, tuple)):
+        parts = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return "[%s]" % parts
+        return "(%s%s)" % (parts, "," if len(value) == 1 else "")
+    return "<%s>" % type(value).__name__
+
+
 class FpFormsError(Exception):
     """Base class for every error raised by this package."""
 

@@ -53,6 +53,7 @@ from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
     PrimeMismatch,
+    _shown,
 )
 from .poly import MultiPoly, _check_arity, max_degree_limit
 from .ratfun import RatFun
@@ -137,6 +138,12 @@ def merge_indices(left, right):
 # ----------------------------------------------------------------------
 
 
+def _check_form_degree(r):
+    """Raise DegreeMismatch unless r is a nonnegative int."""
+    if not isinstance(r, int) or r < 0:
+        raise DegreeMismatch("form degree must be a nonnegative int")
+
+
 def _promote(coeff):
     if isinstance(coeff, RatFun):
         return coeff
@@ -162,8 +169,7 @@ class DiffForm:
     def __init__(self, p, n, r, terms=None):
         p = Prime(p)
         _check_arity(n)
-        if not isinstance(r, int) or r < 0:
-            raise DegreeMismatch("form degree must be a nonnegative int")
+        _check_form_degree(r)
         self.p = p
         self.n = n
         self.r = r
@@ -174,18 +180,18 @@ class DiffForm:
                 index = tuple(index)
                 if len(index) != r:
                     raise DegreeMismatch(
-                        "index %r has length %d in a degree-%d form"
-                        % (index, len(index), r)
+                        "index %s has length %d in a degree-%s form"
+                        % (_shown(index), len(index), _shown(r))
                     )
                 last = 0
                 for i in index:
                     if not isinstance(i, int) or not 1 <= i <= n:
                         raise IndexOutOfRange(
-                            "index entry %r outside 1..%d" % (i, n)
+                            "index entry %s outside 1..%d" % (_shown(i), n)
                         )
                     if i <= last:
                         raise IndexOutOfRange(
-                            "index %r is not strictly increasing" % (index,)
+                            "index %s is not strictly increasing" % _shown(index)
                         )
                     last = i
                 if isinstance(coeff, int):

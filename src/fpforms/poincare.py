@@ -43,7 +43,6 @@ from itertools import combinations
 from math import comb
 
 from .errors import (
-    DegreeOverflow,
     DegreeZero,
     InternalError,
     InternalResidual,
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .forms import DiffForm, _reduced_form, insert_index
 from .operators import p_closed_failure
-from .poly import MultiPoly, max_degree_limit
+from .poly import MultiPoly, _degree_overflow, max_degree_limit
 from .ratfun import RatFun, clear_denominators
 from .scalar import inv_mod
 
@@ -131,9 +130,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             out.setdefault(rest, {})[e] = p - v if k % 2 else v
     if overflow:
         m, i = min(overflow.items())[1]
-        raise DegreeOverflow(
-            "exponent %d of z%d exceeds the degree limit %d" % (m, i, limit)
-        )
+        raise _degree_overflow(m, i, limit)
     return _reduced_form(form.p, n, form.r - 1, out)
 
 

@@ -50,6 +50,7 @@ from .errors import (
     NotPthPower,
     ObstructedAntiderivative,
     PrimeMismatch,
+    _shown,
 )
 from .scalar import Prime, inv_mod
 
@@ -95,9 +96,17 @@ def monomial_text(exps, coeff=1) -> str:
 def _check_arity(n):
     """Raise ArityMismatch unless n is an int in 1..MAX_VARIABLES."""
     if not isinstance(n, int) or n < 1:
-        raise ArityMismatch("need at least one variable, got n=%r" % (n,))
+        raise ArityMismatch("need at least one variable, got n=%s" % _shown(n))
     if n > MAX_VARIABLES:
         raise ArityMismatch("n exceeds the variable limit %d" % MAX_VARIABLES)
+
+
+def _degree_overflow(e, i, limit) -> DegreeOverflow:
+    """The error for exponent e of z_i above the cap limit."""
+    return DegreeOverflow(
+        "exponent %s of z%d exceeds the degree limit %s"
+        % (_shown(e), i, _shown(limit))
+    )
 
 
 def _check_degree(terms, var=None):
@@ -110,10 +119,7 @@ def _check_degree(terms, var=None):
     for exps in terms:
         for i, e in enumerate(exps, start=1):
             if e > limit and (var is None or i == var):
-                raise DegreeOverflow(
-                    "exponent %d of z%d exceeds the degree limit %d"
-                    % (e, i, limit)
-                )
+                raise _degree_overflow(e, i, limit)
 
 
 class MultiPoly:
@@ -142,17 +148,14 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise ArityMismatch(
-                        "exponent vector %r has length %d, expected %d"
-                        % (exps, len(exps), n)
+                        "exponent vector %s has length %d, expected %d"
+                        % (_shown(exps), len(exps), n)
                     )
                 for i, e in enumerate(exps, start=1):
                     if not isinstance(e, int) or e < 0:
-                        raise ValueError("bad exponent %r for z%d" % (e, i))
+                        raise ValueError("bad exponent %s for z%d" % (_shown(e), i))
                     if e > limit:
-                        raise DegreeOverflow(
-                            "exponent %d of z%d exceeds the degree limit %d"
-                            % (e, i, limit)
-                        )
+                        raise _degree_overflow(e, i, limit)
                 c = int(c) % p.p
                 if c:
                     clean[exps] = (clean.get(exps, 0) + c) % p.p
@@ -183,6 +186,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, p, n, c) -> "MultiPoly":
+        _check_arity(n)
         return cls(p, n, {(0,) * n: c})
 
     @classmethod
@@ -191,8 +195,9 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, p, n, i) -> "MultiPoly":
+        _check_arity(n)
         if not 1 <= i <= n:
-            raise IndexOutOfRange("variable z%d outside 1..%d" % (i, n))
+            raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
         exps = [0] * n
         exps[i - 1] = 1
         return cls(p, n, {tuple(exps): 1})
@@ -338,7 +343,9 @@ class MultiPoly:
 
     def _check_var(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.n:
-            raise IndexOutOfRange("variable z%r outside 1..%d" % (i, self.n))
+            raise IndexOutOfRange(
+                "variable z%s outside 1..%d" % (_shown(i), self.n)
+            )
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative with respect to z_i."""
@@ -406,10 +413,10 @@ class MultiPoly:
         seen = set()
         for i in index:
             if not isinstance(i, int) or not 1 <= i <= n:
-                raise IndexOutOfRange("variable z%r outside 1..%d" % (i, n))
+                raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
             if i in seen:
                 raise IndexOutOfRange(
-                    "repeated variable z%d in %r" % (i, tuple(index))
+                    "repeated variable z%d in %s" % (i, _shown(tuple(index)))
                 )
             seen.add(i)
         p = self.p.p

@@ -18,13 +18,16 @@ Python bools, which are ints, hence the type(...) is int checks), residues
 lie in 1..p-1, indices are strictly increasing, the term list is sorted by
 index, monomial lists are sorted by exponent vector, and denominators are
 nonzero differential constants; valid documents round-trip byte for byte.
+Decoding makes every check the validating constructors would make, the
+degree cap included and with their messages, in one pass, and then builds
+the form from trusted parts.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError, PrimeOutOfRange
+from .errors import ParseError, PrimeOutOfRange, _shown
 from .forms import DiffForm
-from .poly import MAX_VARIABLES, MultiPoly
+from .poly import MAX_VARIABLES, MultiPoly, _check_degree
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -82,15 +85,18 @@ def _monos_to_poly(monos, p: Prime, n: int, where: str) -> MultiPoly:
             or len(exps) != n
             or not all(type(e) is int and e >= 0 for e in exps)
         ):
-            raise ParseError("%s has a bad exponent vector %r" % (where, exps))
+            raise ParseError(
+                "%s has a bad exponent vector %s" % (where, _shown(exps))
+            )
         if type(c) is not int or not 1 <= c <= p.p - 1:
-            raise ParseError("%s has residue %r outside 1..p-1" % (where, c))
+            raise ParseError("%s has residue %s outside 1..p-1" % (where, _shown(c)))
         key = tuple(exps)
         if previous is not None and key <= previous:
             raise ParseError("%s monomials not sorted strictly" % where)
         previous = key
         terms[key] = c
-    return MultiPoly(p, n, terms)
+    _check_degree(terms)
+    return MultiPoly._trusted(p, n, terms)
 
 
 def form_to_doc(form: DiffForm) -> dict:
@@ -128,21 +134,22 @@ def doc_to_form(doc: dict) -> DiffForm:
     if missing:
         raise ParseError("document lacks fields %s" % sorted(missing))
     if doc["format"] != FORMAT_VERSION:
-        raise ParseError("unsupported document format %r" % (doc["format"],))
+        raise ParseError("unsupported document format %s" % _shown(doc["format"]))
     try:
         p = Prime(doc["p"])
     except PrimeOutOfRange as exc:
         raise ParseError("document p: %s" % exc) from exc
     n = doc["n"]
     if type(n) is not int or not 1 <= n <= MAX_VARIABLES:
-        raise ParseError("bad variable count %r" % (n,))
+        raise ParseError("bad variable count %s" % _shown(n))
     r = doc["degree"]
     if type(r) is not int or r < 0:
-        raise ParseError("bad degree %r" % (r,))
+        raise ParseError("bad degree %s" % _shown(r))
     if not isinstance(doc["terms"], list):
         raise ParseError("terms must be a list")
     one = MultiPoly.constant(p, n, 1)
     terms = {}
+    rational = False
     previous = None
     for entry in doc["terms"]:
         if not isinstance(entry, dict) or set(entry) != {"index", "coeff"}:
@@ -153,12 +160,14 @@ def doc_to_form(doc: dict) -> DiffForm:
             or len(index) != r
             or not all(type(i) is int for i in index)
         ):
-            raise ParseError("bad index %r for a degree-%d form" % (index, r))
+            raise ParseError(
+                "bad index %s for a degree-%s form" % (_shown(index), _shown(r))
+            )
         key = tuple(index)
         if any(not 1 <= i <= n for i in key):
-            raise ParseError("index %r outside 1..%d" % (index, n))
+            raise ParseError("index %s outside 1..%d" % (_shown(index), n))
         if any(a >= b for a, b in zip(key, key[1:])):
-            raise ParseError("index %r is not strictly increasing" % (index,))
+            raise ParseError("index %s is not strictly increasing" % _shown(index))
         if previous is not None and key <= previous:
             raise ParseError("terms not sorted by index")
         previous = key
@@ -176,5 +185,13 @@ def doc_to_form(doc: dict) -> DiffForm:
         if den == one:
             terms[key] = num
         else:
-            terms[key] = RatFun(num, den)
-    return DiffForm(p, n, r, terms)
+            terms[key] = RatFun._trusted(num, den)
+            rational = True
+    if rational:
+        # one rational coefficient makes every coefficient rational, as
+        # in the DiffForm constructor
+        terms = {
+            i: c if isinstance(c, RatFun) else RatFun._trusted(c, one)
+            for i, c in terms.items()
+        }
+    return DiffForm._trusted(p, n, r, terms)

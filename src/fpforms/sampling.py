@@ -2,6 +2,19 @@
 
 Everything takes an explicit random.Random so that a fixed seed pins the
 whole stream; nothing here touches the global RNG state.
+
+The arguments are checked once per call, at the trust boundary, and not
+once per drawn term.  random_poly and random_form check the
+characteristic (Prime), the arity n and the form degree r, and they scan
+the drawn exponents against the degree cap only when max_degree exceeds
+it; the Prime is passed down, so no inner call tests primality again.
+Every draw is clean by construction, a residue in 1..p-1 at exponents in
+0..max_degree, so the coefficients are built by MultiPoly._trusted with
+their terms sorted once, and the form by DiffForm._trusted with its zero
+coefficients dropped.  random_ratfun keeps the validating RatFun
+constructor, since inflating the denominator is the mathematics.  The
+draws and their order are those of the validating constructors, so a
+seed gives the same stream and the same forms.
 """
 
 from __future__ import annotations
@@ -10,10 +23,11 @@ import random
 from itertools import combinations
 
 from .cartier import gamma0
-from .forms import DiffForm
+from .forms import DiffForm, _check_form_degree
 from .operators import split_rational_irrational
-from .poly import MultiPoly
+from .poly import MultiPoly, _check_arity, _check_degree, max_degree_limit
 from .ratfun import RatFun
+from .scalar import Prime
 
 
 def random_exps(rng: random.Random, n: int, max_degree: int):
@@ -28,19 +42,20 @@ def random_poly(
     max_terms: int = 3,
     nonzero: bool = False,
 ) -> MultiPoly:
-    pint = int(p)
+    p = Prime(p)
+    _check_arity(n)
     terms = {}
     for _ in range(rng.randint(0 if not nonzero else 1, max_terms)):
-        terms[random_exps(rng, n, max_degree)] = rng.randint(1, pint - 1)
-    f = MultiPoly(p, n, terms)
-    if nonzero and f.is_zero():
-        return MultiPoly.constant(p, n, rng.randint(1, pint - 1))
-    return f
+        terms[random_exps(rng, n, max_degree)] = rng.randint(1, p.p - 1)
+    if max_degree > max_degree_limit():
+        _check_degree(terms)
+    return MultiPoly._trusted(p, n, {e: terms[e] for e in sorted(terms)})
 
 
 def random_ratfun(
     rng: random.Random, p, n: int, max_degree: int = 2, max_terms: int = 2
 ) -> RatFun:
+    p = Prime(p)
     num = random_poly(rng, p, n, max_degree, max_terms)
     den = random_poly(rng, p, n, max_degree, max_terms, nonzero=True)
     return RatFun(num, den)
@@ -60,16 +75,20 @@ def random_form(
     rational: bool = False,
 ) -> DiffForm:
     """A random degree-r form; roughly half the multi-indices appear."""
-    all_indices = list(combinations(range(1, n + 1), r))
+    p = Prime(p)
+    _check_arity(n)
+    _check_form_degree(r)
     terms = {}
-    for index in all_indices:
+    for index in combinations(range(1, n + 1), r):
         if rng.random() < 0.4:
             continue
         if rational:
-            terms[index] = random_ratfun(rng, p, n, max_degree=max_degree)
+            coeff = random_ratfun(rng, p, n, max_degree=max_degree)
         else:
-            terms[index] = random_poly(rng, p, n, max_degree, max_terms)
-    return DiffForm(p, n, r, terms)
+            coeff = random_poly(rng, p, n, max_degree, max_terms)
+        if not coeff.is_zero():
+            terms[index] = coeff
+    return DiffForm._trusted(p, n, r, terms)
 
 
 def random_exact_form(

@@ -8,7 +8,7 @@ downstream can then trust it.  Primes up to 2**31 - 1 are supported.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, PrimeOutOfRange
+from .errors import DivisionByZero, PrimeOutOfRange, _shown
 
 MAX_PRIME = 2**31 - 1
 
@@ -58,9 +58,11 @@ class Prime:
             self.p = p.p
             return
         if not isinstance(p, int) or isinstance(p, bool):
-            raise PrimeOutOfRange("characteristic must be an integer, got %r" % (p,))
+            raise PrimeOutOfRange(
+                "characteristic must be an integer, got %s" % _shown(p)
+            )
         if not 2 <= p <= MAX_PRIME:
-            raise PrimeOutOfRange("characteristic %d outside 2..2**31-1" % p)
+            raise PrimeOutOfRange("characteristic %s outside 2..2**31-1" % _shown(p))
         if not is_prime(p):
             raise PrimeOutOfRange("%d is not prime" % p)
         self.p = p

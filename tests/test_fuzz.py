@@ -13,8 +13,15 @@ goes through oracle with a hostile --margin.
 
 Left out on purpose: valid --trials values above 1, which only make check
 run longer.
+
+The documents of the same forms are fuzzed too: monomials and term
+entries are dropped, duplicated or swapped, and bools, negative exponents
+and 5000-digit ints go into their integer slots.  doc_to_form must return
+a form equal, term for term, to its rebuild by the validating
+constructors, or raise an FpFormsError.
 """
 
+import copy
 import io
 import json
 import random
@@ -23,7 +30,9 @@ import shlex
 import sys
 from pathlib import Path
 
+from fpforms import FpFormsError, doc_to_form, form_to_doc, parse_form
 from fpforms.cli import run_command
+from test_printer import term_list, validating_rebuild
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_operators.txt"
 LONG = "7" * 5000
@@ -109,3 +118,65 @@ def test_every_fuzzed_invocation_ends_in_a_documented_exit_code():
         codes[code] = codes.get(code, 0) + 1
     # the mutations reach past the parser into the kernel and out again
     assert codes.get(0, 0) >= 40 and codes.get(1, 0) >= 100 and codes.get(2, 0) >= 10
+
+
+HUGE = 10**5000  # str() refuses it: more than 4300 digits
+SLOT_VALUES = (True, False, -1, -HUGE, HUGE, 0)
+
+
+def transcript_documents():
+    for argv in invocations():
+        p, n = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--n") + 1])
+        for text in argv[argv.index("--n") + 3 :]:
+            try:
+                yield form_to_doc(parse_form(text, p, n))
+            except FpFormsError:
+                pass  # a pinned failure of the parser; no document
+
+
+def int_slots(doc):
+    """(container, key) for every integer slot of a document."""
+    slots = [(doc, key) for key in ("format", "p", "n", "degree")]
+    for entry in doc["terms"]:
+        slots += [(entry["index"], k) for k in range(len(entry["index"]))]
+        for monos in entry["coeff"].values():
+            for mono in monos:
+                slots.append((mono, "c"))
+                slots += [(mono["exps"], k) for k in range(len(mono["exps"]))]
+    return slots
+
+
+def mutate_document(rng, doc):
+    doc = copy.deepcopy(doc)
+    lists = [doc["terms"]] + [
+        monos for entry in doc["terms"] for monos in entry["coeff"].values()
+    ]
+    seq = rng.choice(lists)
+    kind = rng.randrange(4)
+    if kind == 0 and seq:
+        del seq[rng.randrange(len(seq))]
+    elif kind == 1 and seq:
+        k = rng.randrange(len(seq))
+        seq.insert(k, copy.deepcopy(seq[k]))
+    elif kind == 2 and len(seq) > 1:
+        k = rng.randrange(len(seq) - 1)
+        seq[k], seq[k + 1] = seq[k + 1], seq[k]
+    else:
+        container, key = rng.choice(int_slots(doc))
+        container[key] = rng.choice(SLOT_VALUES)
+    return doc
+
+
+def test_every_fuzzed_document_decodes_to_its_rebuild_or_a_typed_error():
+    rng = random.Random(1313)
+    decoded = refused = 0
+    for doc in transcript_documents():
+        for mutated in [doc] + [mutate_document(rng, doc) for _ in range(6)]:
+            try:
+                form = doc_to_form(mutated)
+            except FpFormsError:
+                refused += 1
+                continue
+            assert term_list(form) == term_list(validating_rebuild(form))
+            decoded += 1
+    assert decoded >= 50 and refused >= 200

@@ -6,6 +6,7 @@ import pytest
 from fpforms import (
     MAX_VARIABLES,
     ArityMismatch,
+    DegreeMismatch,
     DegreeOverflow,
     DiffForm,
     IndexOutOfRange,
@@ -74,15 +75,80 @@ def test_construction_guards():
 )
 def test_arity_above_the_bound_is_refused_before_any_tuple(n):
     # a dense exponent tuple of n entries would be built next, so the
-    # validating constructors and the parser refuse n first
+    # validating constructors, the classmethods and the parser refuse n first
     message = "^n exceeds the variable limit %d$" % MAX_VARIABLES
     for build in (
         lambda: MultiPoly(3, n, {}),
+        lambda: MultiPoly.constant(3, n, 1),
+        lambda: MultiPoly.variable(3, n, 1),
         lambda: DiffForm(3, n, 1, {}),
         lambda: parse_form("x dy", 3, n),
     ):
         with pytest.raises(ArityMismatch, match=message):
             build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: DiffForm(3, -(10**5000), 0),
+            ArityMismatch,
+            "need at least one variable, got n=-<5001-digit int>",
+        ),
+        (
+            lambda: MultiPoly.constant(3, -(10**5000), 1),
+            ArityMismatch,
+            "need at least one variable, got n=-<5001-digit int>",
+        ),
+        (
+            lambda: MultiPoly(3, 1, {(10**5000,): 1}),
+            DegreeOverflow,
+            "exponent <5001-digit int> of z1 exceeds the degree limit 64",
+        ),
+        (
+            lambda: MultiPoly(3, 2, {(10**5000,): 1}),
+            ArityMismatch,
+            "exponent vector (<5001-digit int>,) has length 1, expected 2",
+        ),
+        (
+            lambda: MultiPoly.variable(3, 2, 10**5000),
+            IndexOutOfRange,
+            "variable z<5001-digit int> outside 1..2",
+        ),
+        (
+            lambda: MultiPoly.variable(3, 2, 1).partial(10**5000),
+            IndexOutOfRange,
+            "variable z<5001-digit int> outside 1..2",
+        ),
+        (
+            lambda: DiffForm(3, 2, 1, {(10**5000,): 1}),
+            IndexOutOfRange,
+            "index entry <5001-digit int> outside 1..2",
+        ),
+        (
+            lambda: DiffForm(3, 2, 10**5000, {(1,): 1}),
+            DegreeMismatch,
+            "index (1,) has length 1 in a degree-<5001-digit int> form",
+        ),
+    ],
+    ids=[
+        "form-arity",
+        "constant-arity",
+        "exponent-above-cap",
+        "exponent-vector-length",
+        "variable-index",
+        "partial-index",
+        "form-index-entry",
+        "form-degree",
+    ],
+)
+def test_an_int_too_long_to_print_is_named_by_its_digit_count(build, error, message):
+    # str() refuses an int of more than 4300 digits, so a message that
+    # printed one would raise a bare ValueError in place of the typed error
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_arity_at_the_bound_is_accepted():

@@ -6,7 +6,12 @@ import pytest
 
 from fpforms import (
     MAX_VARIABLES,
+    DegreeOverflow,
+    DiffForm,
+    MultiPoly,
     ParseError,
+    RatFun,
+    degree_limit,
     doc_to_form,
     form_to_doc,
     form_to_text,
@@ -14,6 +19,8 @@ from fpforms import (
 )
 from fpforms.printer import FORMAT_VERSION
 from fpforms.sampling import random_form
+
+HUGE = 10**5000  # str() refuses it: more than 4300 digits
 
 TRIALS = 120
 
@@ -84,6 +91,18 @@ def broken(mutate):
         lambda d: d["terms"][0].update(index=[True]),
         lambda d: d.update(n=True, terms=[]),
         lambda d: d.update(degree=True),
+        # each would be printed by its message
+        lambda d: d.update(format=HUGE),
+        lambda d: d.update(p=HUGE),
+        lambda d: d.update(p=[HUGE]),
+        lambda d: d.update(n=HUGE),
+        lambda d: d.update(n=-HUGE),
+        lambda d: d.update(degree=-HUGE),
+        lambda d: d.update(degree=HUGE),
+        lambda d: d["terms"][0].update(index=[HUGE]),
+        lambda d: d["terms"][0]["coeff"]["num"][0].update(c=HUGE),
+        lambda d: d["terms"][0]["coeff"]["num"][0].update(exps=[-HUGE, 0]),
+        lambda d: d["terms"][0]["coeff"]["num"][0].update(exps=[HUGE]),
     ],
     ids=[
         "missing-degree",
@@ -112,11 +131,86 @@ def broken(mutate):
         "bool-index",
         "bool-n",
         "bool-degree",
+        "huge-format",
+        "huge-p",
+        "huge-p-in-a-list",
+        "huge-n",
+        "huge-negative-n",
+        "huge-negative-degree",
+        "huge-degree",
+        "huge-index",
+        "huge-residue",
+        "huge-negative-exponent",
+        "huge-short-exps",
     ],
 )
 def test_strict_validation_rejects(mutate):
     with pytest.raises(ParseError):
         doc_to_form(broken(mutate))
+
+
+def _parts(c):
+    return (c.num, c.den) if isinstance(c, RatFun) else (c,)
+
+
+def term_list(form):
+    """(index, kind, monomial lists) per term, in the form's own order."""
+    return [
+        (index, type(c), [list(f.terms.items()) for f in _parts(c)])
+        for index, c in form.terms.items()
+    ]
+
+
+def validating_rebuild(form):
+    """The form rebuilt from its parts through MultiPoly, RatFun and DiffForm."""
+
+    def rebuild(c):
+        polys = [MultiPoly(f.p.p, f.n, dict(f.terms)) for f in _parts(c)]
+        return RatFun(*polys) if isinstance(c, RatFun) else polys[0]
+
+    terms = {i: rebuild(c) for i, c in form.terms.items()}
+    return DiffForm(form.p.p, form.n, form.r, terms)
+
+
+def test_decoded_forms_equal_their_validating_rebuild():
+    rng = random.Random(9002)
+    texts = [
+        # one rational coefficient makes the decoded form rational throughout
+        ("(x^2 + y/y^3) dx + 2 dy", 3, 2),
+        ("x dx + (1/(x^3*y^3 + 1)) dy + ((x^2 + y)/y^6) dz", 3, 3),
+        ("z1^4 dz1^dz2 + (z2/z3^2) dz1^dz3 + 3 dz2^dz3", 2, 3),
+        ("(x*y + 1) dx + y^4 dy", 5, 2),
+    ]
+    forms = [parse_form(*t) for t in texts]
+    for t in range(TRIALS):
+        p = rng.choice((2, 3, 5, 13))
+        n = rng.randint(1, 3)
+        forms.append(random_form(rng, p, n, rng.randint(0, n), rational=t % 2 == 0))
+    for form in forms:
+        doc = form_to_doc(form)
+        decoded = doc_to_form(copy.deepcopy(doc))
+        assert decoded == form
+        assert term_list(decoded) == term_list(validating_rebuild(decoded))
+        assert form_to_doc(decoded) == doc
+    mixed = doc_to_form(form_to_doc(forms[0]))
+    assert all(isinstance(c, RatFun) for c in mixed.terms.values())
+
+
+def test_decoded_exponent_above_the_cap_gives_the_constructor_line():
+    doc = form_to_doc(parse_form("(x^7*y + y^2) dx", 3, 2))
+    with degree_limit(4):
+        with pytest.raises(DegreeOverflow) as expected:
+            MultiPoly(3, 2, {(7, 1): 1})
+        with pytest.raises(DegreeOverflow) as decoded:
+            doc_to_form(doc)
+    assert str(decoded.value) == str(expected.value)
+    assert str(decoded.value) == "exponent 7 of z1 exceeds the degree limit 4"
+    doc["terms"][0]["coeff"]["num"][-1]["exps"] = [HUGE, 0]
+    with pytest.raises(DegreeOverflow) as decoded:
+        doc_to_form(doc)
+    assert str(decoded.value) == (
+        "exponent <5001-digit int> of z1 exceeds the degree limit 64"
+    )
 
 
 def test_validation_leaves_good_documents_alone():

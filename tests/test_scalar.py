@@ -52,6 +52,18 @@ def test_prime_ctor_rejects_composites_and_overflow():
         Prime(1)
     with pytest.raises(PrimeOutOfRange):
         Prime(MAX_PRIME + 2)
+    # str() refuses an int of more than 4300 digits; the message names
+    # such a characteristic by its digit count
+    for p, shown in (
+        (10**5000, "<5001-digit int>"),
+        (-(10**5000), "-<5001-digit int>"),
+    ):
+        with pytest.raises(PrimeOutOfRange) as caught:
+            Prime(p)
+        assert str(caught.value) == "characteristic %s outside 2..2**31-1" % shown
+    with pytest.raises(PrimeOutOfRange) as caught:
+        Prime(MAX_PRIME + 2)
+    assert str(caught.value) == "characteristic 2147483649 outside 2..2**31-1"
     assert int(Prime(Prime(13))) == 13
     assert Prime(7) == 7 == Prime(7)
     assert len({Prime(5), Prime(5), 5}) == 1
