@@ -53,7 +53,7 @@ from .errors import (
 from .forms import DiffForm, _reduced_form, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, _degree_overflow, max_degree_limit
-from .ratfun import RatFun, clear_denominators
+from .ratfun import RatFun, _cofactors, clear_denominators
 from .scalar import inv_mod
 
 DEFAULT_SYSTEM_CAP = 200_000
@@ -81,21 +81,56 @@ def integrate(form: DiffForm) -> DiffForm:
         raise NotPClosed(reason)
     if form.is_polynomial:
         potential = _homotopy_potential(form)
-    else:
-        lam, cleared = clear_denominators(form)
-        inner = _homotopy_potential(cleared)
-        _check_residual(cleared, inner)
-        # lam is a nonzero differential constant and inner has no zero
-        # coefficient, so the potential is clean by construction
-        terms = {i: RatFun._trusted(c, lam) for i, c in inner.terms.items()}
-        potential = DiffForm._trusted(form.p, form.n, form.r - 1, terms)
-    _check_residual(form, potential)
+        _check_residual(potential.d() == form)
+        return potential
+    lam, cleared = clear_denominators(form)
+    inner = _homotopy_potential(cleared)
+    _check_residual(inner.d() == cleared)
+    # lam is a nonzero differential constant and inner has no zero
+    # coefficient, so the potential is clean by construction
+    terms = {i: RatFun._trusted(c, lam) for i, c in inner.terms.items()}
+    potential = DiffForm._trusted(form.p, form.n, form.r - 1, terms)
+    _check_residual(_equals_over(potential.d(), lam, form))
     return potential
 
 
-def _check_residual(form: DiffForm, potential: DiffForm) -> None:
-    if potential.d() != form:
+def _check_residual(ok: bool) -> None:
+    if not ok:
         raise InternalResidual("integration left a nonzero residual; this is a bug")
+
+
+def _equals_over(residual: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
+    """Whether residual, a form over the one denominator lam, equals form.
+
+    form's coefficient num/den equals N/lam exactly when N = num * m for
+    some m with m * den = lam.  m is den's cofactor, the product of the
+    form's other distinct denominators, and m * den = lam is checked once
+    per denominator; a coefficient whose denominator is lam compares
+    numerators, and one with a constant denominator c compares N with
+    num/c * lam.  The multipliers come from form itself, not from the
+    cleared form, and no product here is larger than one that
+    clear_denominators has built, so the check cannot overflow where the
+    clearing did not.
+    """
+    if residual.terms.keys() != form.terms.keys():
+        return False
+    cofactors = _cofactors(form)
+    if any(m * den != lam for den, m in cofactors.items()):
+        return False
+    for index, coeff in form.terms.items():
+        got = residual.terms[index]
+        den = coeff.den
+        if got.den != lam:
+            return False
+        if den == lam:
+            want = coeff.num
+        elif den.is_constant():
+            want = coeff.to_polynomial() * lam
+        else:
+            want = coeff.num * cofactors[den]
+        if got.num != want:
+            return False
+    return True
 
 
 def _homotopy_potential(form: DiffForm) -> DiffForm:

@@ -28,6 +28,9 @@ arities still raise, from the MultiPoly operations underneath.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .errors import ZeroDenominator
 from .poly import MultiPoly
 from .scalar import inv_mod
@@ -216,6 +219,29 @@ class RatFun:
         return "RatFun(p=%d, n=%d, %s)" % (self.p.p, self.n, self)
 
 
+def _cofactors(form) -> dict:
+    """The distinct nonconstant denominators of a form, each with its cofactor.
+
+    Maps each denominator, in order of first appearance, to the product
+    of every other one, so den * cofactor is the same product lam for
+    every entry; an empty dict means no nonconstant denominator.
+    clear_denominators and the residual check of poincare.integrate both
+    take their multipliers from here.
+    """
+    dens = {}
+    for coeff in form.terms.values():
+        if isinstance(coeff, RatFun) and not coeff.den.is_constant():
+            dens[coeff.den] = None
+    listed = list(dens)
+    for k, den in enumerate(listed):
+        others = listed[:k] + listed[k + 1:]
+        # each cofactor divides lam, so it cannot overflow where lam does not
+        dens[den] = (
+            reduce(mul, others) if others else MultiPoly.constant(form.p, form.n, 1)
+        )
+    return dens
+
+
 def clear_denominators(form):
     """Rewrite a rational form as (lam, omega') with omega' polynomial.
 
@@ -225,27 +251,15 @@ def clear_denominators(form):
     by it preserves closedness, p-closedness and exactness in both
     directions.  Polynomial input comes back unchanged with lam = 1.
     """
-    one = MultiPoly.constant(form.p, form.n, 1)
-    dens: list[MultiPoly] = []
-    for coeff in form.terms.values():
-        if isinstance(coeff, RatFun) and not coeff.den.is_constant():
-            if not any(coeff.den == d for d in dens):
-                dens.append(coeff.den)
-    if not dens:
+    cofactors = _cofactors(form)
+    if not cofactors:
         out = {}
         for index, coeff in form.terms.items():
             out[index] = coeff.to_polynomial() if isinstance(coeff, RatFun) else coeff
-        return one, form._with_terms(out)
-    lam = one
-    for d in dens:
-        lam = lam * d
-    # each cofactor divides lam, so it cannot overflow where lam did not
-    cofactors = []
-    for k in range(len(dens)):
-        cof = one
-        for d in dens[:k] + dens[k + 1:]:
-            cof = cof * d
-        cofactors.append(cof)
+        return MultiPoly.constant(form.p, form.n, 1), form._with_terms(out)
+    # the last cofactor is the product of the others in order
+    den, cofactor = list(cofactors.items())[-1]
+    lam = cofactor * den
     out = {}
     for index, coeff in form.terms.items():
         if not isinstance(coeff, RatFun):
@@ -254,5 +268,5 @@ def clear_denominators(form):
             # fold the constant denominator into the numerator
             out[index] = coeff.to_polynomial() * lam
         else:
-            out[index] = coeff.num * cofactors[dens.index(coeff.den)]
+            out[index] = coeff.num * cofactors[coeff.den]
     return lam, form._with_terms(out)

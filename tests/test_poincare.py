@@ -252,15 +252,105 @@ def test_residual_checks_catch_a_dropped_term(monkeypatch):
     ]:
         with pytest.raises(InternalResidual):
             integrate(parse_form(text, p, n))
-    # the check on the polynomial side comes first: on the rational side
-    # this form's residual outgrows the cap
+    # the rational side is checked over the cleared denominator, so the
+    # honest builder's potential passes at the default cap; comparing it
+    # with omega by cross-multiplication needs a raised one
     eta = parse_form("(4/z2) dz1 + (11*z1*z2*z3^2/6*z2) dz2", 13, 3)
     monkeypatch.setattr(poincare, "_homotopy_potential", build)
-    with pytest.raises(DegreeOverflow):
-        integrate(eta.d())
+    theta = integrate(eta.d())
+    with degree_limit(256):
+        assert theta.d() == eta.d()
     monkeypatch.setattr(poincare, "_homotopy_potential", lossy)
     with pytest.raises(InternalResidual):
         integrate(eta.d())
+
+
+def _rational_p_closed_form(rng, p):
+    """A nonzero p-closed rational form with varied denominators.
+
+    Half the time d of a random rational form, as the benchmark builds
+    them.  Otherwise an exact polynomial form over a common differential
+    constant D, each coefficient a/D rewritten as (a*M)/(D*M) with M drawn
+    from 1, a nonzero constant, and one to three nonconstant differential
+    constants, so a coefficient keeps its value over a denominator that
+    is constant, promoted from a polynomial, or one of several.
+    """
+    while True:
+        if rng.random() < 0.5:
+            n = rng.randint(2, 3)
+            r = rng.randint(1, n)
+            omega = random_form(rng, p, n, r - 1, max_degree=1, rational=True).d()
+        else:
+            omega = _spread_over_denominators(rng, p, 3, rng.randint(1, 2))
+        if not omega.is_zero():
+            return omega
+
+
+def _spread_over_denominators(rng, p, n, r):
+    def pth_power():
+        q = random_poly(rng, p, n, max_degree=2, max_terms=2, nonzero=True)
+        return q.substitute_pth()
+
+    beta = random_exact_form(rng, p, n, r, max_degree=2, max_terms=2)
+    den = pth_power() if rng.random() < 0.5 else MultiPoly.constant(p, n, 1)
+    multipliers = [
+        MultiPoly.constant(p, n, 1),
+        MultiPoly.constant(p, n, rng.randint(1, p - 1)),
+    ] + [pth_power() for _ in range(rng.randint(1, 3))]
+    # at most three coefficients, so each gets its own multiplier
+    picked = rng.sample(multipliers, len(beta.terms))
+    terms = {}
+    for (index, a), m in zip(beta.terms.items(), picked):
+        terms[index] = RatFun(a * m, den * m)
+    return DiffForm(p, n, r, terms)
+
+
+def test_rational_residual_check_agrees_with_cross_multiplication(monkeypatch):
+    rng = random.Random(6061)
+    clear = poincare.clear_denominators
+    integrated, overflowed, counts = 0, 0, set()
+    forms = []
+    for p in (2, 3, 5, 13):
+        for _ in range(40):
+            omega = _rational_p_closed_form(rng, p)
+            if omega.is_polynomial:
+                continue
+            try:
+                theta = integrate(omega)
+            except DegreeOverflow:
+                # only the clearing, or the potential of the cleared form
+                # as on the polynomial path, may pass the cap
+                try:
+                    lam, cleared = clear(omega)
+                    poincare._homotopy_potential(cleared)
+                except DegreeOverflow:
+                    overflowed += 1
+                    continue
+                raise
+            with degree_limit(1024):
+                assert theta.d() == omega
+            integrated += 1
+            counts.add(len(poincare._cofactors(omega)))
+            forms.append(omega)
+    assert integrated > 100 and overflowed
+    assert counts >= {0, 1, 2, 3}
+
+    def doubled(form):
+        lam, cleared = clear(form)
+        return lam, 2 * cleared
+
+    def scaled(form):
+        lam, cleared = clear(form)
+        return lam * MultiPoly.variable(form.p, form.n, 1) ** form.p.p, cleared
+
+    # a cleared form or a lam that does not match the form is caught; the
+    # raised cap is for scaled's own product
+    for fake in (doubled, scaled):
+        monkeypatch.setattr(poincare, "clear_denominators", fake)
+        with degree_limit(1024):
+            for omega in forms:
+                with pytest.raises(InternalResidual):
+                    integrate(omega)
 
 
 def test_an_unintegrable_monomial_is_an_internal_error():

@@ -253,7 +253,10 @@ def test_rational_potentials_are_clean():
         integrated[p] += not theta.is_zero()
         rebuilt = DiffForm(p, n, r - 1, theta.terms)
         assert list(rebuilt.terms) == list(theta.terms)
-        assert theta.d() == omega
+        # integrate checks over the cleared denominator; RatFun.__eq__
+        # cross-multiplies, which can pass the default cap
+        with degree_limit(256):
+            assert theta.d() == omega
         for index, coeff in theta.terms.items():
             assert isinstance(coeff, RatFun) and not coeff.is_zero()
             assert_clean(coeff)
