@@ -101,16 +101,10 @@ FORMS = [
      "(z1*z2^11/z2^13) dz1^dz2 + (z3^11 + 5*z3^10 + 9*z3^9 + 4*z3^8"
      " + 6*z3^7 + 5*z3^6 + 7*z3^5 + 7*z3^4 + z3^3 + 10*z3^2 + 8*z3"
      " + 10/z3^13 + 4) dz2^dz3"),
-]
-
-# (flags, p, n, command, form) invocations that must fail: the transcript
-# records their exit code and stderr, so a change of which inputs fail, or
-# of what they say, fails here as well
-FAILURES = [
-    # d of a rational 1-form; integrate overflows the default cap in the
-    # residual check, where form - d(potential) cross-multiplies the
-    # denominators z1^13 + 11 and z1^26 + 4*z1^13 + 7 with their product
-    ([], 13, 3, "integrate",
+    # d of a rational 1-form whose denominators z1^13 + 11 and
+    # z1^26 + 4*z1^13 + 7 multiply to a lam of z1-degree 39; the residual
+    # is checked over lam, below the default cap
+    (13, 3, "integrate",
      "(11*z1^11*z2 + 5*z1^10*z2 + 2*z1^9*z2 + z1^8*z2 + 9*z1^7*z2"
      " + 6*z1^6*z2 + z1^5*z2 + 6*z1^4*z2 + 7*z1^3*z2 + 4*z1^2*z2 + z1*z2"
      " + z2/z1^13 + 11) dz1^dz2 + (12*z1^26 + 9*z1^25 + 8*z1^24*z3^2"
@@ -124,6 +118,12 @@ FAILURES = [
      " + 7*z1^6 + 3*z1^5*z3^2 + 2*z1^5 + 6*z1^4*z3^2 + 8*z1^4"
      " + 11*z1^3*z3^2 + 6*z1^3 + 12*z1^2*z3^2 + 11*z1^2 + z1*z3^2 + 5*z1"
      " + 9*z3^2/z1^26 + 4*z1^13 + 7) dz1^dz3"),
+]
+
+# (flags, p, n, command, form) invocations that must fail: the transcript
+# records their exit code and stderr, so a change of which inputs fail, or
+# of what they say, fails here as well
+FAILURES = [
     # d folds two denominators in z1 past a lowered cap
     (["--max-degree", "20"], 13, 2, "d", "(y/(x + 1)) dx + (x/(x + y)) dy"),
     # the p-th-power normal form of 1/y outgrows a lowered cap while parsing
@@ -135,6 +135,11 @@ FAILURES = [
     # weight is 0 (mod p) in z1
     ([], 3, 3, "integrate", "z1^2*z2^64 dz1^dz2"),
     ([], 3, 3, "integrate", "z1^64 dz1^dz2 + z1^2*z3^64 dz1^dz3"),
+    # p-closed rational forms that still overflow inside integrate: the
+    # first while clear_denominators builds lam = z1^39 * z1^26, the
+    # second in the potential of the cleared form z1^64 dz1
+    ([], 13, 2, "integrate", "(1/x^39) dx + (1/x^26) dy"),
+    ([], 3, 1, "integrate", "(z^64/z^3) dz"),
 ]
 
 
