@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
 from .forms import DiffForm, sorted_index_sign
-from .poly import MultiPoly, _check_arity
+from .poly import MultiPoly, _check_arity, _degree_overflow, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -281,18 +281,49 @@ class _Parser:
         return tuple(indices)
 
     def parse_product(self, allow_ratio):
-        value = self.parse_atom(allow_ratio)
+        """atom (['*'] atom)*, with the leading numbers and powers folded.
+
+        Number and z_i^k atoms before the first parenthesized one make
+        one coefficient and one exponent vector; from that atom on, the
+        product is built left to right by MultiPoly and RatFun
+        arithmetic.  The errors are those of multiplying atom by atom: an
+        atom above the cap raises where it stands, and a grown exponent
+        only while the coefficient is nonzero, as a zero product has no
+        monomial to carry it.
+        """
+        p = self.p.p
+        limit = max_degree_limit()
+        coeff, exps = 1, [0] * self.n
+        value = None
         while True:
+            tok = self.peek()
+            if value is not None:
+                value = value * self.parse_atom(allow_ratio)
+            elif tok.kind == "NUMBER":
+                self.advance()
+                coeff = coeff * _residue(tok.text, p) % p
+            elif tok.kind == "NAME":
+                i, k = self.parse_power(tok)
+                if k > limit:
+                    raise _degree_overflow(k, i, limit)
+                e = exps[i - 1] + k
+                if coeff and e > limit:
+                    raise _degree_overflow(e, i, limit)
+                exps[i - 1] = e
+            else:
+                value = self._monomial(coeff, exps) * self.parse_atom(allow_ratio)
             tok = self.peek()
             if tok.kind == "STAR":
                 self.advance()
-                value = value * self.parse_atom(allow_ratio)
-            elif self._starts_atom(tok):
-                value = value * self.parse_atom(allow_ratio)
-            else:
-                return value
+            elif not self._starts_atom(tok):
+                return self._monomial(coeff, exps) if value is None else value
+
+    def _monomial(self, coeff, exps) -> MultiPoly:
+        terms = {tuple(exps): coeff} if coeff else {}
+        return MultiPoly._trusted(self.p, self.n, terms)
 
     def parse_polysum(self):
+        """['-'] prod (('+' | '-') prod)*, summed in one exponent -> int dict."""
         tok = self.peek()
         sign = 1
         if tok.kind == "MINUS":
@@ -300,12 +331,32 @@ class _Parser:
             sign = -1
         elif tok.kind == "PLUS":
             self.advance()
-        total = self.parse_product(allow_ratio=False) * sign
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            part = self.parse_product(allow_ratio=False)
-            total = total - part if op.kind == "MINUS" else total + part
-        return total
+        sums = {}
+        get = sums.get
+        while True:
+            for e, c in self.parse_product(allow_ratio=False).terms.items():
+                sums[e] = get(e, 0) + sign * c
+            if self.peek().kind not in ("PLUS", "MINUS"):
+                break
+            sign = -1 if self.advance().kind == "MINUS" else 1
+        p = self.p.p
+        terms = {}
+        for e in sorted(sums):
+            v = sums[e] % p
+            if v:
+                terms[e] = v
+        return MultiPoly._trusted(self.p, self.n, terms)
+
+    def parse_power(self, tok):
+        """Consume a variable and its optional exponent: (index, exponent)."""
+        idx = self._variable_index(tok.text, tok)
+        if idx is None:
+            self.fail("unknown name %r" % tok.text, tok, ("a variable",))
+        self._check_range(idx, tok.text, tok)
+        self.advance()
+        if self.peek().kind == "CARET":
+            return idx, self.exponent()
+        return idx, 1
 
     def parse_atom(self, allow_ratio):
         tok = self.peek()
@@ -313,14 +364,7 @@ class _Parser:
             self.advance()
             return MultiPoly.constant(self.p, self.n, _residue(tok.text, self.p.p))
         if tok.kind == "NAME":
-            idx = self._variable_index(tok.text, tok)
-            if idx is None:
-                self.fail("unknown name %r" % tok.text, tok, ("a variable",))
-            self._check_range(idx, tok.text, tok)
-            self.advance()
-            exp = 1
-            if self.peek().kind == "CARET":
-                exp = self.exponent()
+            idx, exp = self.parse_power(tok)
             exps = [0] * self.n
             exps[idx - 1] = exp
             return MultiPoly.monomial(self.p, self.n, tuple(exps))

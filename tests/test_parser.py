@@ -3,15 +3,22 @@ import random
 import pytest
 
 from fpforms import (
+    DegreeOverflow,
     DiffForm,
+    FpFormsError,
     MultiPoly,
     ParseError,
     PrimeOutOfRange,
+    RatFun,
     VariableOutOfRange,
+    ZeroDenominator,
+    degree_limit,
     parse_form,
     variables,
 )
+from fpforms.parser import _Parser, _residue, _tokenize
 from fpforms.printer import form_to_text
+from fpforms.scalar import Prime
 from fpforms.sampling import random_form
 
 TRIALS = 150
@@ -149,3 +156,142 @@ def test_round_trip_is_canonical_text():
         f = random_form(rng, p, n, rng.randint(0, n), rational=(t % 3 == 0))
         text = form_to_text(f)
         assert form_to_text(parse_form(text, p, n)) == text
+
+
+class _AtomByAtomParser(_Parser):
+    """The parser before numbers and powers were folded: every atom is a
+    MultiPoly or RatFun, multiplied and summed one at a time."""
+
+    def parse_product(self, allow_ratio):
+        value = self.parse_atom(allow_ratio)
+        while True:
+            tok = self.peek()
+            if tok.kind == "STAR":
+                self.advance()
+                value = value * self.parse_atom(allow_ratio)
+            elif self._starts_atom(tok):
+                value = value * self.parse_atom(allow_ratio)
+            else:
+                return value
+
+    def parse_polysum(self):
+        tok = self.peek()
+        sign = 1
+        if tok.kind == "MINUS":
+            self.advance()
+            sign = -1
+        elif tok.kind == "PLUS":
+            self.advance()
+        total = self.parse_product(allow_ratio=False) * sign
+        while self.peek().kind in ("PLUS", "MINUS"):
+            op = self.advance()
+            part = self.parse_product(allow_ratio=False)
+            total = total - part if op.kind == "MINUS" else total + part
+        return total
+
+    def parse_atom(self, allow_ratio):
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            self.advance()
+            return MultiPoly.constant(self.p, self.n, _residue(tok.text, self.p.p))
+        if tok.kind == "NAME":
+            idx = self._variable_index(tok.text, tok)
+            if idx is None:
+                self.fail("unknown name %r" % tok.text, tok, ("a variable",))
+            self._check_range(idx, tok.text, tok)
+            self.advance()
+            exp = 1
+            if self.peek().kind == "CARET":
+                exp = self.exponent()
+            exps = [0] * self.n
+            exps[idx - 1] = exp
+            return MultiPoly.monomial(self.p, self.n, tuple(exps))
+        if tok.kind == "LPAREN":
+            self.advance()
+            num = self.parse_polysum()
+            if self.peek().kind == "SLASH":
+                if not allow_ratio:
+                    self.fail("ratios may not nest", self.peek())
+                slash = self.advance()
+                den = self.parse_polysum()
+                self.expect("RPAREN", "')'")
+                try:
+                    return RatFun(num, den)
+                except ZeroDenominator:
+                    self.fail("division by the zero polynomial", slash)
+            self.expect("RPAREN", "')'")
+            if self.peek().kind == "CARET":
+                return num**self.exponent()
+            return num
+        self.fail(
+            "unexpected %s" % (tok.text or "end of input"),
+            tok,
+            ("a number", "a variable", "'('"),
+        )
+
+
+def _random_expression(rng, n):
+    """Expression text in the grammar, with zeros, long numerals, large
+    exponents and nested ratios; about one in five is then corrupted."""
+    names = ["z%d" % i for i in range(1, n + 1)] + ["x", "y", "w"][: min(n, 2)]
+    names.append("z")  # z1 when n = 1, else z3, out of range at n = 2
+
+    def atom(depth):
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice(["0", "1", "2", "3", "6", "13", "65", "9" * 30])
+        if roll < 0.75 or depth > 2:
+            name = rng.choice(names) if rng.random() < 0.98 else "z%d" % (n + 1)
+            if rng.random() < 0.6:
+                name += "^%d" % rng.choice([0, 1, 1, 2, 2, 3, 5, 13, 20, 33, 40, 65])
+            return name
+        text = polysum(depth + 1)
+        if rng.random() < 0.3:
+            text += "/" + polysum(depth + 1)
+        text = "(%s)" % text
+        if rng.random() < 0.2:
+            text += "^%d" % rng.randint(0, 3)
+        return text
+
+    def product(depth):
+        parts = [atom(depth) for _ in range(rng.randint(1, 3))]
+        return "".join(a + rng.choice(["*", " ", "*"]) for a in parts[:-1]) + parts[-1]
+
+    def polysum(depth):
+        text = rng.choice(["", "", "-", "+"]) + product(depth)
+        for _ in range(rng.randint(0, 2)):
+            text += rng.choice([" + ", " - "]) + product(depth)
+        return text
+
+    r = rng.randint(0, min(n, 2))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        basis = "^".join("dz%d" % i for i in rng.sample(range(1, n + 1), r))
+        terms.append(("%s %s" % (product(0), basis)).strip())
+    text = rng.choice([" + ", " - "]).join(terms)
+    if rng.random() < 0.2:
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice(["", "*", "^", "(", ")", "/", "+", "q", "dz1"]) + text[k + 1:]
+    return text
+
+
+def _outcome(parser_class, text, p, n):
+    try:
+        form = parser_class(_tokenize(text), Prime(p), n).parse()
+    except FpFormsError as err:
+        return type(err), str(err)
+    return form.r, form_to_text(form)
+
+
+def test_folded_products_parse_as_atom_by_atom():
+    rng = random.Random(8003)
+    kinds = set()
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5, 13))
+        n = rng.randint(1, 3)
+        text = _random_expression(rng, n)
+        with degree_limit(rng.choice((64, 64, 40, 12))):
+            got = _outcome(_Parser, text, p, n)
+            assert got == _outcome(_AtomByAtomParser, text, p, n), text
+        kinds.add(got[0])
+    assert {0, 1, 2, ParseError, VariableOutOfRange, DegreeOverflow} <= kinds
