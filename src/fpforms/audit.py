@@ -45,6 +45,7 @@ from .sampling import (
     random_p_closed_form,
     random_poly,
 )
+from .scalar import Prime
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 100
@@ -115,7 +116,7 @@ def _trial_sweedler_r1(rng, t, primes, max_n):
     p = primes[rng.randrange(len(primes))]
     n = rng.randint(1, max_n)
     omega = random_closed_form(rng, p, n, 1)
-    if t % 3 == 0 and p <= 5:
+    if t % 3 == 0 and int(p) <= 5:
         lam = MultiPoly.variable(p, n, rng.randint(1, n)) ** int(p)
         omega = omega * _reciprocal(lam)
     split = split_rational_irrational(omega)
@@ -180,7 +181,7 @@ def _trial_p_operator_annihilates(rng, t, primes, max_n):
 
 
 def _trial_equivalence(rng, t, primes, max_n):
-    small = tuple(q for q in primes if q <= 3) or (2, 3)
+    small = tuple(q for q in primes if int(q) <= 3) or (2, 3)
     p = small[rng.randrange(len(small))]
     n = rng.randint(1, min(max_n, 3))
     r = rng.randint(1, n)
@@ -237,7 +238,7 @@ def _minus_product_o(coeff, index):
 
 
 def _trial_o_minus_sign(rng, t, primes, max_n):
-    odd = tuple(q for q in primes if q > 2) or (3,)
+    odd = tuple(q for q in primes if int(q) > 2) or (3,)
     p = odd[rng.randrange(len(odd))]
     n = rng.randint(1, max_n)
     i = rng.randint(1, n)
@@ -329,7 +330,7 @@ def _restricted(form):
 
 
 def _trial_or_sign(rng, t, primes, max_n):
-    odd = tuple(q for q in primes if q > 2) or (3,)
+    odd = tuple(q for q in primes if int(q) > 2) or (3,)
     p = odd[rng.randrange(len(odd))]
     n = rng.randint(1, max_n)
     r = rng.randint(1, n)
@@ -602,7 +603,9 @@ def run_audit(
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer, not %d" % trials)
-    primes = tuple(int(q) for q in primes)
+    # one verified Prime each: the samplers and constructors of every
+    # trial copy it instead of testing primality again
+    primes = tuple(Prime(q) for q in primes)
     claims = []
     regressions = 0
     unconfirmed = 0
@@ -635,7 +638,7 @@ def run_audit(
         "format": 1,
         "seed": seed,
         "trials": trials,
-        "primes": list(primes),
+        "primes": [int(q) for q in primes],
         "max_n": max_n,
         "claims": claims,
         "regressions": regressions,
