@@ -294,6 +294,7 @@ class _Parser:
         p = self.p.p
         limit = max_degree_limit()
         coeff, exps = 1, [0] * self.n
+        folded = False
         value = None
         while True:
             tok = self.peek()
@@ -302,6 +303,7 @@ class _Parser:
             elif tok.kind == "NUMBER":
                 self.advance()
                 coeff = coeff * _residue(tok.text, p) % p
+                folded = True
             elif tok.kind == "NAME":
                 i, k = self.parse_power(tok)
                 if k > limit:
@@ -310,8 +312,11 @@ class _Parser:
                 if coeff and e > limit:
                     raise _degree_overflow(e, i, limit)
                 exps[i - 1] = e
+                folded = True
             else:
-                value = self._monomial(coeff, exps) * self.parse_atom(allow_ratio)
+                value = self.parse_atom(allow_ratio)
+                if folded:
+                    value = self._monomial(coeff, exps) * value
             tok = self.peek()
             if tok.kind == "STAR":
                 self.advance()
