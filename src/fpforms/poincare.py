@@ -29,7 +29,13 @@ Rational input is cleared to a polynomial form first: the collected
 denominator lam is a differential constant, so omega = (lam * omega)/lam
 integrates to (potential of lam * omega)/lam.  p-closedness is checked
 once, at entry, and d(potential) = form on each side of the clearing; a
-nonzero residual is a kernel bug and raises InternalResidual.
+nonzero residual is a kernel bug and raises InternalResidual.  On the
+rational side every coefficient of d(potential) is N/lam, and it is
+compared over lam rather than by cross-multiplication: a coefficient
+num/den of the form must have N = num * m, where m is the product of the
+form's other distinct denominators and m * den = lam.  Those products
+are no larger than the ones the clearing built, so the check cannot
+outgrow the degree cap where the clearing did not.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
 F_p, one weight block w at a time, with no recourse to the integrator.
@@ -63,8 +69,12 @@ def integrate(form: DiffForm) -> DiffForm:
     """A potential eta with d(eta) = form, for p-closed forms of degree >= 1.
 
     The potential is polynomial for polynomial input; rational input
-    yields coefficients over the cleared denominator.  Raises NotPClosed
-    (naming the obstructed multi-index) when no potential exists.
+    yields coefficients over the cleared denominator lam, and d of the
+    potential is checked against the form over lam (see the module
+    docstring), so the check raises no DegreeOverflow once the clearing
+    has succeeded.  d of the potential is kept on it for the caller's
+    own check.  Raises NotPClosed (naming the obstructed multi-index)
+    when no potential exists.
 
     >>> from fpforms.parser import parse_form
     >>> omega = parse_form("(x^2 + y^2) dx^dy", 3, 2)
