@@ -36,6 +36,9 @@ by construction is born with its derivative, a new zero form of degree
 r + 1 of its own: every result of d (d(d(omega)) = 0), of
 cartier.gamma0, and of +, -, negation and wedge whose operands all carry
 a zero derivative already (d is linear and obeys the Leibniz rule).
+A polynomial form divided by a differential constant lam, as
+poincare.integrate builds the potential of a rational form, is born with
+d(form) / lam: d acts on numerators only.
 Every other result, the coefficient-wise maps of _with_terms among them,
 starts without one, so the closedness of a projector image, a Cartier
 image or a potential is computed, never assumed.  A split's rational part
@@ -521,6 +524,24 @@ def _closed_by_construction(form, *operands) -> "DiffForm":
             return form
     form._d = DiffForm._trusted(form.p, form.n, form.r + 1, {})
     return form
+
+
+def _over(form, lam) -> "DiffForm":
+    """form / lam, born with d(form) / lam as its derivative.
+
+    form is a polynomial form and lam a nonzero differential constant over
+    the same p and n.  Every partial derivative of lam vanishes, so d acts
+    on the numerators alone: d(form) is computed, or reused, on form.  The
+    numerators are nonzero, so both results are clean by construction.
+    """
+
+    def divided(f):
+        terms = {i: RatFun._trusted(c, lam) for i, c in f.terms.items()}
+        return DiffForm._trusted(f.p, f.n, f.r, terms)
+
+    out = divided(form)
+    out._d = _closed_by_construction(divided(form.d()))
+    return out
 
 
 def _reduced_form(p, n, r, sums) -> "DiffForm":

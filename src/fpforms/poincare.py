@@ -56,10 +56,10 @@ from .errors import (
     NotPClosed,
     SystemTooLarge,
 )
-from .forms import DiffForm, _reduced_form, insert_index
+from .forms import DiffForm, _over, _reduced_form, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, _degree_overflow, max_degree_limit
-from .ratfun import RatFun, _cofactors, clear_denominators
+from .ratfun import _cofactors, clear_denominators
 from .scalar import inv_mod
 
 DEFAULT_SYSTEM_CAP = 200_000
@@ -95,13 +95,9 @@ def integrate(form: DiffForm) -> DiffForm:
         return potential
     lam, cleared = clear_denominators(form)
     inner = _homotopy_potential(cleared)
-    _check_residual(inner.d() == cleared)
-    # lam is a nonzero differential constant and inner has no zero
-    # coefficient, so the potential is clean by construction
-    terms = {i: RatFun._trusted(c, lam) for i, c in inner.terms.items()}
-    potential = DiffForm._trusted(form.p, form.n, form.r - 1, terms)
-    _check_residual(_equals_over(potential.d(), lam, form))
-    return potential
+    # d(inner / lam) = d(inner) / lam, and the potential keeps it
+    _check_residual(_equals_over(inner.d(), lam, form))
+    return _over(inner, lam)
 
 
 def _check_residual(ok: bool) -> None:
@@ -109,36 +105,33 @@ def _check_residual(ok: bool) -> None:
         raise InternalResidual("integration left a nonzero residual; this is a bug")
 
 
-def _equals_over(residual: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
-    """Whether residual, a form over the one denominator lam, equals form.
+def _equals_over(numerators: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
+    """Whether numerators / lam equals the rational form, coefficient-wise.
 
-    form's coefficient num/den equals N/lam exactly when N = num * m for
-    some m with m * den = lam.  m is den's cofactor, the product of the
-    form's other distinct denominators, and m * den = lam is checked once
-    per denominator; a coefficient whose denominator is lam compares
+    A coefficient num/den of form equals N/lam exactly when N = num * m
+    for some m with m * den = lam.  m is den's cofactor, the product of
+    the form's other distinct denominators, and m * den = lam is checked
+    once per denominator; a coefficient whose denominator is lam compares
     numerators, and one with a constant denominator c compares N with
     num/c * lam.  The multipliers come from form itself, not from the
     cleared form, and no product here is larger than one that
     clear_denominators has built, so the check cannot overflow where the
     clearing did not.
     """
-    if residual.terms.keys() != form.terms.keys():
+    if numerators.terms.keys() != form.terms.keys():
         return False
     cofactors = _cofactors(form)
     if any(m * den != lam for den, m in cofactors.items()):
         return False
     for index, coeff in form.terms.items():
-        got = residual.terms[index]
         den = coeff.den
-        if got.den != lam:
-            return False
         if den == lam:
             want = coeff.num
         elif den.is_constant():
             want = coeff.to_polynomial() * lam
         else:
             want = coeff.num * cofactors[den]
-        if got.num != want:
+        if numerators.terms[index] != want:
             return False
     return True
 

@@ -235,7 +235,7 @@ def _cofactors(form) -> dict:
     listed = list(dens)
     for k, den in enumerate(listed):
         others = listed[:k] + listed[k + 1:]
-        # each cofactor divides lam, so it cannot overflow where lam does not
+        # each cofactor divides lam, so it overflows only where lam would
         dens[den] = (
             reduce(mul, others) if others else MultiPoly.constant(form.p, form.n, 1)
         )
@@ -257,7 +257,7 @@ def clear_denominators(form):
         for index, coeff in form.terms.items():
             out[index] = coeff.to_polynomial() if isinstance(coeff, RatFun) else coeff
         return MultiPoly.constant(form.p, form.n, 1), form._with_terms(out)
-    # the last cofactor is the product of the others in order
+    # lam = d1 * ... * dk in order: the last cofactor is d1 * ... * d(k-1)
     den, cofactor = list(cofactors.items())[-1]
     lam = cofactor * den
     out = {}
