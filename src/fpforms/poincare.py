@@ -27,15 +27,16 @@ index before it integrates in z_i).
 
 Rational input is cleared to a polynomial form first: the collected
 denominator lam is a differential constant, so omega = (lam * omega)/lam
-integrates to (potential of lam * omega)/lam.  p-closedness is checked
-once, at entry, and d(potential) = form on each side of the clearing; a
-nonzero residual is a kernel bug and raises InternalResidual.  On the
-rational side every coefficient of d(potential) is N/lam, and it is
-compared over lam rather than by cross-multiplication: a coefficient
-num/den of the form must have N = num * m, where m is the product of the
-form's other distinct denominators and m * den = lam.  Those products
-are no larger than the ones the clearing built, so the check cannot
-outgrow the degree cap where the clearing did not.
+integrates to (potential of lam * omega)/lam, whose d is d(potential of
+lam * omega)/lam.  p-closedness is checked once, at entry, and
+d(potential) = form once, at exit; a nonzero residual is a kernel bug and
+raises InternalResidual.  For rational input the numerators N of
+d(potential) are compared with the form over lam rather than by
+cross-multiplication: a coefficient num/den of the form must have
+N = num * m, where m is the product of the form's other distinct
+denominators and m * den = lam.  Those products are no larger than the
+ones the clearing built, so the check cannot outgrow the degree cap
+where the clearing did not.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
 F_p, one weight block w at a time, with no recourse to the integrator.
