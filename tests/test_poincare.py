@@ -253,7 +253,7 @@ def test_residual_checks_catch_a_dropped_term(monkeypatch):
         with pytest.raises(InternalResidual):
             integrate(parse_form(text, p, n))
     # the rational side is checked over the cleared denominator, so the
-    # honest builder's potential passes at the default cap; comparing it
+    # unaltered potential passes at the default cap; comparing it
     # with omega by cross-multiplication needs a raised one
     eta = parse_form("(4/z2) dz1 + (11*z1*z2*z3^2/6*z2) dz2", 13, 3)
     monkeypatch.setattr(poincare, "_homotopy_potential", build)
