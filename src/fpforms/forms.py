@@ -59,7 +59,7 @@ from .errors import (
     _shown,
 )
 from .poly import MultiPoly, _check_arity, max_degree_limit
-from .ratfun import RatFun
+from .ratfun import RatFun, clear_denominators
 from .scalar import Prime
 
 # ----------------------------------------------------------------------
@@ -282,9 +282,6 @@ class DiffForm:
             return self.terms[index]
         return MultiPoly.zero(self.p, self.n)
 
-    def to_rational(self) -> "DiffForm":
-        return self._with_terms({i: _promote(c) for i, c in self.terms.items()})
-
     def max_var_degree(self) -> int:
         """Largest per-variable exponent over all polynomial coefficients."""
         best = 0
@@ -389,34 +386,23 @@ class DiffForm:
     def wedge(self, other: "DiffForm") -> "DiffForm":
         """Exterior product self ^ other.
 
-        For polynomial forms, as for d, the result is one signed sum per
-        target index: every sign * c1 * c2 bound for z^(E1+E2) dz_K goes
-        unreduced into one exponent -> int dict, and _reduced_form reduces
-        each dict once.  A pair of coefficients whose degree bound passes
-        the cap is multiplied by the checked MultiPoly product, in pair
-        order, so DegreeOverflow is raised exactly where the pairwise
-        route raises it.  Rational forms take the pairwise route: one
-        RatFun product per pair of indices, folded with + in index order.
+        As for d, the result is one signed sum per target index: every
+        sign * c1 * c2 bound for z^(E1+E2) dz_K goes unreduced into one
+        exponent -> int dict, and _reduced_form reduces each dict once.
+        A pair of coefficients whose degree bound passes the cap is
+        multiplied by the checked MultiPoly product, in pair order, so
+        DegreeOverflow is raised exactly where the pairwise route raises
+        it.  Rational operands are cleared first, self = a / lam and
+        other = b / mu, and the product is (a ^ b) / (lam * mu).
         """
         self._check(other)
         if self.is_polynomial and other.is_polynomial:
-            return _closed_by_construction(
-                self._wedge_polynomial(other), self, other
-            )
-        r = self.r + other.r
-        out = {}
-        for left, a in self.terms.items():
-            for right, b in other.terms.items():
-                sign, index = merge_indices(left, right)
-                if sign == 0:
-                    continue
-                coeff = a * b
-                if sign < 0:
-                    coeff = -coeff
-                if index in out:
-                    coeff = out[index] + coeff
-                out[index] = coeff
-        return _closed_by_construction(self._with_terms(out, r), self, other)
+            out = self._wedge_polynomial(other)
+        else:
+            lam, a = clear_denominators(self)
+            mu, b = clear_denominators(other)
+            out = _divided(a._wedge_polynomial(b), lam * mu)
+        return _closed_by_construction(out, self, other)
 
     def _wedge_polynomial(self, other) -> "DiffForm":
         cap = max_degree_limit()
@@ -450,10 +436,16 @@ class DiffForm:
         For polynomial forms it is one signed sum per target index: every
         sign * c * m * z^(E - e_j) bound for dz_J goes unreduced into one
         exponent -> int dict, and _reduced_form reduces each dict once,
-        as for wedge.
+        as for wedge.  A rational form is cleared first: lam * self is
+        polynomial and d(lam) = 0, so d(self) = d(lam * self) / lam, with
+        every coefficient over the one lam.
         """
         if self._d is None:
-            d = self._d_polynomial() if self.is_polynomial else self._d_rational()
+            if self.is_polynomial:
+                d = self._d_polynomial()
+            else:
+                lam, cleared = clear_denominators(self)
+                d = _divided(cleared.d(), lam)
             self._d = _closed_by_construction(d)
         return self._d
 
@@ -476,26 +468,6 @@ class DiffForm:
                         e = exps[:k] + (m - 1,) + exps[k + 1 :]
                         target[e] = get(e, 0) + sign * c * v
         return _reduced_form(self.p, n, self.r + 1, sums)
-
-    def _d_rational(self) -> "DiffForm":
-        # d acts on numerators only; partials are folded in with RatFun +
-        # and -, in index order
-        out = {}
-        for index, coeff in self.terms.items():
-            for j in range(1, self.n + 1):
-                sign, new_index = insert_index(index, j)
-                if not sign:
-                    continue
-                da = coeff.partial(j)
-                if da.is_zero():
-                    continue
-                if new_index in out:
-                    prev = out[new_index]
-                    da = prev + da if sign > 0 else prev - da
-                elif sign < 0:
-                    da = -da
-                out[new_index] = da
-        return self._with_terms(out, self.r + 1)
 
     def is_closed(self) -> bool:
         return self.d().is_zero()
@@ -531,17 +503,21 @@ def _over(form, lam) -> "DiffForm":
 
     form is a polynomial form and lam a nonzero differential constant over
     the same p and n.  Every partial derivative of lam vanishes, so d acts
-    on the numerators alone: d(form) is computed, or reused, on form.  The
-    numerators are nonzero, so both results are clean by construction.
+    on the numerators alone: d(form) is computed, or reused, on form.
     """
-
-    def divided(f):
-        terms = {i: RatFun._trusted(c, lam) for i, c in f.terms.items()}
-        return DiffForm._trusted(f.p, f.n, f.r, terms)
-
-    out = divided(form)
-    out._d = _closed_by_construction(divided(form.d()))
+    out = _divided(form, lam)
+    out._d = _closed_by_construction(_divided(form.d(), lam))
     return out
+
+
+def _divided(form, lam) -> "DiffForm":
+    """The polynomial form with every coefficient divided by lam.
+
+    lam is a nonzero differential constant over the form's p and n.  The
+    numerators are nonzero, so the result is clean by construction.
+    """
+    terms = {i: RatFun._trusted(c, lam) for i, c in form.terms.items()}
+    return DiffForm._trusted(form.p, form.n, form.r, terms)
 
 
 def _reduced_form(p, n, r, sums) -> "DiffForm":

@@ -11,6 +11,7 @@ from fpforms import (
     NotClosed,
     RatFun,
     class_representative,
+    clear_denominators,
     degree_limit,
     gamma0,
     insert_index,
@@ -219,7 +220,7 @@ def test_trusted_results_match_their_validated_rebuild():
             a * f,
             phi(a),
             irrational_part(a),
-            a.to_rational(),
+            a._with_terms({i: RatFun(k) for i, k in a.terms.items()}),
             # mixed kinds: every coefficient of the result is a RatFun
             a + q,
             q - a,
@@ -365,30 +366,110 @@ def test_wedge_overflows_where_the_naive_oracle_does(p):
     assert raised >= 5 and done >= 5
 
 
+def over_two_denominators(rng, p, n, r, max_degree):
+    """A degree-r form whose coefficients share two random denominators."""
+    dens = [random_poly(rng, p, n, 1, 2, nonzero=True) for _ in range(2)]
+    terms = {
+        index: RatFun(random_poly(rng, p, n, max_degree, 3), rng.choice(dens))
+        for index in itertools.combinations(range(1, n + 1), r)
+        if rng.random() < 0.6
+    }
+    return DiffForm(p, n, r, terms)
+
+
+# a cap no oracle product of these tests reaches
+RAISED_CAP = 10**6
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 13))
 def test_d_matches_naive_oracle_rational(p):
-    # coefficients over two denominators; where the fold of many distinct
-    # denominators outgrows the exponent cap, d must fail the same way
+    # d clears the denominators first: every coefficient of d sits over
+    # the one lam of clear_denominators, d fails exactly where the
+    # clearing does, at the default cap and at a lowered one, and the
+    # value is the oracle's, whose fold of distinct denominators is taken
+    # under a raised cap
     rng = random.Random(4011 + p)
-    done = 0
+    done = raised = 0
     for n in range(1, 7):
         for r in range(n + 1):
-            dens = [random_poly(rng, p, n, 1, 2, nonzero=True) for _ in range(2)]
-            terms = {
-                index: RatFun(random_poly(rng, p, n, 2 * p, 3), rng.choice(dens))
-                for index in itertools.combinations(range(1, n + 1), r)
-                if rng.random() < 0.6
-            }
-            omega = DiffForm(p, n, r, terms)
-            try:
-                expected = naive_d(omega)
-            except DegreeOverflow as exc:
-                with pytest.raises(DegreeOverflow, match="^%s$" % exc):
-                    omega.d()
-                continue
-            assert_same_form(omega.d(), expected)
-            done += 1
-    assert done >= 12
+            omega = over_two_denominators(rng, p, n, r, 2 * p)
+            for cap in (max_degree_limit(), 2 * p):
+                fresh = DiffForm(p, n, r, omega.terms)
+                with degree_limit(cap):
+                    try:
+                        lam, _ = clear_denominators(fresh)
+                    except DegreeOverflow as exc:
+                        with pytest.raises(DegreeOverflow, match="^%s$" % exc):
+                            fresh.d()
+                        raised += 1
+                        continue
+                    got = fresh.d()
+                assert all(c.den == lam for c in got.terms.values())
+                assert_canonical_form(got)
+                with degree_limit(RAISED_CAP):
+                    assert got.r == r + 1 and got == naive_d(fresh)
+                done += 1
+    assert done >= 12 and raised >= 3
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_wedge_matches_naive_oracle_rational(p):
+    # a rational operand is cleared first, so every coefficient of the
+    # product sits over lam * mu and equals the pairwise oracle by value;
+    # d-images carry a zero derivative, and so does their product
+    rng = random.Random(4041 + p)
+    done = closed = 0
+    for n in range(1, 6):
+        for r in range(n + 1):
+            s = rng.randint(0, n)
+            a = over_two_denominators(rng, p, n, r, 3)
+            b = over_two_denominators(rng, p, n, s, 3)
+            c = random_form(rng, p, n, s, max_degree=3)
+            for x, y in ((a, b), (a, c), (c, a), (b, a)):
+                got = x.wedge(y)
+                lam_mu = clear_denominators(x)[0] * clear_denominators(y)[0]
+                assert all(k.den == lam_mu for k in got.terms.values())
+                assert_canonical_form(got)
+                with degree_limit(RAISED_CAP):
+                    assert got.r == x.r + y.r and got == naive_wedge(x, y)
+                done += not got.is_zero()
+        # d-images of degrees r + 1 and n - r - 1
+        for r in range(n - 1):
+            for _ in range(2):
+                x = over_two_denominators(rng, p, n, r, 3).d()
+                y = over_two_denominators(rng, p, n, n - r - 2, 3).d()
+                got = x.wedge(y)
+                assert carries_zero_d(got)
+                with degree_limit(RAISED_CAP):
+                    fresh = DiffForm(p, n, got.r, got.terms)
+                    assert naive_d(fresh).is_zero()
+                closed += not got.is_zero()
+    assert done >= 12 and closed >= 2
+
+
+def test_rational_d_and_wedge_make_no_ratfun_arithmetic(monkeypatch):
+    # d and wedge of rational forms combine denominators only through
+    # clear_denominators: no RatFun sum, difference or product is formed
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        original = getattr(RatFun, name)
+
+        def counted(self, other, name=name, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(RatFun, name, counted)
+    rng = random.Random(4051)
+    done = 0
+    for p in (2, 3, 5, 13):
+        for n in (2, 3):
+            a = over_two_denominators(rng, p, n, 1, 3)
+            b = over_two_denominators(rng, p, n, 1, 3)
+            c = random_form(rng, p, n, 1, max_degree=3)
+            assert calls == []
+            for w in (a.d(), b.d(), a.wedge(b), a.wedge(c), c.wedge(b)):
+                done += not w.is_zero()
+    assert calls == [] and done >= 12
 
 
 def test_d_is_computed_once_per_form():
@@ -402,8 +483,8 @@ def test_d_is_computed_once_per_form():
 
 
 def test_lowering_the_cap_keeps_a_computed_derivative():
-    # the rational fold of d can outgrow the cap (the sum over the
-    # denominators z1^3 and z1^3 + 1 has degree 6); a derivative computed
+    # clearing the denominators for d can outgrow the cap (lam over
+    # z1^3 and z1^3 + 1 has degree 6); a derivative computed
     # under a higher cap is kept, and only a form that has not computed
     # its d yet checks the lower one
     z1, z2 = variables(3, 2)

@@ -76,8 +76,8 @@ FORMS = [
      " + (2*z1^2*z2^2 + z2^2*z3^2) dz1^dz3 + 2*z1*z2*z3^2 dz2^dz3"),
     (3, 4, "integrate", "z1^2*z2^2*z3 dz1^dz2^dz3 + z1^2*z4^2 dz1^dz2^dz4"),
     (13, 3, "integrate", "x^12*y^12*z^3 dx^dy^dz"),
-    # rational forms at larger p; d folds the two distinct denominators of
-    # each of the first three into one dz_J
+    # rational forms at larger p; d clears the two distinct denominators
+    # of each of the first three to one lam
     (5, 2, "d", "(y/(x + 1)) dx + (x/(y + 2)) dy"),
     (5, 3, "d", "(x/(y + 1)) dx^dz + (y/(x*z + 2)) dx^dy"),
     (13, 2, "d", "(y/(x + 1)) dx + (x/(y + 2)) dy"),
@@ -124,7 +124,7 @@ FORMS = [
 # records their exit code and stderr, so a change of which inputs fail, or
 # of what they say, fails here as well
 FAILURES = [
-    # d folds two denominators in z1 past a lowered cap
+    # d clears two denominators in z1 past a lowered cap
     (["--max-degree", "20"], 13, 2, "d", "(y/(x + 1)) dx + (x/(x + y)) dy"),
     # the p-th-power normal form of 1/y outgrows a lowered cap while parsing
     (["--max-degree", "12"], 13, 2, "pclosed", "(x/y) dx"),
