@@ -52,6 +52,11 @@ DEFAULT_TRIALS = 100
 DEFAULT_PRIMES = (2, 3, 5)
 DEFAULT_MAX_N = 3
 
+# verified once: the fallbacks of trials that need a prime <= 3 or an odd
+# one when the requested primes have none
+_SMALL_PRIMES = (Prime(2), Prime(3))
+_ODD_PRIMES = (Prime(3),)
+
 
 def _pick_config(rng, primes, max_n, r_min=1):
     p = primes[rng.randrange(len(primes))]
@@ -181,7 +186,7 @@ def _trial_p_operator_annihilates(rng, t, primes, max_n):
 
 
 def _trial_equivalence(rng, t, primes, max_n):
-    small = tuple(q for q in primes if int(q) <= 3) or (2, 3)
+    small = tuple(q for q in primes if int(q) <= 3) or _SMALL_PRIMES
     p = small[rng.randrange(len(small))]
     n = rng.randint(1, min(max_n, 3))
     r = rng.randint(1, n)
@@ -238,7 +243,7 @@ def _minus_product_o(coeff, index):
 
 
 def _trial_o_minus_sign(rng, t, primes, max_n):
-    odd = tuple(q for q in primes if int(q) > 2) or (3,)
+    odd = tuple(q for q in primes if int(q) > 2) or _ODD_PRIMES
     p = odd[rng.randrange(len(odd))]
     n = rng.randint(1, max_n)
     i = rng.randint(1, n)
@@ -330,7 +335,7 @@ def _restricted(form):
 
 
 def _trial_or_sign(rng, t, primes, max_n):
-    odd = tuple(q for q in primes if int(q) > 2) or (3,)
+    odd = tuple(q for q in primes if int(q) > 2) or _ODD_PRIMES
     p = odd[rng.randrange(len(odd))]
     n = rng.randint(1, max_n)
     r = rng.randint(1, n)
