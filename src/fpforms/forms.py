@@ -18,6 +18,14 @@ Sign conventions, fixed once here and reused everywhere:
 Together these give d(d(omega)) = 0 (mixed partials commute and the two
 insertions anticommute) and the graded Leibniz rule for d over wedge.
 
+d and wedge run one kernel, a single pass over the monomials of
+polynomial coefficients.  A rational form is cleared first, by
+ratfun.clear_denominators, to omega = a / lam with a polynomial and lam
+a p-th power.  As d(lam) = 0, d(omega) = d(a) / lam, and with
+other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So d, wedge and
+poincare.integrate form no RatFun sum or product: the clearing is the
+one place where unequal denominators meet.
+
 As for polynomials, validation happens at the trust boundary.  The
 constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
 characteristic and arity, and promotes mixed coefficients; the parser,
@@ -392,8 +400,8 @@ class DiffForm:
         A pair of coefficients whose degree bound passes the cap is
         multiplied by the checked MultiPoly product, in pair order, so
         DegreeOverflow is raised exactly where the pairwise route raises
-        it.  Rational operands are cleared first, self = a / lam and
-        other = b / mu, and the product is (a ^ b) / (lam * mu).
+        it.  Rational operands are cleared first (see the module
+        docstring), and every coefficient sits over lam * mu.
         """
         self._check(other)
         if self.is_polynomial and other.is_polynomial:
@@ -436,9 +444,8 @@ class DiffForm:
         For polynomial forms it is one signed sum per target index: every
         sign * c * m * z^(E - e_j) bound for dz_J goes unreduced into one
         exponent -> int dict, and _reduced_form reduces each dict once,
-        as for wedge.  A rational form is cleared first: lam * self is
-        polynomial and d(lam) = 0, so d(self) = d(lam * self) / lam, with
-        every coefficient over the one lam.
+        as for wedge.  A rational form is cleared first (see the module
+        docstring), and every coefficient sits over its one lam.
         """
         if self._d is None:
             if self.is_polynomial:
