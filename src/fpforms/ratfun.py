@@ -225,9 +225,9 @@ def _cofactors(form) -> dict:
     Maps each denominator, in order of first appearance, to the product
     of every other one, so den * cofactor is the same product lam for
     every entry; an empty dict means no nonconstant denominator.
-    clear_denominators, and through it DiffForm.d, DiffForm.wedge and
-    poincare.integrate, and the residual check of integrate take their
-    multipliers from here.
+    clear_denominators, which d, wedge and poincare.integrate clear
+    through, and the residual check of integrate take their multipliers
+    from here.
     """
     dens = {}
     for coeff in form.terms.values():

@@ -466,7 +466,6 @@ def test_rational_d_and_wedge_make_no_ratfun_arithmetic(monkeypatch):
             a = over_two_denominators(rng, p, n, 1, 3)
             b = over_two_denominators(rng, p, n, 1, 3)
             c = random_form(rng, p, n, 1, max_degree=3)
-            assert calls == []
             for w in (a.d(), b.d(), a.wedge(b), a.wedge(c), c.wedge(b)):
                 done += not w.is_zero()
     assert calls == [] and done >= 12
