@@ -122,6 +122,12 @@ def _check_degree(terms, var=None):
                 raise _degree_overflow(e, i, limit)
 
 
+def _check_cap(poly):
+    """Raise DegreeOverflow, as _check_degree, if poly passes the cap."""
+    if poly.max_var_degree() > _max_degree.get():
+        _check_degree(poly.terms)
+
+
 class MultiPoly:
     """A sparse polynomial over F_p in n variables.
 
@@ -297,6 +303,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        # A constant factor (zero, or one monomial at the zero exponent
+        # vector) scales the other operand: no exponent moves, so the
+        # order stands, and the cap is checked only on an operand built
+        # above it, under a raised limit, as the full product would be.
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) <= 1 and not any(next(iter(b.terms), ())):
+                out = a * next(iter(b.terms.values()), 0)
+                _check_cap(out)
+                return out
         p = self.p.p
         out = {}
         for e1, c1 in self.terms.items():

@@ -18,12 +18,15 @@ because F_p[z] is an integral domain, and cross-multiplies otherwise.
 
 As for polynomials and forms, validation happens at the trust boundary.
 The constructor RatFun(num, den) checks and normalizes whatever it is
-given; the parser, JSON documents, / and user calls go through it.  A
-product of differential constants is again one, so the results of +, -,
-*, the derivatives and the residue masks are clean by construction and
-are built by the unchecked _trusted constructor.  + and - merge only the
-numerators when the denominators are equal.  Mixed characteristics or
-arities still raise, from the MultiPoly operations underneath.
+given; the parser, JSON documents, / and user calls go through it.
+RatFun(num) with no denominator gets the unit denominator directly, as
+it needs no normal form.  A product of differential constants is again
+one, so the results of +, -, *, the derivatives and the residue masks
+are clean by construction and are built by the unchecked _trusted
+constructor.  + and - merge only the numerators when the denominators
+are equal, and * by an int scales the numerator alone, building no
+RatFun for the int.  Mixed characteristics or arities still raise, from
+the MultiPoly operations underneath.
 """
 
 from __future__ import annotations
@@ -32,8 +35,13 @@ from functools import reduce
 from operator import mul
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly
+from .poly import MultiPoly, _check_cap
 from .scalar import inv_mod
+
+
+def _unit(p, n) -> MultiPoly:
+    """The constant 1 over F_p in n variables, p a Prime."""
+    return MultiPoly._trusted(p, n, {(0,) * n: 1})
 
 
 class RatFun:
@@ -55,14 +63,16 @@ class RatFun:
         if not isinstance(num, MultiPoly):
             raise TypeError("numerator must be a MultiPoly")
         if den is None:
-            den = MultiPoly.constant(num.p, num.n, 1)
+            self.num = num
+            self.den = _unit(num.p, num.n)
+            return
         if not isinstance(den, MultiPoly):
             raise TypeError("denominator must be a MultiPoly")
         num._check(den)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
         if num.is_zero():
-            den = MultiPoly.constant(num.p, num.n, 1)
+            den = _unit(num.p, num.n)
         elif not den.is_differential_constant():
             num = num * den ** (num.p.p - 1)
             # Frobenius: den^p over F_p is den with every exponent times p
@@ -80,7 +90,7 @@ class RatFun:
         """
         self = object.__new__(cls)
         if not num.terms:
-            den = MultiPoly._trusted(num.p, num.n, {(0,) * num.n: 1})
+            den = _unit(num.p, num.n)
         self.num = num
         self.den = den
         return self
@@ -156,6 +166,8 @@ class RatFun:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return RatFun._trusted(self.num * other, self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -237,9 +249,7 @@ def _cofactors(form) -> dict:
     for k, den in enumerate(listed):
         others = listed[:k] + listed[k + 1:]
         # each cofactor divides lam, so it overflows only where lam would
-        dens[den] = (
-            reduce(mul, others) if others else MultiPoly.constant(form.p, form.n, 1)
-        )
+        dens[den] = reduce(mul, others) if others else _unit(form.p, form.n)
     return dens
 
 
@@ -250,17 +260,25 @@ def clear_denominators(form):
     the form (deduplicated by equality), and omega' = lam * form coefficient
     by coefficient.  lam is itself a differential constant, so multiplying
     by it preserves closedness, p-closedness and exactness in both
-    directions.  Polynomial input comes back unchanged with lam = 1.
+    directions.  Polynomial input comes back unchanged with lam = 1.  With
+    one distinct denominator, lam is that denominator and a coefficient
+    over it keeps its numerator: no product is formed, and the cap is
+    checked on both, as the products by 1 would check it.
     """
     cofactors = _cofactors(form)
     if not cofactors:
         out = {}
         for index, coeff in form.terms.items():
             out[index] = coeff.to_polynomial() if isinstance(coeff, RatFun) else coeff
-        return MultiPoly.constant(form.p, form.n, 1), form._with_terms(out)
+        return _unit(form.p, form.n), form._with_terms(out)
     # lam = d1 * ... * dk in order: the last cofactor is d1 * ... * d(k-1)
     den, cofactor = list(cofactors.items())[-1]
-    lam = cofactor * den
+    single = len(cofactors) == 1
+    if single:
+        _check_cap(den)
+        lam = den
+    else:
+        lam = cofactor * den
     out = {}
     for index, coeff in form.terms.items():
         if not isinstance(coeff, RatFun):
@@ -268,6 +286,9 @@ def clear_denominators(form):
         elif coeff.den.is_constant():
             # fold the constant denominator into the numerator
             out[index] = coeff.to_polynomial() * lam
+        elif single:
+            _check_cap(coeff.num)
+            out[index] = coeff.num
         else:
             out[index] = coeff.num * cofactors[coeff.den]
     return lam, form._with_terms(out)

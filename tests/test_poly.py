@@ -528,6 +528,54 @@ def test_product_overflow_names_the_same_exponent():
     assert overflows > 500
 
 
+def test_constant_factors_scale_as_the_pairwise_product():
+    # a constant factor, on either side, scales the other operand; the
+    # result is the pairwise product's, in the canonical order
+    rng = random.Random(2018)
+    for p in TRUST_PRIMES:
+        for _ in range(TRIALS // 3):
+            n = rng.randint(1, 3)
+            f = random_poly(rng, p, n, max_degree=6, max_terms=6)
+            constants = [
+                MultiPoly.constant(p, n, c) for c in (0, 1, rng.randint(1, p - 1))
+            ] + [MultiPoly.zero(p, n)]
+            for k in constants:
+                for got in (f * k, k * f):
+                    want = fold_product(f, k)
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    assert_canonical(got)
+
+
+def test_constant_factors_still_check_characteristic_and_arity():
+    f = MultiPoly.variable(3, 2, 1) + 1
+    for k, error in (
+        (MultiPoly.constant(5, 2, 2), PrimeMismatch),
+        (MultiPoly.zero(5, 2), PrimeMismatch),
+        (MultiPoly.constant(3, 3, 2), ArityMismatch),
+        (MultiPoly.zero(3, 1), ArityMismatch),
+    ):
+        for left, right in ((f, k), (k, f)):
+            with pytest.raises(error):
+                left * right
+
+
+def test_a_constant_factor_checks_an_operand_built_above_the_cap():
+    # the scaled operand raises as its full product would; scaling by
+    # zero leaves no monomial to carry the exponent
+    with degree_limit(100):
+        f = MultiPoly.monomial(3, 2, (80, 1)) + MultiPoly.monomial(3, 2, (0, 3))
+    message = "^exponent 80 of z1 exceeds the degree limit 64$"
+    for k in (MultiPoly.constant(3, 2, 1), MultiPoly.constant(3, 2, 2)):
+        for thunk in (lambda: f * k, lambda: k * f):
+            with pytest.raises(DegreeOverflow, match=message):
+                thunk()
+    with pytest.raises(DegreeOverflow, match=message):
+        f**1
+    zero = MultiPoly.zero(3, 2)
+    assert (f * zero).is_zero() and (zero * f).is_zero()
+    assert (f * MultiPoly.constant(3, 2, 3)).is_zero()
+
+
 def test_residue_mask_matches_a_per_monomial_reference():
     # the every and any passes, on one to n variables, against the definition
     rng = random.Random(2015)

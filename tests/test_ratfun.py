@@ -173,6 +173,93 @@ def test_clear_denominators_round_trip():
         assert back == omega
 
 
+def _counting(monkeypatch, cls, name):
+    """Wrap cls.name so each call appends to the returned list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_one_denominator_clears_without_a_product(monkeypatch):
+    # with one distinct denominator, lam is that denominator and every
+    # cleared coefficient is the numerator as it stands
+    rng = random.Random(3008)
+    forms = []
+    for p in TRUST_PRIMES:
+        for n in (1, 2, 3):
+            den = random_poly(rng, p, n, max_degree=2, nonzero=True)
+            if den.is_constant():
+                den = den + MultiPoly.variable(p, n, n)
+            r = rng.randint(1, n)
+            terms = {
+                tuple(range(k + 1, k + 1 + r)): RatFun(
+                    random_poly(rng, p, n, max_degree=3, nonzero=True), den
+                )
+                for k in range(n - r + 1)
+            }
+            forms.append(DiffForm(p, n, r, terms))
+    calls = _counting(monkeypatch, MultiPoly, "__mul__")
+    cleared = [clear_denominators(omega) for omega in forms]
+    assert calls == []
+    monkeypatch.undo()
+    for omega, (lam, a) in zip(forms, cleared):
+        (coeff, *_) = omega.terms.values()
+        assert lam == coeff.den
+        assert a == omega * lam
+        for index, c in omega.terms.items():
+            assert list(a.terms[index].terms.items()) == list(c.num.terms.items())
+
+
+def test_one_denominator_still_checks_the_cap():
+    # the skipped products by 1 checked lam, then each numerator in
+    # order, against the cap; the clearing still does
+    with degree_limit(200):
+        x, y = variables(3, 2)
+        tall_num = DiffForm(
+            3, 2, 1, {(1,): RatFun(x, y**3), (2,): RatFun(x**80, y**3)}
+        )
+        tall_den = DiffForm(
+            3, 2, 1, {(1,): RatFun(x**70, y**81), (2,): RatFun(x, y**81)}
+        )
+    for omega, message in (
+        (tall_num, "exponent 80 of z1 exceeds the degree limit 64"),
+        (tall_den, "exponent 81 of z2 exceeds the degree limit 64"),
+    ):
+        with pytest.raises(DegreeOverflow, match="^%s$" % message):
+            clear_denominators(omega)
+        with pytest.raises(DegreeOverflow, match="^%s$" % message):
+            DiffForm(3, 2, 1, omega.terms).d()
+
+
+def test_ratfun_times_int_scales_the_numerator(monkeypatch):
+    # an int factor builds no RatFun for itself; the result is the one
+    # the product by the coerced constant gives
+    rng = random.Random(3010)
+    cases = []
+    for p in TRUST_PRIMES:
+        for _ in range(TRIALS // 4):
+            n = rng.randint(1, 3)
+            a = random_ratfun(rng, p, n)
+            c = rng.choice((0, 1, -1, p, p + 1, rng.randint(2, 10**6)))
+            cases.append((a, c))
+    calls = _counting(monkeypatch, RatFun, "__init__")
+    got = [(a * c, c * a) for a, c in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for (a, c), products in zip(cases, got):
+        want = a * RatFun(MultiPoly.constant(a.p, a.n, c))
+        for f in products:
+            assert_clean(f)
+            assert list(f.num.terms.items()) == list(want.num.terms.items())
+            assert list(f.den.terms.items()) == list(want.den.terms.items())
+
+
 def test_closedness_invariant_under_differential_constants():
     rng = random.Random(3005)
     for _ in range(60):
