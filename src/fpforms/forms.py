@@ -46,7 +46,9 @@ cartier.gamma0, and of +, -, negation and wedge whose operands all carry
 a zero derivative already (d is linear and obeys the Leibniz rule).
 A polynomial form divided by a differential constant lam, as
 poincare.integrate builds the potential of a rational form, is born with
-d(form) / lam: d acts on numerators only.
+d(form) / lam: d acts on numerators only.  For the same reason a rational
+form takes d(cleared) / lam from whichever clearing meets it first, in d
+or in poincare.integrate, so integrate clears its input once.
 Every other result, the coefficient-wise maps of _with_terms among them,
 starts without one, so the closedness of a projector image, a Cartier
 image or a potential is computed, never assumed.  A split's rational part
@@ -449,11 +451,9 @@ class DiffForm:
         """
         if self._d is None:
             if self.is_polynomial:
-                d = self._d_polynomial()
+                self._d = _closed_by_construction(self._d_polynomial())
             else:
-                lam, cleared = clear_denominators(self)
-                d = _divided(cleared.d(), lam)
-            self._d = _closed_by_construction(d)
+                _keep_cleared_d(self, *clear_denominators(self))
         return self._d
 
     def _d_polynomial(self) -> "DiffForm":
@@ -515,6 +515,18 @@ def _over(form, lam) -> "DiffForm":
     out = _divided(form, lam)
     out._d = _closed_by_construction(_divided(form.d(), lam))
     return out
+
+
+def _keep_cleared_d(form, lam, cleared) -> None:
+    """Keep d(cleared) / lam on form as its derivative, unless it has one.
+
+    (lam, cleared) is clear_denominators(form) for a rational form; d(lam)
+    = 0, so d(form) = d(cleared) / lam.  d and poincare.integrate both
+    take the derivative from the clearing they make, so integrate clears
+    a form once.
+    """
+    if form._d is None:
+        form._d = _closed_by_construction(_divided(cleared.d(), lam))
 
 
 def _divided(form, lam) -> "DiffForm":

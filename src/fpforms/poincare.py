@@ -28,12 +28,14 @@ index before it integrates in z_i).
 Rational input is cleared to a polynomial form first: the collected
 denominator lam is a differential constant, so omega = (lam * omega)/lam
 integrates to (potential of lam * omega)/lam, whose d is d(potential of
-lam * omega)/lam.  p-closedness is checked once, at entry, and
-d(potential) = form once, at exit; a nonzero residual is a kernel bug and
-raises InternalResidual.  For rational input the numerators N of
-d(potential) are compared with the form over lam rather than by
-cross-multiplication: a coefficient num/den of the form must have
-N = num * m, where m is the product of the form's other distinct
+lam * omega)/lam.  The form is cleared once, at entry, and that clearing
+also gives the form its d when it has none, so a DegreeOverflow of the
+clearing comes before NotPClosed.  p-closedness is checked once, at
+entry, and d(potential) = form once, at exit; a nonzero residual is a
+kernel bug and raises InternalResidual.  For rational input the
+numerators N of d(potential) are compared with the form over lam rather
+than by cross-multiplication: a coefficient num/den of the form must
+have N = num * m, where m is the product of the form's other distinct
 denominators and m * den = lam.  Those products are no larger than the
 ones the clearing built, so the check cannot outgrow the degree cap
 where the clearing did not.
@@ -57,7 +59,7 @@ from .errors import (
     NotPClosed,
     SystemTooLarge,
 )
-from .forms import DiffForm, _over, _reduced_form, insert_index
+from .forms import DiffForm, _keep_cleared_d, _over, _reduced_form, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, _degree_overflow, max_degree_limit
 from .ratfun import _cofactors, clear_denominators
@@ -87,14 +89,18 @@ def integrate(form: DiffForm) -> DiffForm:
     """
     if form.r == 0:
         raise DegreeZero("only forms of degree >= 1 have potentials")
+    rational = not form.is_polynomial
+    if rational:
+        # the one clearing gives the p-closedness test its d(form) too
+        lam, cleared = clear_denominators(form)
+        _keep_cleared_d(form, lam, cleared)
     reason = p_closed_failure(form)
     if reason is not None:
         raise NotPClosed(reason)
-    if form.is_polynomial:
+    if not rational:
         potential = _homotopy_potential(form)
         _check_residual(potential.d() == form)
         return potential
-    lam, cleared = clear_denominators(form)
     inner = _homotopy_potential(cleared)
     # d(inner / lam) = d(inner) / lam, and the potential keeps it
     _check_residual(_equals_over(inner.d(), lam, form))

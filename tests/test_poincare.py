@@ -20,7 +20,7 @@ from fpforms import (
     parse_form,
     variables,
 )
-from fpforms import poincare
+from fpforms import forms, poincare
 from fpforms.operators import p_decompose_step
 from fpforms.ratfun import _cofactors, clear_denominators
 from fpforms.sampling import (
@@ -102,6 +102,45 @@ def test_integrate_rational_random():
         rational_omega = omega * RatFun(MultiPoly.constant(p, n, 1), lam)
         theta = integrate(rational_omega)
         assert theta.d() == rational_omega
+
+
+def test_integrate_clears_a_rational_form_once(monkeypatch):
+    # the clearing that builds the potential also gives the p-closedness
+    # test its d(form): a parsed form, which carries no derivative, and a
+    # d-image, which carries its zero one, are each cleared once
+    parsed = parse_form("(y/(x^3 + 1)) dx + (x/(x^3 + 1)) dy", 3, 2)
+    image = parse_form("(x*y/(x + y)) dx + (y/(x + 2)) dy", 3, 2).d()
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return clear_denominators(form)
+
+    for module in (forms, poincare):
+        monkeypatch.setattr(module, "clear_denominators", counted)
+    for omega in (parsed, image):
+        calls.clear()
+        theta = integrate(omega)
+        assert calls == [omega]
+        assert theta.d() == omega
+        # the kept derivative is the one a fresh form computes
+        assert omega.d() == DiffForm(3, 2, omega.r, omega.terms).d()
+
+
+def test_integrate_raises_degree_zero_then_the_clearing_then_not_p_closed():
+    with degree_limit(200):
+        (z,) = variables(3, 1)
+        tall = DiffForm(3, 1, 0, {(): RatFun(z**80, z**3)})
+    with pytest.raises(DegreeZero):
+        integrate(tall)
+    # lam = x^39 * x^26 passes the default cap, and d(x/x^26) = x^-26
+    # is not zero (mod 13)
+    omega = parse_form("(1/x^39) dx + (x/x^26) dy", 13, 2)
+    with pytest.raises(DegreeOverflow, match="^exponent 65 of z1 "):
+        integrate(omega)
+    with degree_limit(100):
+        with pytest.raises(NotPClosed, match="^form is not closed$"):
+            integrate(DiffForm(13, 2, 1, omega.terms))
 
 
 # ----------------------------------------------------------------------
