@@ -109,7 +109,10 @@ def _tokenize(text):
             i = j
             continue
         raise ParseError("unexpected character %r" % ch, line, column)
-    tokens.append(_Token("EOF", "", line, column))
+    # two EOF tokens: the parser never moves past the first, so peek(1)
+    # can index without a clamp
+    eof = _Token("EOF", "", line, column)
+    tokens += (eof, eof)
     return tokens
 
 
@@ -123,7 +126,7 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def peek(self, ahead=0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
