@@ -505,25 +505,13 @@ def _closed_by_construction(form, *operands) -> "DiffForm":
     return form
 
 
-def _over(form, lam) -> "DiffForm":
-    """form / lam, born with d(form) / lam as its derivative.
-
-    form is a polynomial form and lam a nonzero differential constant over
-    the same p and n.  Every partial derivative of lam vanishes, so d acts
-    on the numerators alone: d(form) is computed, or reused, on form.
-    """
-    out = _divided(form, lam)
-    out._d = _closed_by_construction(_divided(form.d(), lam))
-    return out
-
-
 def _keep_cleared_d(form, lam, cleared) -> None:
     """Keep d(cleared) / lam on form as its derivative, unless it has one.
 
-    (lam, cleared) is clear_denominators(form) for a rational form; d(lam)
-    = 0, so d(form) = d(cleared) / lam.  d and poincare.integrate both
-    take the derivative from the clearing they make, so integrate clears
-    a form once.
+    form = cleared / lam, cleared polynomial, lam a nonzero differential
+    constant; d(lam) = 0, so d(form) = d(cleared) / lam.  d and
+    poincare.integrate keep it on the form they clear, so integrate
+    clears a form once, and on the potential they divide by lam.
     """
     if form._d is None:
         form._d = _closed_by_construction(_divided(cleared.d(), lam))

@@ -35,10 +35,10 @@ entry, and d(potential) = form once, at exit; a nonzero residual is a
 kernel bug and raises InternalResidual.  For rational input the
 numerators N of d(potential) are compared with the form over lam rather
 than by cross-multiplication: a coefficient num/den of the form must
-have N = num * m, where m is the product of the form's other distinct
-denominators and m * den = lam.  Those products are no larger than the
-ones the clearing built, so the check cannot outgrow the degree cap
-where the clearing did not.
+have N = num * m, where m * den = lam: m is den's entry in the table
+of ratfun._cofactors that the clearing applies too, constant den
+included.  No product of the check is larger than one the clearing
+built, so the check cannot outgrow the cap where the clearing did not.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
 F_p, one weight block w at a time, with no recourse to the integrator.
@@ -59,7 +59,7 @@ from .errors import (
     NotPClosed,
     SystemTooLarge,
 )
-from .forms import DiffForm, _keep_cleared_d, _over, _reduced_form, insert_index
+from .forms import DiffForm, _divided, _keep_cleared_d, _reduced_form, insert_index
 from .operators import p_closed_failure
 from .poly import MultiPoly, _degree_overflow, max_degree_limit
 from .ratfun import _cofactors, clear_denominators
@@ -104,7 +104,9 @@ def integrate(form: DiffForm) -> DiffForm:
     inner = _homotopy_potential(cleared)
     # d(inner / lam) = d(inner) / lam, and the potential keeps it
     _check_residual(_equals_over(inner.d(), lam, form))
-    return _over(inner, lam)
+    potential = _divided(inner, lam)
+    _keep_cleared_d(potential, lam, inner)
+    return potential
 
 
 def _check_residual(ok: bool) -> None:
@@ -116,31 +118,22 @@ def _equals_over(numerators: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
     """Whether numerators / lam equals the rational form, coefficient-wise.
 
     A coefficient num/den of form equals N/lam exactly when N = num * m
-    for some m with m * den = lam.  m is den's cofactor, the product of
-    the form's other distinct denominators, and m * den = lam is checked
-    once per denominator; a coefficient whose denominator is lam compares
-    numerators, and one with a constant denominator c compares N with
-    num/c * lam.  The multipliers come from form itself, not from the
-    cleared form, and no product here is larger than one that
-    clear_denominators has built, so the check cannot overflow where the
-    clearing did not.
+    for some m with m * den = lam.  m is den's entry in the table of
+    ratfun._cofactors, rebuilt from form itself so that the check trusts
+    nothing of the clearing; m * den = lam is checked once per entry.
+    No product here is larger than one clear_denominators has built, so
+    the check cannot overflow where the clearing did not; for one
+    denominator it forms no product at all.
     """
     if numerators.terms.keys() != form.terms.keys():
         return False
-    cofactors = _cofactors(form)
-    if any(m * den != lam for den, m in cofactors.items()):
+    _, table = _cofactors(form)
+    if any(m * den != lam for den, m in table.items()):
         return False
-    for index, coeff in form.terms.items():
-        den = coeff.den
-        if den == lam:
-            want = coeff.num
-        elif den.is_constant():
-            want = coeff.to_polynomial() * lam
-        else:
-            want = coeff.num * cofactors[den]
-        if numerators.terms[index] != want:
-            return False
-    return True
+    return all(
+        numerators.terms[index] == coeff.num * table[coeff.den]
+        for index, coeff in form.terms.items()
+    )
 
 
 def _homotopy_potential(form: DiffForm) -> DiffForm:

@@ -131,7 +131,7 @@ def _check_cap(poly):
 class MultiPoly:
     """A sparse polynomial over F_p in n variables.
 
-    Treat instances as immutable; all operations return new objects.
+    Treat instances as immutable: a product by 1 returns the operand.
 
     >>> x, y = variables(3, 2)
     >>> print((x + 1) * (x + 2))
@@ -298,6 +298,8 @@ class MultiPoly:
         if isinstance(other, int):
             p = self.p.p
             c = other % p
+            if c == 1:
+                return self  # MultiPoly is immutable: a product by 1 is the operand
             terms = {e: v * c % p for e, v in self.terms.items()} if c else {}
             return MultiPoly._trusted(self.p, self.n, terms)
         if not isinstance(other, MultiPoly):

@@ -25,8 +25,9 @@ one, so the results of +, -, *, the derivatives and the residue masks
 are clean by construction and are built by the unchecked _trusted
 constructor.  + and - merge only the numerators when the denominators
 are equal, and * by an int scales the numerator alone, building no
-RatFun for the int.  Mixed characteristics or arities still raise, from
-the MultiPoly operations underneath.
+RatFun for the int, and clear_denominators applies one multiplier per
+denominator, from _cofactors.  Mixed characteristics or arities still
+raise, from the MultiPoly operations underneath.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import reduce
 from operator import mul
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly, _check_cap
+from .poly import MultiPoly
 from .scalar import inv_mod
 
 
@@ -217,13 +218,6 @@ class RatFun:
         """num(z^p) * z^shift / den(z^p)."""
         return RatFun(self.num.substitute_pth(shift), self.den.substitute_pth())
 
-    def to_polynomial(self) -> MultiPoly:
-        """The underlying polynomial when den is a nonzero constant."""
-        if not self.den.is_constant():
-            raise ValueError("denominator %s is not constant" % self.den)
-        c = self.den.constant_value()
-        return self.num * inv_mod(c, self.p.p)
-
     def __str__(self):
         return "(%s)/(%s)" % (self.num, self.den)
 
@@ -231,64 +225,46 @@ class RatFun:
         return "RatFun(p=%d, n=%d, %s)" % (self.p.p, self.n, self)
 
 
-def _cofactors(form) -> dict:
-    """The distinct nonconstant denominators of a form, each with its cofactor.
+def _cofactors(form) -> tuple:
+    """(lam, table): the one place where a form's denominators combine.
 
-    Maps each denominator, in order of first appearance, to the product
-    of every other one, so den * cofactor is the same product lam for
-    every entry; an empty dict means no nonconstant denominator.
-    clear_denominators, which d, wedge and poincare.integrate clear
-    through, and the residual check of integrate take their multipliers
-    from here.
+    table maps every distinct denominator of a rational form, in order of
+    first appearance, to an m with m * den == lam.  lam is the product of
+    the nonconstant ones, in that order, and each one's m the product of
+    the others; a constant c gets lam * c^-1, or the int c^-1, which
+    checks no cap, when lam = 1.  clear_denominators, which d, wedge and
+    poincare.integrate clear through, and the residual check of integrate
+    apply this table alone.
     """
-    dens = {}
-    for coeff in form.terms.values():
-        if isinstance(coeff, RatFun) and not coeff.den.is_constant():
-            dens[coeff.den] = None
-    listed = list(dens)
+    table = dict.fromkeys(coeff.den for coeff in form.terms.values())
+    listed = [den for den in table if not den.is_constant()]
+    lam = _unit(form.p, form.n)
     for k, den in enumerate(listed):
-        others = listed[:k] + listed[k + 1:]
+        others = listed[:k] + listed[k + 1 :]
         # each cofactor divides lam, so it overflows only where lam would
-        dens[den] = reduce(mul, others) if others else _unit(form.p, form.n)
-    return dens
+        table[den] = reduce(mul, others) if others else lam
+    if listed:
+        # (d1 * ... * d(k-1)) * dk; for k = 1, dk itself, its cap checked
+        lam = table[listed[-1]] * listed[-1]
+    for den in table:
+        if den.is_constant():
+            inverse = inv_mod(den.constant_value(), form.p.p)
+            table[den] = lam * inverse if listed else inverse
+    return lam, table
 
 
 def clear_denominators(form):
-    """Rewrite a rational form as (lam, omega') with omega' polynomial.
+    """Rewrite a form as (lam, lam * form), the second one polynomial.
 
-    lam is the product of the distinct nontrivial denominators appearing in
-    the form (deduplicated by equality), and omega' = lam * form coefficient
-    by coefficient.  lam is itself a differential constant, so multiplying
-    by it preserves closedness, p-closedness and exactness in both
-    directions.  Polynomial input comes back unchanged with lam = 1.  With
-    one distinct denominator, lam is that denominator and a coefficient
-    over it keeps its numerator: no product is formed, and the cap is
-    checked on both, as the products by 1 would check it.
+    lam and each coefficient's multiplier come from _cofactors.  lam is a
+    differential constant, so multiplying by it preserves closedness,
+    p-closedness and exactness in both directions.  A polynomial form
+    comes back as itself with lam = 1.  With one distinct denominator,
+    lam is that denominator and a coefficient over it keeps its
+    numerator: the products by 1 copy nothing, but check the cap.
     """
-    cofactors = _cofactors(form)
-    if not cofactors:
-        out = {}
-        for index, coeff in form.terms.items():
-            out[index] = coeff.to_polynomial() if isinstance(coeff, RatFun) else coeff
-        return _unit(form.p, form.n), form._with_terms(out)
-    # lam = d1 * ... * dk in order: the last cofactor is d1 * ... * d(k-1)
-    den, cofactor = list(cofactors.items())[-1]
-    single = len(cofactors) == 1
-    if single:
-        _check_cap(den)
-        lam = den
-    else:
-        lam = cofactor * den
-    out = {}
-    for index, coeff in form.terms.items():
-        if not isinstance(coeff, RatFun):
-            out[index] = coeff * lam
-        elif coeff.den.is_constant():
-            # fold the constant denominator into the numerator
-            out[index] = coeff.to_polynomial() * lam
-        elif single:
-            _check_cap(coeff.num)
-            out[index] = coeff.num
-        else:
-            out[index] = coeff.num * cofactors[coeff.den]
+    if form.is_polynomial:
+        return _unit(form.p, form.n), form
+    lam, table = _cofactors(form)
+    out = {index: c.num * table[c.den] for index, c in form.terms.items()}
     return lam, form._with_terms(out)

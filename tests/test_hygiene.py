@@ -1,6 +1,6 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
 through global or nonlocal, and leaves a form's kept derivative _d to
-forms.py; every public name has a user.
+forms.py; every public name has a user, and every function a mention.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -139,6 +139,39 @@ def test_every_public_name_has_a_user():
         if not re.search(r"\b%s\b" % re.escape(name), text)
     ]
     assert unused == []
+
+
+def _defined_functions():
+    """(module, name, line) of every function or method of src/fpforms,
+    dunders aside."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((path.name, node.name, node.lineno))
+    return found
+
+
+def test_every_function_is_named_outside_its_def_line():
+    # a function nothing names is dead code; a name shared by two defs
+    # (a method of two classes) counts once the name appears elsewhere
+    paths = [ROOT / "README.md", *sorted(SRC.glob("*.py"))]
+    for folder in ("tests", "demos", "bench"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    lines = [
+        line
+        for path in paths
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    unnamed = []
+    for module, name, lineno in _defined_functions():
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        own = re.compile(r"^\s*(async\s+)?def\s+%s\b" % re.escape(name))
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unnamed.append((module, name, lineno))
+    assert unnamed == []
 
 
 def test_readme_lists_every_subcommand():

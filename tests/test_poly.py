@@ -645,3 +645,26 @@ def test_max_var_degree_matches_a_per_monomial_reference():
         n = rng.randint(1, 4)
         f = random_poly(rng, p, n, max_degree=3 * p, max_terms=8)
         assert f.max_var_degree() == reference(f)
+
+
+def test_a_product_by_one_is_the_operand():
+    # MultiPoly is immutable, so a product by the int 1 (or any int
+    # congruent to it) returns the operand itself; a product by the unit
+    # polynomial does too, after its cap check
+    rng = random.Random(2018)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 3)
+        f = random_poly(rng, p, n, max_degree=4, nonzero=True)
+        one = MultiPoly.constant(p, n, 1)
+        for k in (1, p + 1, 1 - p):
+            assert f * k is f
+            assert k * f is f
+        assert f * one is f
+        assert_canonical(f * 2)
+    with degree_limit(100):
+        (z,) = variables(3, 1)
+        tall = z**80
+    assert tall * 1 is tall
+    with pytest.raises(DegreeOverflow, match="^exponent 80 of z1 exceeds"):
+        tall * MultiPoly.constant(3, 1, 1)

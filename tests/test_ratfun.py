@@ -15,6 +15,7 @@ from fpforms import (
     integrate,
     variables,
 )
+from fpforms.ratfun import _cofactors
 from fpforms.sampling import random_form, random_poly, random_ratfun
 
 TRIALS = 120
@@ -186,9 +187,9 @@ def _counting(monkeypatch, cls, name):
     return calls
 
 
-def test_one_denominator_clears_without_a_product(monkeypatch):
+def test_one_denominator_clears_without_a_product():
     # with one distinct denominator, lam is that denominator and every
-    # cleared coefficient is the numerator as it stands
+    # cleared coefficient is the numerator itself, not a copy
     rng = random.Random(3008)
     forms = []
     for p in TRUST_PRIMES:
@@ -204,16 +205,13 @@ def test_one_denominator_clears_without_a_product(monkeypatch):
                 for k in range(n - r + 1)
             }
             forms.append(DiffForm(p, n, r, terms))
-    calls = _counting(monkeypatch, MultiPoly, "__mul__")
-    cleared = [clear_denominators(omega) for omega in forms]
-    assert calls == []
-    monkeypatch.undo()
-    for omega, (lam, a) in zip(forms, cleared):
+    for omega in forms:
+        lam, a = clear_denominators(omega)
         (coeff, *_) = omega.terms.values()
-        assert lam == coeff.den
+        assert lam is coeff.den
         assert a == omega * lam
         for index, c in omega.terms.items():
-            assert list(a.terms[index].terms.items()) == list(c.num.terms.items())
+            assert a.terms[index] is c.num
 
 
 def test_one_denominator_still_checks_the_cap():
@@ -235,6 +233,81 @@ def test_one_denominator_still_checks_the_cap():
             clear_denominators(omega)
         with pytest.raises(DegreeOverflow, match="^%s$" % message):
             DiffForm(3, 2, 1, omega.terms).d()
+
+
+def test_a_polynomial_form_clears_to_itself():
+    rng = random.Random(3011)
+    for p in TRUST_PRIMES:
+        n = rng.randint(1, 3)
+        omega = random_form(rng, p, n, rng.randint(0, n))
+        lam, cleared = clear_denominators(omega)
+        assert cleared is omega
+        assert lam == MultiPoly.constant(p, n, 1)
+
+
+def _form_over(rng, p, nonconstant, constant):
+    """A 2-form in 4 variables over the given numbers of distinct
+    nonconstant and constant denominators, each used at least once."""
+    n = 4
+    dens = []
+    while len(dens) < nonconstant:
+        q = random_poly(rng, p, n, max_degree=1, max_terms=2, nonzero=True)
+        if not q.is_constant() and q.substitute_pth() not in dens:
+            dens.append(q.substitute_pth())
+    dens += [MultiPoly.constant(p, n, c) for c in rng.sample(range(1, p), constant)]
+    indices = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    picked = dens + [rng.choice(dens) for _ in indices[len(dens):]]
+    rng.shuffle(picked)
+    terms = {
+        index: RatFun(random_poly(rng, p, n, max_degree=2, nonzero=True), den)
+        for index, den in zip(indices, picked)
+    }
+    return DiffForm(p, n, 2, terms)
+
+
+def test_every_denominator_has_one_multiplier():
+    # the table maps every distinct denominator, constant ones included,
+    # to an m with m * den = lam, and clearing applies it and nothing else
+    rng = random.Random(3012)
+    seen = set()
+    for p in TRUST_PRIMES:
+        for nonconstant in range(4):
+            for constant in range(min(3, p)):
+                if nonconstant + constant == 0:
+                    continue
+                for _ in range(3):
+                    omega = _form_over(rng, p, nonconstant, constant)
+                    with degree_limit(1024):
+                        lam, table = _cofactors(omega)
+                        dens = [c.den for c in omega.terms.values()]
+                        assert list(table) == list(dict.fromkeys(dens))
+                        kinds = [den.is_constant() for den in table]
+                        seen.add((kinds.count(False), kinds.count(True)))
+                        for den, m in table.items():
+                            assert m * den == lam
+                        cleared_lam, cleared = clear_denominators(omega)
+                        assert cleared_lam == lam and cleared.is_polynomial
+                        for index, c in omega.terms.items():
+                            assert cleared.terms[index] * c.den == c.num * lam
+    assert seen == {(k, c) for k in range(4) for c in range(3)} - {(0, 0)}
+
+
+def test_constant_denominators_alone_check_no_cap():
+    # a constant denominator is folded in by an int scaling, which checks
+    # no cap; beside a nonconstant one it meets lam in a checked product
+    with degree_limit(100):
+        x, y = variables(3, 2)
+        two = MultiPoly.constant(3, 2, 2)
+        tall = RatFun(x**80, two)
+    flat = DiffForm(3, 2, 1, {(1,): tall, (2,): RatFun(y, two + two)})
+    lam, cleared = clear_denominators(flat)
+    assert lam == MultiPoly.constant(3, 2, 1)
+    assert cleared.terms[(1,)] == tall.num * 2
+    mixed = DiffForm(3, 2, 1, {(1,): tall, (2,): RatFun(y, y**3)})
+    with pytest.raises(
+        DegreeOverflow, match="^exponent 80 of z1 exceeds the degree limit 64$"
+    ):
+        clear_denominators(mixed)
 
 
 def test_ratfun_times_int_scales_the_numerator(monkeypatch):
