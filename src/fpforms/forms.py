@@ -19,12 +19,15 @@ Together these give d(d(omega)) = 0 (mixed partials commute and the two
 insertions anticommute) and the graded Leibniz rule for d over wedge.
 
 d and wedge run one kernel, a single pass over the monomials of
-polynomial coefficients.  A rational form is cleared first, by
-ratfun.clear_denominators, to omega = a / lam with a polynomial and lam
-a p-th power.  As d(lam) = 0, d(omega) = d(a) / lam, and with
-other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So d, wedge and
-poincare.integrate form no RatFun sum or product: the clearing is the
-one place where unequal denominators meet.
+polynomial coefficients.  What depends on a multi-index alone (signs,
+target indices, their sums) is found once per coefficient, and d shifts
+an exponent by setting one entry of a list copy of the monomial's
+exponents, taking the tuple and restoring the entry.  A rational form
+is cleared first, by ratfun.clear_denominators, to omega = a / lam with
+a polynomial and lam a p-th power.  As d(lam) = 0, d(omega) = d(a) /
+lam, and with other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So
+d, wedge and poincare.integrate form no RatFun sum or product: the
+clearing is the one place where unequal denominators meet.
 
 As for polynomials, validation happens at the trust boundary.  The
 constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
@@ -446,8 +449,11 @@ class DiffForm:
         For polynomial forms it is one signed sum per target index: every
         sign * c * m * z^(E - e_j) bound for dz_J goes unreduced into one
         exponent -> int dict, and _reduced_form reduces each dict once,
-        as for wedge.  A rational form is cleared first (see the module
-        docstring), and every coefficient sits over its one lam.
+        as for wedge.  The moves (k, sign, target sum) of an index are
+        found once per coefficient; each monomial's exponents are copied
+        into one list, and each move sets one entry, takes the tuple and
+        restores the entry.  A rational form is cleared first (see the
+        module docstring), and every coefficient sits over its one lam.
         """
         if self._d is None:
             if self.is_polynomial:
@@ -461,19 +467,21 @@ class DiffForm:
         n = self.n
         sums = {}
         for index, coeff in self.terms.items():
+            moves = []
             for j in range(1, n + 1):
                 sign, new_index = insert_index(index, j)
-                if not sign:
-                    continue
-                target = sums.setdefault(new_index, {})
-                get = target.get
-                k = j - 1
-                for exps, c in coeff.terms.items():
+                if sign:
+                    moves.append((j - 1, sign, sums.setdefault(new_index, {})))
+            for exps, c in coeff.terms.items():
+                e = list(exps)
+                for k, sign, target in moves:
                     m = exps[k]
                     v = m % p
                     if v:
-                        e = exps[:k] + (m - 1,) + exps[k + 1 :]
-                        target[e] = get(e, 0) + sign * c * v
+                        e[k] = m - 1
+                        key = tuple(e)
+                        e[k] = m
+                        target[key] = target.get(key, 0) + sign * c * v
         return _reduced_form(self.p, n, self.r + 1, sums)
 
     def is_closed(self) -> bool:

@@ -11,6 +11,9 @@ integrate takes the first such i, so each monomial gives at most one
 monomial of the potential, and no two give the same one: its weight is
 w, which fixes i, then E and I.  Every monomial of the potential is an
 input monomial times one z_i, so its degree is at most the input's + 1.
+The builder finds the slot of each i in I (its position k, the sum for
+I minus i, the parity of k) once per coefficient and each inverse of
+w_i mod p once per call, and sets z_i's exponent in a list copy of E.
 
 p-closedness leaves every monomial some w_i != 0 (mod p): one with all
 w_j = 0 has E_j = p-1 (mod p) for each j in its index I, so it is kept by
@@ -145,8 +148,14 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
     limit = max_degree_limit()
     out = {}
     overflow = {}
+    inverses = {}
     for index, coeff in form.terms.items():
-        chi = [1 if j in index else 0 for j in range(1, n + 1)]
+        chi = [0] * n
+        slots = [None] * n
+        for k, i in enumerate(index):
+            chi[i - 1] = 1
+            rest = index[:k] + index[k + 1 :]
+            slots[i - 1] = (k, out.setdefault(rest, {}), k % 2)
         for exps, c in coeff.terms.items():
             for j in range(n):
                 if (exps[j] + chi[j]) % p:
@@ -155,17 +164,22 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
                 raise InternalError(
                     "a monomial of weight 0 (mod %d) in every variable" % p
                 )
-            if not chi[j]:
+            slot = slots[j]
+            if slot is None:
                 continue
-            k = index.index(j + 1)
+            k, target, odd = slot
             m = exps[j] + 1
             if m > limit:
                 # the layered proof's order: the layers index[:k], then z_j
                 overflow.setdefault(index[: k + 1] + (n + 1,), (m, j + 1))
-            v = c * inv_mod(m, p) % p
-            e = exps[:j] + (m,) + exps[j + 1 :]
-            rest = index[:k] + index[k + 1 :]
-            out.setdefault(rest, {})[e] = p - v if k % 2 else v
+            residue = m % p
+            inverse = inverses.get(residue)
+            if inverse is None:
+                inverse = inverses[residue] = inv_mod(residue, p)
+            v = c * inverse % p
+            e = list(exps)
+            e[j] = m
+            target[tuple(e)] = p - v if odd else v
     if overflow:
         m, i = min(overflow.items())[1]
         raise _degree_overflow(m, i, limit)

@@ -376,7 +376,9 @@ class MultiPoly:
             if v:
                 # lowering one exponent by 1 keeps distinct keys distinct
                 # and keeps their order
-                out[exps[:k] + (m - 1,) + exps[k + 1 :]] = v
+                e = list(exps)
+                e[k] = m - 1
+                out[tuple(e)] = v
         return MultiPoly._trusted(self.p, self.n, out)
 
     def partial_pow(self, i: int, k: int) -> "MultiPoly":
@@ -485,9 +487,9 @@ class MultiPoly:
                     "monomial %s has z%d-exponent %d = p-1 (mod %d)"
                     % (monomial_text(exps, c), i, m, p)
                 )
-            v = c * inv_mod(m + 1, p) % p
-            e = exps[:j] + (m + 1,) + exps[j + 1 :]
-            out[e] = v
+            e = list(exps)
+            e[j] = m + 1
+            out[tuple(e)] = c * inv_mod(m + 1, p) % p
         _check_degree(out, i)
         return MultiPoly._trusted(self.p, self.n, out)
 

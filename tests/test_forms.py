@@ -282,6 +282,34 @@ def test_d_matches_naive_oracle(p):
                 assert_canonical_form(omega.d())
 
 
+def dense_form(rng, p, n, r, draws=12, max_exp=None):
+    """A degree-r form shaped like the benchmark's exact items: every
+    r-index gets draws monomial draws with exponents <= max_exp (2p by
+    default) and random nonzero residues; repeated draws merge."""
+    max_exp = 2 * p if max_exp is None else max_exp
+    terms = {}
+    for index in itertools.combinations(range(1, n + 1), r):
+        monomials = {}
+        for _ in range(draws):
+            exps = tuple(rng.randint(0, max_exp) for _ in range(n))
+            monomials[exps] = rng.randint(1, p - 1)
+        terms[index] = MultiPoly(p, n, monomials)
+    return DiffForm(p, n, r, terms)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_d_matches_naive_oracle_on_dense_coefficients(p):
+    # d lowers one exponent of a monomial per target index in turn; with
+    # a dozen monomials under every index and up to n moves each, an
+    # exponent left lowered by one move would show in the next
+    rng = random.Random(4107 + p)
+    for n in range(3, 7):
+        for r in range(n + 1):
+            for _ in range(2):
+                eta = dense_form(rng, p, n, r)
+                assert_same_form(eta.d(), naive_d(eta))
+
+
 def naive_wedge(a, b):
     """a ^ b as one checked MultiPoly product per pair of indices, placed
     through merge_indices and folded in pair order with + and - (the

@@ -1,6 +1,7 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
-through global or nonlocal, and leaves a form's kept derivative _d to
-forms.py; every public name has a user, and every function a mention.
+through global or nonlocal, writes into no module-level container from a
+function, and leaves a form's kept derivative _d to forms.py; every
+public name has a user, and every function a mention.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -105,6 +106,151 @@ def test_no_global_or_nonlocal_statements(module):
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert rebinds == [], module
+
+
+# methods that change a list, dict, set or deque in place
+MUTATORS = {
+    "add",
+    "append",
+    "appendleft",
+    "clear",
+    "discard",
+    "extend",
+    "extendleft",
+    "insert",
+    "pop",
+    "popitem",
+    "popleft",
+    "remove",
+    "reverse",
+    "setdefault",
+    "sort",
+    "update",
+    "__delitem__",
+    "__setitem__",
+}
+
+
+def _root_name(node):
+    """The name at the bottom of a chain like name.attr[key].attr, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _imports(node):
+    return {alias.asname or alias.name.split(".")[0] for alias in node.names}
+
+
+def _module_names(tree):
+    """Names bound at module level, outside every def and class body."""
+    names = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= _imports(node)
+        else:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _local_names(function):
+    """Names a function binds anywhere inside it, nested scopes included:
+    arguments, assignment, loop, with and except targets, imports, defs."""
+    bound = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= _imports(node)
+    return bound
+
+
+def module_state_writes(source):
+    """(line, name) of every write from inside a function into a
+    module-level name: a subscript or attribute store or delete on it, or
+    a mutating method call on it, where the function has no local of the
+    same name."""
+    tree = ast.parse(source)
+    module_names = _module_names(tree)
+    writes = set()
+    # a nested function sees its enclosing functions' locals, so the unit
+    # is the outermost def, nested defs included
+    functions = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append(node)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    for function in functions:
+        shared = module_names - _local_names(function)
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+                node.ctx, (ast.Store, ast.Del)
+            ):
+                name = _root_name(node.value)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS
+            ):
+                name = _root_name(node.func.value)
+            else:
+                continue
+            if name in shared:
+                writes.add((node.lineno, name))
+    return sorted(writes)
+
+
+def test_detector_flags_writes_into_module_containers():
+    source = (
+        "import sys\n"
+        "_INV = {}\n"
+        "_SEEN = []\n"
+        "class Table:\n"
+        "    rows = {}\n"
+        "def f(r, out):\n"
+        "    _INV[r] = 1\n"
+        "    _SEEN.append(r)\n"
+        "    Table.rows.setdefault(r, []).append(r)\n"
+        "    del sys.modules[r]\n"
+        "    out[r] = _INV.get(r)\n"
+        "    out.update(_INV)\n"
+        "def g(r):\n"
+        "    _INV = {}\n"
+        "    _INV[r] = 1\n"
+        "    def h():\n"
+        "        _INV.pop(r)\n"
+        "    return h\n"
+    )
+    assert module_state_writes(source) == [
+        (7, "_INV"),
+        (8, "_SEEN"),
+        (9, "Table"),
+        (10, "sys"),
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_writes_into_module_level_containers(module):
+    # global and nonlocal are banned above, but a function can still
+    # share state through a module-level dict or list it fills in place;
+    # a per-call table (the inverses of integrate) must stay per call
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert module_state_writes(source) == [], module
 
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])

@@ -29,6 +29,7 @@ from fpforms.sampling import (
     random_p_closed_form,
     random_poly,
 )
+from test_forms import dense_form
 
 TRIALS = 80
 
@@ -230,6 +231,50 @@ def test_integrate_matches_the_layered_proof():
                 inner.terms[index].terms.items()
             )
     assert rational > 400
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_integrate_matches_the_layered_proof_on_dense_coefficients(p):
+    # the exact benchmark's traffic: d of a dense eta with a dozen
+    # monomial draws per index and exponents up to 2p
+    rng = random.Random(6105 + p)
+    for n in range(3, 7):
+        for r in range(1, n + 1):
+            for _ in range(2):
+                omega = dense_form(rng, p, n, r - 1).d()
+                assert _ordered_terms(integrate(omega)) == _ordered_terms(
+                    layered_potential(omega)
+                )
+
+
+def test_integrate_matches_the_layered_proof_across_primes():
+    # one exponent pattern per cell, integrated at each prime in turn,
+    # p = 5 right before p = 7: the inverses of the weights mod p that
+    # integrate looks up must belong to the call, not to the exponent
+    rng = random.Random(6107)
+    for n in range(3, 6):
+        for r in range(1, n + 1):
+            pattern = {
+                index: [
+                    (tuple(rng.randint(0, 10) for _ in range(n)), rng.choice((1, -1)))
+                    for _ in range(10)
+                ]
+                for index in itertools.combinations(range(1, n + 1), r - 1)
+            }
+            for p in (2, 3, 1009, 2**31 - 1, 5, 7):
+                eta = DiffForm(
+                    p,
+                    n,
+                    r - 1,
+                    {
+                        index: MultiPoly(p, n, dict(monomials))
+                        for index, monomials in pattern.items()
+                    },
+                )
+                omega = eta.d()
+                assert _ordered_terms(integrate(omega)) == _ordered_terms(
+                    layered_potential(omega)
+                )
 
 
 def _capped_monomials(rng, p, n, r):

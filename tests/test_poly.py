@@ -298,6 +298,48 @@ def test_antiderivative_inverts_partial():
     assert hits > TRIALS // 4
 
 
+def test_partial_and_antiderivative_move_one_exponent():
+    # each moves the z_i-exponent of every monomial of a dense polynomial
+    # and nothing else, and keeps the order of the keys
+    rng = random.Random(2010)
+    for p in (3, 5, 7, 13):
+        for n in range(1, 7):
+            f = random_poly(rng, p, n, max_degree=2 * p, max_terms=12)
+            for i in range(1, n + 1):
+                k = i - 1
+                lowered = {
+                    e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] % p
+                    for e, c in f.terms.items()
+                    if e[k] % p
+                }
+                assert list(f.partial(i).terms.items()) == list(lowered.items())
+                g = MultiPoly(
+                    p, n, {e: c for e, c in f.terms.items() if e[k] % p != p - 1}
+                )
+                raised = {
+                    e[:k] + (e[k] + 1,) + e[k + 1 :]: c * pow(e[k] + 1, p - 2, p) % p
+                    for e, c in g.terms.items()
+                }
+                assert list(g.antiderivative(i).terms.items()) == list(raised.items())
+
+
+def test_antiderivative_names_an_obstruction_before_an_overflow():
+    # z1^12 outgrows the cap 12 first in key order, but z1^14 = z1^(p-1)
+    # (mod 3) blocks the antiderivative, and that is the error raised
+    with degree_limit(20):
+        f = MultiPoly(3, 2, {(12, 0): 1, (14, 1): 2})
+    with degree_limit(12):
+        with pytest.raises(
+            ObstructedAntiderivative,
+            match=r"^monomial 2\*z1\^14\*z2 has z1-exponent 14 = p-1 \(mod 3\)$",
+        ):
+            f.antiderivative(1)
+        with pytest.raises(
+            DegreeOverflow, match="^exponent 13 of z1 exceeds the degree limit 12$"
+        ):
+            MultiPoly(3, 2, {(12, 0): 1}).antiderivative(1)
+
+
 def test_antiderivative_obstruction_is_exact():
     # z^(p-1) blocks, z^(p-1)+kp blocks, everything else integrates
     for p in PRIMES:
