@@ -18,7 +18,7 @@ fixed seed reproduces the report byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartier import cartier, gamma0
 from .forms import DiffForm
@@ -38,6 +38,7 @@ from .poly import MultiPoly
 from .printer import form_to_doc, form_to_text
 from .ratfun import RatFun
 from .sampling import (
+    _randint,
     random_closed_form,
     random_exact_form,
     random_form,
@@ -59,9 +60,9 @@ _ODD_PRIMES = (Prime(3),)
 
 
 def _pick_config(rng, primes, max_n, r_min=1):
-    p = primes[rng.randrange(len(primes))]
-    n = rng.randint(max(1, r_min), max_n)
-    r = rng.randint(min(r_min, n), n)
+    p = primes[_randint(rng, 0, len(primes) - 1)]
+    n = _randint(rng, max(1, r_min), max_n)
+    r = _randint(rng, min(r_min, n), n)
     return p, n, r
 
 
@@ -118,11 +119,11 @@ def _reciprocal(lam: MultiPoly) -> RatFun:
 
 
 def _trial_sweedler_r1(rng, t, primes, max_n):
-    p = primes[rng.randrange(len(primes))]
-    n = rng.randint(1, max_n)
+    p = primes[_randint(rng, 0, len(primes) - 1)]
+    n = _randint(rng, 1, max_n)
     omega = random_closed_form(rng, p, n, 1)
     if t % 3 == 0 and int(p) <= 5:
-        lam = MultiPoly.variable(p, n, rng.randint(1, n)) ** int(p)
+        lam = MultiPoly.variable(p, n, _randint(rng, 1, n)) ** int(p)
         omega = omega * _reciprocal(lam)
     split = split_rational_irrational(omega)
     try:
@@ -134,13 +135,13 @@ def _trial_sweedler_r1(rng, t, primes, max_n):
 
 
 def _trial_p_operator_basic(rng, t, primes, max_n):
-    p = primes[rng.randrange(len(primes))]
-    n = rng.randint(1, max_n)
+    p = primes[_randint(rng, 0, len(primes) - 1)]
+    n = _randint(rng, 1, max_n)
     f = random_poly(rng, p, n, max_degree=2 * int(p))
-    i = rng.randint(1, n)
+    i = _randint(rng, 1, n)
     ok = p_operator(p_operator(f, (i,)), (i,)) == -p_operator(f, (i,))
     if ok and n >= 2:
-        j = rng.randint(1, n)
+        j = _randint(rng, 1, n)
         if j != i:
             pair = tuple(sorted((i, j)))
             ok = p_operator(f, pair) == p_operator(p_operator(f, (j,)), (i,))
@@ -149,12 +150,12 @@ def _trial_p_operator_basic(rng, t, primes, max_n):
 
 
 def _trial_p_operator_kernel(rng, t, primes, max_n):
-    p = primes[rng.randrange(len(primes))]
-    n = rng.randint(1, max_n)
+    p = primes[_randint(rng, 0, len(primes) - 1)]
+    n = _randint(rng, 1, max_n)
     f = random_poly(rng, p, n, max_degree=2 * int(p))
-    r = rng.randint(1, n)
+    r = _randint(rng, 1, n)
     index = random_multi_index(rng, n, r)
-    i = index[rng.randrange(len(index))]
+    i = index[_randint(rng, 0, len(index) - 1)]
     ok = (
         p_operator(f.partial(i), index).is_zero()
         and p_operator(p_operator(f, index), (i,)) == -p_operator(f, index)
@@ -187,9 +188,9 @@ def _trial_p_operator_annihilates(rng, t, primes, max_n):
 
 def _trial_equivalence(rng, t, primes, max_n):
     small = tuple(q for q in primes if int(q) <= 3) or _SMALL_PRIMES
-    p = small[rng.randrange(len(small))]
-    n = rng.randint(1, min(max_n, 3))
-    r = rng.randint(1, n)
+    p = small[_randint(rng, 0, len(small) - 1)]
+    n = _randint(rng, 1, min(max_n, 3))
+    r = _randint(rng, 1, n)
     kind = t % 3
     if kind == 0:
         omega = random_form(rng, p, n, r, max_degree=3)
@@ -244,9 +245,9 @@ def _minus_product_o(coeff, index):
 
 def _trial_o_minus_sign(rng, t, primes, max_n):
     odd = tuple(q for q in primes if int(q) > 2) or _ODD_PRIMES
-    p = odd[rng.randrange(len(odd))]
-    n = rng.randint(1, max_n)
-    i = rng.randint(1, n)
+    p = odd[_randint(rng, 0, len(odd) - 1)]
+    n = _randint(rng, 1, max_n)
+    i = _randint(rng, 1, n)
     if t == 0:
         exps = [0] * n
         exps[i - 1] = int(p) - 1
@@ -268,7 +269,7 @@ def _trial_o_eigen(rng, t, primes, max_n):
     p, n, r = _pick_config(rng, primes, max_n)
     f = random_poly(rng, p, n, max_degree=2 * int(p))
     index = random_multi_index(rng, n, r)
-    i = index[rng.randrange(len(index))]
+    i = index[_randint(rng, 0, len(index) - 1)]
     k = int(p) - 1
     # naive iterated derivative on the outside: an independent route
     lhs = o_operator(f, index).partial_pow(i, k)
@@ -289,7 +290,7 @@ def _trial_o_commute(rng, t, primes, max_n):
         p, n, r = _pick_config(rng, primes, max_n)
         f = random_poly(rng, p, n, max_degree=2 * int(p))
         index = random_multi_index(rng, n, r)
-        k = rng.randint(1, n)
+        k = _randint(rng, 1, n)
     before = o_operator(f.partial(k), index)
     after = o_operator(f, index).partial(k)
     if before != after:
@@ -303,13 +304,13 @@ def _trial_o_commute(rng, t, primes, max_n):
 def _trial_o_commute_outside(rng, t, primes, max_n):
     if max_n < 2:
         return None
-    p = primes[rng.randrange(len(primes))]
-    n = rng.randint(2, max_n)
-    r = rng.randint(1, n - 1)
+    p = primes[_randint(rng, 0, len(primes) - 1)]
+    n = _randint(rng, 2, max_n)
+    r = _randint(rng, 1, n - 1)
     f = random_poly(rng, p, n, max_degree=2 * int(p))
     index = random_multi_index(rng, n, r)
     outside = [k for k in range(1, n + 1) if k not in index]
-    k = outside[rng.randrange(len(outside))]
+    k = outside[_randint(rng, 0, len(outside) - 1)]
     if o_operator(f.partial(k), index) != o_operator(f, index).partial(k):
         return lambda: _poly_payload(p, n, index, f, "commutation with d/dz%d" % k)
 
@@ -336,9 +337,9 @@ def _restricted(form):
 
 def _trial_or_sign(rng, t, primes, max_n):
     odd = tuple(q for q in primes if int(q) > 2) or _ODD_PRIMES
-    p = odd[rng.randrange(len(odd))]
-    n = rng.randint(1, max_n)
-    r = rng.randint(1, n)
+    p = odd[_randint(rng, 0, len(odd) - 1)]
+    n = _randint(rng, 1, max_n)
+    r = _randint(rng, 1, n)
     if t == 0:
         exps = [0] * n
         exps[0] = int(p) - 1
@@ -398,7 +399,7 @@ def _trial_ct_d_vanishing(rng, t, primes, max_n):
         p, n, _ = _pick_config(rng, primes, max_n)
         if n < 2:
             n = 2
-        r = rng.randint(1, n - 1)
+        r = _randint(rng, 1, n - 1)
         eta = random_form(rng, p, n, r, max_degree=2 * int(p))
     domega = eta.d()
     if domega.is_zero():
@@ -422,8 +423,7 @@ def _trial_ct_d_vanishing(rng, t, primes, max_n):
         }
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     statement: str
     status: str  # "verified" | "contested"

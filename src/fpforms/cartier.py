@@ -22,7 +22,7 @@ closed forms are cohomologous precisely when their difference is p-closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, DegreeZero, NonPolynomial, NotClosed
 from .forms import DiffForm, _closed_by_construction
@@ -72,8 +72,7 @@ def cartier(form: DiffForm) -> DiffForm:
     return form._with_terms(out)
 
 
-@dataclass(frozen=True)
-class CohomologyWitness:
+class CohomologyWitness(NamedTuple):
     """A canonical representative together with its exactness certificate.
 
     representative is gamma0-liftable by construction; the certificate

@@ -76,8 +76,8 @@ _COMMANDS = {
     "closed": (1, lambda f: f.is_closed()),
     "pclosed": (1, lambda f: is_p_closed(f)),
     "integrate": (1, lambda f: integrate(f)),
-    "split-ri": (1, lambda f: vars(split_rational_irrational(f))),
-    "split-ct": (1, lambda f: vars(split_complete_restricted(f))),
+    "split-ri": (1, lambda f: split_rational_irrational(f)._asdict()),
+    "split-ct": (1, lambda f: split_complete_restricted(f)._asdict()),
     "phi": (1, lambda f: phi(f)),
     "cartier": (1, lambda f: cartier(f)),
     "gamma0": (1, lambda f: gamma0(f)),

@@ -34,8 +34,8 @@ constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
 characteristic and arity, and promotes mixed coefficients; the parser,
 JSON documents and user calls go through it.  +, -, d, wedge and the
 coefficient-wise maps of _with_terms build their results with the
-_trusted constructor, which checks nothing and only restores the
-canonical index order.
+_trusted constructor, which checks nothing, keeps the fresh dict it is
+handed and only restores the canonical index order.
 
 Forms are immutable: no operation changes a form once it is built, and
 every result is a new object.  So a form keeps its exterior derivative:
@@ -241,15 +241,16 @@ class DiffForm:
     def _trusted(cls, p, n, r, terms) -> "DiffForm":
         """A form from terms that are clean by construction.
 
-        p is a Prime, n and r are valid, and terms maps strictly
-        increasing r-tuples in 1..n to nonzero coefficients over (p, n),
-        all MultiPoly or all RatFun.  Only the index order is restored.
+        p is a Prime, n and r are valid, and terms is a fresh dict, which
+        the form keeps, mapping strictly increasing r-tuples in 1..n to
+        nonzero coefficients over (p, n), all MultiPoly or all RatFun.
+        Only the index order is restored, for two indices or more.
         """
         self = object.__new__(cls)
         self.p = p
         self.n = n
         self.r = r
-        self.terms = dict(sorted(terms.items()))
+        self.terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
         self._d = None
         return self
 
@@ -283,7 +284,10 @@ class DiffForm:
 
     @property
     def is_polynomial(self) -> bool:
-        return all(isinstance(c, MultiPoly) for c in self.terms.values())
+        # the constructors keep every coefficient of one kind
+        for c in self.terms.values():
+            return isinstance(c, MultiPoly)
+        return True
 
     def is_zero(self) -> bool:
         return not self.terms

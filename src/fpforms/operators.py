@@ -27,8 +27,8 @@ Q_r Q_r = Q_r and O_r O_r = O_r, where O_r(omega) = -sum_J O_J(a_J) dz_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     DegreeZero,
@@ -149,8 +149,7 @@ def irrational_part(form: DiffForm) -> DiffForm:
     return form._with_terms(out)
 
 
-@dataclass(frozen=True)
-class SplitRI:
+class SplitRI(NamedTuple):
     """omega = rational + irrational, with irrational = Q_r(omega)."""
 
     rational: DiffForm
@@ -255,8 +254,7 @@ def o_operator_expanded(coeff, index):
     return total
 
 
-@dataclass(frozen=True)
-class SplitCT:
+class SplitCT(NamedTuple):
     """omega = complete + restricted, with restricted = -sum O_I(a_I) dz_I."""
 
     complete: DiffForm

@@ -15,10 +15,12 @@ The builder finds the slot of each i in I (its position k, the sum for
 I minus i, the parity of k) once per coefficient and each inverse of
 w_i mod p once per call, and sets z_i's exponent in a list copy of E.
 
-p-closedness leaves every monomial some w_i != 0 (mod p): one with all
-w_j = 0 has E_j = p-1 (mod p) for each j in its index I, so it is kept by
-partial_I^(p-1) (residue_mask(I, every=True)), under which a p-closed
-form's coefficients vanish; this obstructed set carries Cartier classes.
+The builder is also the p-closedness test.  A monomial with all w_j = 0
+(mod p) has E_j = p-1 (mod p) for each j in its index I, so it is kept by
+partial_I^(p-1): on a closed form these monomials make up the irrational
+part, which carries the Cartier classes, and no d-image has one (d
+multiplies it by w_j = 0).  The builder raises NotPClosed at the first,
+with the reason p_closed_failure gives, which names the same index I.
 
 The paper's proof works layer by layer: it splits off z_i^(p-1) dz_i ^
 omega_i and dz_i ^ eta_i per variable (p_decompose_step) and recurses
@@ -33,15 +35,18 @@ denominator lam is a differential constant, so omega = (lam * omega)/lam
 integrates to (potential of lam * omega)/lam, whose d is d(potential of
 lam * omega)/lam.  The form is cleared once, at entry, and that clearing
 also gives the form its d when it has none, so a DegreeOverflow of the
-clearing comes before NotPClosed.  p-closedness is checked once, at
-entry, and d(potential) = form once, at exit; a nonzero residual is a
-kernel bug and raises InternalResidual.  For rational input the
-numerators N of d(potential) are compared with the form over lam rather
-than by cross-multiplication: a coefficient num/den of the form must
-have N = num * m, where m * den = lam: m is den's entry in the table
-of ratfun._cofactors that the clearing applies too, constant den
-included.  No product of the check is larger than one the clearing
-built, so the check cannot outgrow the cap where the clearing did not.
+clearing comes before NotPClosed.  A cleared coefficient num * m, with
+m = lam / den a differential constant, keeps the residues of num's
+monomials, so the builder meets the same obstruction.  Closedness is
+checked at entry, p-closedness by the builder and d(potential) = form
+once, at exit; a nonzero residual is a kernel bug and raises
+InternalResidual.  For rational input the numerators N of d(potential)
+are compared with the form over lam rather than by cross-multiplication:
+a coefficient num/den of the form must have N = num * m, where m * den =
+lam: m is den's entry in the table of ratfun._cofactors that the
+clearing applies too, constant den included.  No product of the check is
+larger than one the clearing built, so the check cannot outgrow the cap
+where the clearing did not.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
 F_p, one weight block w at a time, with no recourse to the integrator.
@@ -94,12 +99,11 @@ def integrate(form: DiffForm) -> DiffForm:
         raise DegreeZero("only forms of degree >= 1 have potentials")
     rational = not form.is_polynomial
     if rational:
-        # the one clearing gives the p-closedness test its d(form) too
+        # the one clearing gives the closedness test its d(form) too
         lam, cleared = clear_denominators(form)
         _keep_cleared_d(form, lam, cleared)
-    reason = p_closed_failure(form)
-    if reason is not None:
-        raise NotPClosed(reason)
+    if not form.is_closed():
+        raise NotPClosed("form is not closed")
     if not rational:
         potential = _homotopy_potential(form)
         _check_residual(potential.d() == form)
@@ -140,9 +144,9 @@ def _equals_over(numerators: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
 
 
 def _homotopy_potential(form: DiffForm) -> DiffForm:
-    """iota_X(form) / w_i on each weight block of a p-closed polynomial form.
+    """iota_X(form) / w_i on each weight block of a closed polynomial form.
 
-    See the module docstring; the caller checks p-closedness.
+    See the module docstring: the caller checks closedness, this p-closedness.
     """
     p, n = form.p.p, form.n
     limit = max_degree_limit()
@@ -161,9 +165,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
                 if (exps[j] + chi[j]) % p:
                     break
             else:
-                raise InternalError(
-                    "a monomial of weight 0 (mod %d) in every variable" % p
-                )
+                raise NotPClosed(p_closed_failure(form))
             slot = slots[j]
             if slot is None:
                 continue

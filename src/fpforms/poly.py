@@ -443,7 +443,8 @@ class MultiPoly:
         pos = [i - 1 for i in seen]
         out = {}
         if every:
-            shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
+            if lower:
+                shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
             for exps, c in self.terms.items():
                 for k in pos:
                     if exps[k] % p != top:

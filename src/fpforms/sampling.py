@@ -13,8 +13,10 @@ Every draw is clean by construction, a residue in 1..p-1 at exponents in
 their terms sorted once, and the form by DiffForm._trusted with its zero
 coefficients dropped.  random_ratfun keeps the validating RatFun
 constructor, since inflating the denominator is the mathematics.  The
-draws and their order are those of the validating constructors, so a
-seed gives the same stream and the same forms.
+draws and their order are those of the validating constructors, and
+_randint draws each integer from rng.getrandbits by the rejection rule
+of random.Random.randint, without its three Python frames, so a seed
+gives the same stream and the same forms.
 """
 
 from __future__ import annotations
@@ -30,8 +32,21 @@ from .ratfun import RatFun
 from .scalar import Prime
 
 
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """rng.randint(a, b) with randint's stream: width.bit_length() bits
+    (one for width 1), drawn again while the value is >= width."""
+    width = b - a + 1
+    if width < 1:
+        return rng.randint(a, b)  # raises randint's ValueError
+    k = width.bit_length()
+    v = rng.getrandbits(k)
+    while v >= width:
+        v = rng.getrandbits(k)
+    return a + v
+
+
 def random_exps(rng: random.Random, n: int, max_degree: int):
-    return tuple(rng.randint(0, max_degree) for _ in range(n))
+    return tuple([_randint(rng, 0, max_degree) for _ in range(n)])
 
 
 def random_poly(
@@ -45,8 +60,8 @@ def random_poly(
     p = Prime(p)
     _check_arity(n)
     terms = {}
-    for _ in range(rng.randint(0 if not nonzero else 1, max_terms)):
-        terms[random_exps(rng, n, max_degree)] = rng.randint(1, p.p - 1)
+    for _ in range(_randint(rng, 0 if not nonzero else 1, max_terms)):
+        terms[random_exps(rng, n, max_degree)] = _randint(rng, 1, p.p - 1)
     if max_degree > max_degree_limit():
         _check_degree(terms)
     return MultiPoly._trusted(p, n, {e: terms[e] for e in sorted(terms)})

@@ -13,6 +13,8 @@ from fpforms import (
     class_representative,
     clear_denominators,
     degree_limit,
+    doc_to_form,
+    form_to_doc,
     gamma0,
     insert_index,
     irrational_part,
@@ -233,6 +235,59 @@ def test_trusted_results_match_their_validated_rebuild():
         for w in results:
             assert_canonical_form(w)
 
+
+def test_every_result_keeps_one_coefficient_kind():
+    # is_polynomial reads one coefficient, so every constructor must keep
+    # all coefficients of one kind, mixed operands included
+    rng = random.Random(2323)
+    seen = set()
+    for _ in range(TRIALS):
+        # gamma0 multiplies exponents by p: small p keeps them under the cap
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        a = random_form(rng, p, n, r, max_degree=2)
+        q = random_form(rng, p, n, r, max_degree=1, rational=True)
+        c = random_form(rng, p, n, rng.randint(0, n - r))
+        lam = MultiPoly.variable(p, n, rng.randint(1, n)) ** p
+        results = [
+            a + q,
+            q + a,
+            a - q,
+            q - a,
+            a.wedge(q),
+            q.wedge(c),
+            c.wedge(q),
+            q.d(),
+            (a + q).d(),
+            gamma0(a),
+            gamma0(q),
+            gamma0(a + q),
+            a._with_terms({i: k * RatFun(MultiPoly.constant(p, n, 1), lam)
+                           for i, k in a.terms.items()}),
+            q._with_terms({i: k * k for i, k in q.terms.items()}),
+            doc_to_form(form_to_doc(a + q)),
+            doc_to_form(form_to_doc(a)),
+            DiffForm(p, n, r, {**a.terms, **q.terms}),
+        ]
+        for w in results:
+            kinds = {type(k) for k in w.terms.values()}
+            assert len(kinds) <= 1
+            assert w.is_polynomial == all(
+                isinstance(k, MultiPoly) for k in w.terms.values()
+            )
+            seen |= kinds
+    assert seen == {MultiPoly, RatFun}
+
+
+def test_trusted_restores_the_index_order():
+    p = 5
+    x = MultiPoly.variable(p, 3, 1)
+    for indices in ([], [(2,)], [(3,), (1,)], [(3,), (1,), (2,)]):
+        terms = {i: x for i in indices}
+        w = DiffForm._trusted(DiffForm.zero(p, 3, 1).p, 3, 1, terms)
+        assert list(w.terms) == sorted(indices)
+        assert w.terms == terms
 
 def naive_d(form):
     """d as the sum of coeff.partial(j) placed through insert_index,

@@ -7,7 +7,6 @@ from fpforms import (
     DegreeOverflow,
     DegreeZero,
     DiffForm,
-    InternalError,
     InternalResidual,
     MultiPoly,
     NotPClosed,
@@ -436,15 +435,15 @@ def test_rational_residual_check_agrees_with_cross_multiplication(monkeypatch):
                     integrate(omega)
 
 
-def test_an_unintegrable_monomial_is_an_internal_error():
-    # z^(p-1) dz has weight p; integrate rejects it at entry as not
-    # p-closed, so only a direct call reaches the builder
+def test_an_unintegrable_monomial_is_not_p_closed():
+    # z^(p-1) dz has weight p: closed, and the builder, which is
+    # integrate's p-closedness test, names its index
     for p in (2, 3, 5, 13):
         omega = DiffForm(p, 1, 1, {(1,): MultiPoly.monomial(p, 1, (p - 1,))})
-        with pytest.raises(InternalError) as info:
-            poincare._homotopy_potential(omega)
-        assert type(info.value) is InternalError
-        assert "weight 0 (mod %d)" % p in str(info.value)
+        for build in (poincare._homotopy_potential, integrate):
+            with pytest.raises(NotPClosed) as info:
+                build(omega)
+            assert str(info.value) == "obstructed at I=(1)"
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ earlier code, which sent every draw through the validating MultiPoly,
 RatFun and DiffForm constructors.  On one seed both must draw the same
 stream, build the same terms in the same order, and refuse a bad
 characteristic, a bad arity or an exponent above the cap with the same
-typed error.
+typed error.  The generators draw their integers through _randint, from
+rng.getrandbits; the reference draws them with rng.randint, so these
+tests also pin randint's stream and generator state after every draw.
 """
 
 import random
@@ -28,6 +30,7 @@ from fpforms import (
     split_rational_irrational,
 )
 from fpforms.sampling import (
+    _randint,
     random_closed_form,
     random_exact_form,
     random_form,
@@ -158,6 +161,53 @@ def test_sampler_builds_what_the_validating_constructors_built():
             assert_same(
                 lambda g: new(g, *args), lambda g: ref(g, *args), seed
             )
+
+
+WIDTHS = (1, 2, 3, 4, 5) + tuple(
+    w for k in (3, 4, 7, 8, 16, 31, 32, 33, 64, 100) for w in (2**k, 2**k + 1)
+)
+
+
+def test_randint_draws_randints_stream():
+    for seed in range(10):
+        new, ref = random.Random(seed), random.Random(seed)
+        for width in WIDTHS:
+            for a in (0, 1, -7):
+                b = a + width - 1
+                assert _randint(new, a, b) == ref.randint(a, b)
+                assert new.getstate() == ref.getstate()
+            assert _randint(new, 0, width - 1) == ref.randrange(width)
+            assert new.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("a, b", ((0, -1), (1, 0), (3, 1)))
+def test_randint_refuses_an_empty_range_before_any_draw(a, b):
+    rng = random.Random(9)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as new:
+        _randint(rng, a, b)
+    with pytest.raises(ValueError) as ref:
+        random.Random(9).randint(a, b)
+    assert str(new.value) == str(ref.value)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_samplers_draw_randints_stream_draw_by_draw(p):
+    # one pair of generators runs through many draws, so a drift in any
+    # one draw shows in every later one
+    for n in range(1, 5):
+        new, ref = random.Random(p * 10 + n), random.Random(p * 10 + n)
+        for r in range(n + 1):
+            for build, oracle, args in (
+                (random_poly, ref_poly, (p, n, 2 * p, 4)),
+                (random_poly, ref_poly, (p, n, 1, 3, True)),
+                (random_form, ref_form, (p, n, r)),
+                (random_form, ref_form, (p, n, r, 2, 2, True)),
+                (random_closed_form, ref_closed_form, (p, n, max(r, 1), 2)),
+            ):
+                assert shape(build(new, *args)) == shape(oracle(ref, *args))
+                assert new.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("p", (4, 9, 2**31, "3", 3.0))
