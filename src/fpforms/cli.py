@@ -50,16 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_DEFAULTS = {
-    "p": None,
-    "n": None,
-    "json": False,
-    "seed": DEFAULT_SEED,
-    "trials": DEFAULT_TRIALS,
-    "max_degree": None,
-}
-
-
 def _class(form):
     witness = class_representative(form)
     return {
@@ -87,44 +77,25 @@ _COMMANDS = {
 }
 
 
-def _global_options() -> argparse.ArgumentParser:
-    # shared by the root parser and every subcommand, so that flags work
-    # both before and after the subcommand name; SUPPRESS keeps a missing
-    # flag from clobbering one given in the other position
-    g = _Parser(add_help=False)
-    g.add_argument("--p", type=int, default=argparse.SUPPRESS,
-                   help="prime characteristic")
-    g.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                   help="number of variables")
-    g.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                   help="emit JSON instead of text")
-    g.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    g.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    g.add_argument("--max-degree", type=int, default=argparse.SUPPRESS,
-                   help="per-variable exponent cap")
-    return g
-
-
 def build_parser() -> argparse.ArgumentParser:
-    shared = _global_options()
-    parser = _Parser(
-        prog="fpforms",
-        description=__doc__.splitlines()[0],
-        parents=[shared],
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, (arity, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, parents=[shared])
-        for dest in ("form", "other")[:arity]:
-            cmd.add_argument(dest)
-    orc = sub.add_parser("oracle", parents=[shared])
-    orc.add_argument("form")
-    orc.add_argument("--margin", type=int, default=None,
-                     help="degrees the potential may exceed the form by "
-                          "(default p); any value >= 1 asks the unbounded "
-                          "question, 0 alone differs; an oracle option, so "
-                          "it goes after 'oracle'")
-    sub.add_parser("check", parents=[shared])
+    # one parser read by parse_intermixed_args, so that flags may come
+    # before, between or after the command and its forms
+    parser = _Parser(prog="fpforms", description=__doc__.splitlines()[0])
+    parser.add_argument("--p", type=int, help="prime characteristic")
+    parser.add_argument("--n", type=int, help="number of variables")
+    parser.add_argument("--json", action="store_true",
+                        help="emit JSON instead of text")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    parser.add_argument("--max-degree", type=int,
+                        help="per-variable exponent cap")
+    parser.add_argument("--margin", type=int,
+                        help="oracle only: degrees the potential may exceed "
+                             "the form by (default p); any value >= 1 asks "
+                             "the unbounded question, 0 alone differs")
+    parser.add_argument("command", nargs="?",
+                        choices=[*_COMMANDS, "oracle", "check"])
+    parser.add_argument("forms", nargs="*")
     return parser
 
 
@@ -158,9 +129,21 @@ def _emit(value, as_json, out):
 
 
 def _dispatch(args, out) -> int:
-    cmd = args.command
+    cmd, texts = args.command, args.forms
     if cmd is None:
         raise _UsageError("a subcommand is required (try: d, integrate, check)")
+    # oracle takes one form and check none; the messages are argparse's own
+    arity = _COMMANDS[cmd][0] if cmd in _COMMANDS else int(cmd == "oracle")
+    if len(texts) < arity:
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(("form", "other")[len(texts):arity]))
+    if len(texts) > arity:
+        raise _UsageError("unrecognized arguments: %s" % " ".join(texts[arity:]))
+    if args.margin is not None:
+        if cmd != "oracle":
+            raise _UsageError("--margin is an oracle option")
+        if args.margin < 0:
+            raise _UsageError("--margin must be a nonnegative integer")
     if cmd == "check":
         primes = DEFAULT_PRIMES
         if args.p is not None:
@@ -182,23 +165,16 @@ def _dispatch(args, out) -> int:
         text = json.dumps(report, indent=2) if args.json else report_to_text(report)
         print(text, file=out)
         return 2 if report["regressions"] else 0
+    forms = [_read_form(text, args.p, args.n) for text in texts]
     if cmd == "oracle":
-        if args.margin is not None and args.margin < 0:
-            raise _UsageError("--margin must be a nonnegative integer")
-        form = _read_form(args.form, args.p, args.n)
-        eta = exactness_oracle(form, degree_margin=args.margin)
+        eta = exactness_oracle(*forms, degree_margin=args.margin)
         if args.json:
             doc = None if eta is None else form_to_doc(eta)
             print(json.dumps({"potential": doc}, indent=2), file=out)
         else:
             print("none" if eta is None else form_to_text(eta), file=out)
         return 0
-    arity, call = _COMMANDS[cmd]
-    forms = [
-        _read_form(getattr(args, dest), args.p, args.n)
-        for dest in ("form", "other")[:arity]
-    ]
-    _emit(call(*forms), args.json, out)
+    _emit(_COMMANDS[cmd][1](*forms), args.json, out)
     return 0
 
 
@@ -212,7 +188,7 @@ def run_command(argv, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
+        args = parser.parse_intermixed_args(argv)
         cap = max_degree_limit() if args.max_degree is None else args.max_degree
         if cap < 1:
             raise _UsageError("--max-degree must be a positive integer")

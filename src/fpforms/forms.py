@@ -155,8 +155,8 @@ def merge_indices(left, right):
 
 
 def _check_form_degree(r):
-    """Raise DegreeMismatch unless r is a nonnegative int."""
-    if not isinstance(r, int) or r < 0:
+    """Raise DegreeMismatch unless r is a nonnegative int, not a bool."""
+    if type(r) is not int or r < 0:
         raise DegreeMismatch("form degree must be a nonnegative int")
 
 
@@ -201,7 +201,7 @@ class DiffForm:
                     )
                 last = 0
                 for i in index:
-                    if not isinstance(i, int) or not 1 <= i <= n:
+                    if type(i) is not int or not 1 <= i <= n:
                         raise IndexOutOfRange(
                             "index entry %s outside 1..%d" % (_shown(i), n)
                         )

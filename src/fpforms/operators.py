@@ -61,6 +61,16 @@ def _index_text(index):
     return "I=(%s)" % ",".join(str(i) for i in index)
 
 
+def _masked(form: DiffForm, every=True, sign=1, lower=False) -> DiffForm:
+    """Each coefficient a_I replaced by a_I.residue_mask(I, every, sign, lower)."""
+    return form._with_terms(
+        {
+            index: coeff.residue_mask(index, every, sign, lower)
+            for index, coeff in form.terms.items()
+        }
+    )
+
+
 def p_closed_failure(form: DiffForm):
     """None when the form is p-closed, else a human-readable reason.
 
@@ -117,10 +127,8 @@ def phi(form: DiffForm) -> DiffForm:
     measures the failure of exactness; it vanishes exactly on the p-closed
     ones.
     """
-    out = {}
-    for index, coeff in form.terms.items():
-        out[index] = coeff.partial_multi(index)
-    return form._with_terms(out)
+    # partial_I^(p-1) is residue_mask(I, sign=(-1)^|I|, lower=True), |I| = r
+    return _masked(form, sign=-1 if form.r % 2 else 1, lower=True)
 
 
 def p_operator(coeff, index):
@@ -143,10 +151,7 @@ def irrational_part(form: DiffForm) -> DiffForm:
     """
     if form.r == 0:
         raise DegreeZero("the irrational part needs a form of degree >= 1")
-    out = {}
-    for index, coeff in form.terms.items():
-        out[index] = coeff.residue_mask(index)
-    return form._with_terms(out)
+    return _masked(form)
 
 
 class SplitRI(NamedTuple):
@@ -274,8 +279,5 @@ def split_complete_restricted(form: DiffForm) -> SplitCT:
         raise DegreeZero("the split needs a form of degree >= 1")
     if not form.is_polynomial:
         raise NonPolynomial("the split is defined for polynomial forms")
-    out = {}
-    for index, coeff in form.terms.items():
-        out[index] = coeff.residue_mask(index, every=False)
-    restricted = form._with_terms(out)
+    restricted = _masked(form, every=False)
     return SplitCT(complete=form - restricted, restricted=restricted)

@@ -94,8 +94,11 @@ def monomial_text(exps, coeff=1) -> str:
 
 
 def _check_arity(n):
-    """Raise ArityMismatch unless n is an int in 1..MAX_VARIABLES."""
-    if not isinstance(n, int) or n < 1:
+    """Raise ArityMismatch unless n is an int in 1..MAX_VARIABLES.
+
+    A bool is refused: a form document would carry it as true or false.
+    """
+    if type(n) is not int or n < 1:
         raise ArityMismatch("need at least one variable, got n=%s" % _shown(n))
     if n > MAX_VARIABLES:
         raise ArityMismatch("n exceeds the variable limit %d" % MAX_VARIABLES)
@@ -158,7 +161,7 @@ class MultiPoly:
                         % (_shown(exps), len(exps), n)
                     )
                 for i, e in enumerate(exps, start=1):
-                    if not isinstance(e, int) or e < 0:
+                    if type(e) is not int or e < 0:
                         raise ValueError("bad exponent %s for z%d" % (_shown(e), i))
                     if e > limit:
                         raise _degree_overflow(e, i, limit)

@@ -138,15 +138,20 @@ class RatFun:
     # ------------------------------------------------------------------
     # field operations
 
+    def _merge(self, other, sign) -> "RatFun":
+        """self + sign * other, for sign +1 or -1."""
+        if self.den == other.den:
+            return RatFun._trusted(self.num._merge(other.num, sign), self.den)
+        return RatFun._trusted(
+            (self.num * other.den)._merge(other.num * self.den, sign),
+            self.den * other.den,
+        )
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RatFun._trusted(self.num + other.num, self.den)
-        return RatFun._trusted(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -157,11 +162,7 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RatFun._trusted(self.num - other.num, self.den)
-        return RatFun._trusted(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -14,6 +15,7 @@ from fpforms import (
 )
 from fpforms.cli import run_command
 from fpforms.printer import form_to_doc
+from test_fuzz import invocations
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -284,11 +286,9 @@ def test_flag_placement_and_usage_edges():
             (1, "", "error: --margin must be a nonnegative integer\n"),
         ),
         (p3n1 + ["d", "9" * 5000 + " dz"], (0, "0\n", "")),
-        # --margin belongs to oracle alone, so its value reads as the command
-        (
-            p3n1 + ["--margin", "0", "oracle", "z dz"],
-            (1, "", "error: argument command: invalid choice: '0' %s\n" % _CHOICES),
-        ),
+        # --margin may come anywhere, but belongs to oracle alone
+        (p3n1 + ["--margin", "0", "oracle", "z dz"], (0, "none\n", "")),
+        (p3n1 + ["d", "--margin", "0", "z dz"], (1, "", "error: --margin is an oracle option\n")),
         (
             p3n1 + ["oracle", "--m", "4", "z dz"],
             (1, "", "error: ambiguous option: --m could match --max-degree, --margin\n"),
@@ -303,9 +303,77 @@ def test_flag_placement_and_usage_edges():
         ),
         (p3n1 + ["d"], (1, "", "error: the following arguments are required: form\n")),
         (p3n1 + ["wedge", "z dz"], (1, "", "error: the following arguments are required: other\n")),
+        (
+            p3n1 + ["wedge"],
+            (1, "", "error: the following arguments are required: form, other\n"),
+        ),
         (p3n1 + ["d", "z dz", "z dz"], (1, "", "error: unrecognized arguments: z dz\n")),
+        (p3n1 + ["wedge", "z", "z", "z", "--json"], (1, "", "error: unrecognized arguments: z\n")),
         (["check", "extra"], (1, "", "error: unrecognized arguments: extra\n")),
+        (["check", "a", "--p", "2", "b"], (1, "", "error: unrecognized arguments: a b\n")),
+        (
+            ["--margin", "-1"] + p3n1 + ["oracle", "z dz"],
+            (1, "", "error: --margin must be a nonnegative integer\n"),
+        ),
+        (["check", "--margin", "1"], (1, "", "error: --margin is an oracle option\n")),
+        (p3n1 + ["wedge", "z dz", "--margin", "0", "z dz"], (1, "", "error: --margin is an oracle option\n")),
         (p3n1 + ["d", "--", "z^2 dz"], (0, "0\n", "")),
     ]
     for argv, expected in cases:
         assert run(argv) == expected, argv
+
+
+# the transcript has no two-form command, oracle or check
+EXTRA_INVOCATIONS = [
+    ["--p", "5", "--n", "2", "wedge", "x dx", "y dy"],
+    ["--json", "--p", "3", "--n", "1", "same-class", "(z^2 + z) dz", "z^2 dz"],
+    ["--p", "3", "--n", "1", "--margin", "0", "oracle", "z dz"],
+    ["--json", "--p", "3", "--n", "1", "--margin", "1", "oracle", "z dz"],
+    ["--seed", "5", "--trials", "2", "--p", "2", "--n", "1", "check"],
+]
+
+
+def split_invocation(argv):
+    """(flag units, command, forms) of an argv whose flags all come first;
+    a unit is --json alone, or a flag and its value."""
+    units, k = [], 0
+    while argv[k].startswith("--"):
+        width = 1 if argv[k] == "--json" else 2
+        units.append(argv[k : k + width])
+        k += width
+    return units, argv[k], argv[k + 1 :]
+
+
+def test_flags_anywhere_for_every_command():
+    commands = set()
+    for argv in [*invocations(), *EXTRA_INVOCATIONS]:
+        units, cmd, forms = split_invocation(argv)
+        commands.add(cmd)
+        half = len(units) // 2
+        flags = [arg for unit in units for arg in unit]
+        before = [arg for unit in units[:half] for arg in unit]
+        after = [arg for unit in units[half:] for arg in unit]
+        expected = run(argv)
+        for moved in (
+            [cmd] + flags + forms,
+            [cmd] + forms + flags,
+            before + [cmd] + after + forms,
+            before + [cmd] + forms + after,
+        ):
+            assert run(moved) == expected, moved
+    assert commands >= {"d", "integrate", "wedge", "same-class", "oracle", "check"}
+
+
+def test_one_parser_per_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["--p", "3", "--n", "1", "d", "z dz"]) == (0, "0\n", "")
+    assert len(built) == 1
+    assert run(["frobnicate"])[0] == 1
+    assert len(built) == 2

@@ -10,7 +10,6 @@ in fpforms.__all__ has to appear in the CLI, a demo, the README or a test,
 and the README's list of subcommands names exactly the parser's.
 """
 
-import argparse
 import ast
 import re
 from pathlib import Path
@@ -324,10 +323,8 @@ def test_readme_lists_every_subcommand():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = re.search(r"Subcommands:(.*?)\.\s", readme, re.S).group(1)
     listed = re.findall(r"`([^`]+)`", section)
-    sub = next(
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
+    command = next(
+        action for action in build_parser()._actions if action.dest == "command"
     )
     assert len(listed) == len(set(listed))
-    assert sorted(listed) == sorted(sub.choices)
+    assert sorted(listed) == sorted(command.choices)

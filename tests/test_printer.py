@@ -6,8 +6,11 @@ import pytest
 
 from fpforms import (
     MAX_VARIABLES,
+    ArityMismatch,
+    DegreeMismatch,
     DegreeOverflow,
     DiffForm,
+    IndexOutOfRange,
     MultiPoly,
     ParseError,
     RatFun,
@@ -211,6 +214,26 @@ def test_decoded_exponent_above_the_cap_gives_the_constructor_line():
     assert str(decoded.value) == (
         "exponent <5001-digit int> of z1 exceeds the degree limit 64"
     )
+
+
+def test_validating_constructors_refuse_bools():
+    # a bool would be written as true or false, which doc_to_form refuses
+    poly = MultiPoly(3, 2, {(1, 0): 1})
+    refused = [
+        (ValueError, lambda: MultiPoly(3, 2, {(True, 0): 1})),
+        (ValueError, lambda: MultiPoly(3, 2, {(0, False): 1})),
+        (ArityMismatch, lambda: MultiPoly(3, True)),
+        (DegreeMismatch, lambda: DiffForm(3, 2, True, {(True,): poly})),
+        (DegreeMismatch, lambda: DiffForm(3, 2, False)),
+        (IndexOutOfRange, lambda: DiffForm(3, 2, 1, {(True,): poly})),
+        (ArityMismatch, lambda: DiffForm(3, True, 0)),
+        (ArityMismatch, lambda: parse_form("z dz", 3, True)),
+        (ArityMismatch, lambda: random_form(random.Random(1), 3, True, True)),
+        (DegreeMismatch, lambda: random_form(random.Random(1), 3, 2, True)),
+    ]
+    for error, build in refused:
+        with pytest.raises(error):
+            build()
 
 
 def test_validation_leaves_good_documents_alone():

@@ -354,6 +354,7 @@ def test_trusted_results_match_their_validated_rebuild():
     rng = random.Random(3006)
     # a - scaled cross-multiplies a.num * a.den by a.den^2, which at
     # p = 13 can pass the default cap
+    equal_dens = set()
     with degree_limit(256):
         for _ in range(TRIALS):
             p = rng.choice(TRUST_PRIMES)
@@ -395,6 +396,18 @@ def test_trusted_results_match_their_validated_rebuild():
             for f in results:
                 assert_clean(f)
             assert (a - a).is_zero() and (a - scaled).is_zero()
+            # + and - against the pairwise formula, term for term
+            for g in (b, same, scaled):
+                equal_dens.add(a.den == g.den)
+                if a.den == g.den:
+                    left, right, den = a.num, g.num, a.den
+                else:
+                    left, right, den = a.num * g.den, g.num * a.den, a.den * g.den
+                for result, num in ((a + g, left + right), (a - g, left - right)):
+                    expected = RatFun._trusted(num, den)
+                    assert list(result.num.terms.items()) == list(expected.num.terms.items())
+                    assert list(result.den.terms.items()) == list(expected.den.terms.items())
+    assert equal_dens == {True, False}
 
 
 def test_rational_potentials_are_clean():
