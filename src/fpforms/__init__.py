@@ -5,9 +5,11 @@ characteristic p: the p-closedness test for exactness, a constructive
 integrator for p-closed forms, the rational/irrational and completely
 integrable/restricted splits, and the Cartier operator with its canonical
 inverse gamma0.
+
+run_audit, which only the check command needs, loads the audit and its
+seeded samplers on first use.
 """
 
-from .audit import run_audit
 from .cartier import (
     cartier,
     class_representative,
@@ -72,6 +74,16 @@ from .ratfun import RatFun, clear_denominators
 from .scalar import MAX_PRIME, Prime, is_prime
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: resolve the one lazily loaded public name
+    if name == "run_audit":
+        from .audit import run_audit
+
+        return run_audit
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "ArityMismatch",

@@ -15,14 +15,6 @@ import argparse
 import json
 import sys
 
-from .audit import (
-    DEFAULT_MAX_N,
-    DEFAULT_PRIMES,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    report_to_text,
-    run_audit,
-)
 from .cartier import cartier, class_representative, gamma0, same_class
 from .errors import FpFormsError, MathDomainError, ParseError, PrimeOutOfRange
 from .forms import wedge
@@ -76,6 +68,8 @@ _COMMANDS = {
     "same-class": (2, lambda f, g: same_class(f, g)),
 }
 
+_CHOICES = (*_COMMANDS, "oracle", "check")
+
 
 def build_parser() -> argparse.ArgumentParser:
     # one parser read by parse_intermixed_args, so that flags may come
@@ -85,16 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="number of variables")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    # check alone reads these; it resolves their defaults from the audit
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--max-degree", type=int,
                         help="per-variable exponent cap")
     parser.add_argument("--margin", type=int,
                         help="oracle only: degrees the potential may exceed "
                              "the form by (default p); any value >= 1 asks "
                              "the unbounded question, 0 alone differs")
-    parser.add_argument("command", nargs="?",
-                        choices=[*_COMMANDS, "oracle", "check"])
+    parser.add_argument("command", nargs="?", choices=_CHOICES)
     parser.add_argument("forms", nargs="*")
     return parser
 
@@ -145,25 +139,30 @@ def _dispatch(args, out) -> int:
         if args.margin < 0:
             raise _UsageError("--margin must be a nonnegative integer")
     if cmd == "check":
-        primes = DEFAULT_PRIMES
+        # only check audits: the audit and its samplers load here
+        from . import audit
+
+        primes = audit.DEFAULT_PRIMES
         if args.p is not None:
             if args.p not in _AUDIT_PRIMES:
                 raise _UsageError(
                     "check audits small primes only: %s" % (_AUDIT_PRIMES,)
                 )
             primes = (args.p,)
-        max_n = DEFAULT_MAX_N
+        max_n = audit.DEFAULT_MAX_N
         if args.n is not None:
             if not 1 <= args.n <= 4:
                 raise _UsageError("check supports --n between 1 and 4")
             max_n = args.n
-        if args.trials < 1:
+        trials = audit.DEFAULT_TRIALS if args.trials is None else args.trials
+        if trials < 1:
             raise _UsageError("--trials must be a positive integer")
-        report = run_audit(
-            seed=args.seed, trials=args.trials, primes=primes, max_n=max_n
-        )
-        text = json.dumps(report, indent=2) if args.json else report_to_text(report)
-        print(text, file=out)
+        seed = audit.DEFAULT_SEED if args.seed is None else args.seed
+        report = audit.run_audit(seed=seed, trials=trials, primes=primes, max_n=max_n)
+        if args.json:
+            print(json.dumps(report, indent=2), file=out)
+        else:
+            print(audit.report_to_text(report), file=out)
         return 2 if report["regressions"] else 0
     forms = [_read_form(text, args.p, args.n) for text in texts]
     if cmd == "oracle":
@@ -188,6 +187,10 @@ def run_command(argv, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = build_parser()
     try:
+        # parse_intermixed_args would drop a -- that comes before the
+        # command and read the flags after it as flags
+        if "--" in argv and not set(argv[: argv.index("--")]) & set(_CHOICES):
+            raise _UsageError("-- may only come after the command")
         args = parser.parse_intermixed_args(argv)
         cap = max_degree_limit() if args.max_degree is None else args.max_degree
         if cap < 1:

@@ -543,18 +543,16 @@ def _reduced_form(p, n, r, sums) -> "DiffForm":
     """The degree-r form sum_K sums[K] dz_K over F_p, p a Prime.
 
     sums maps each target index K to an unreduced exponent -> int dict.
-    Each dict is reduced mod p, cleared of zeros and sorted once; the
-    one-pass d and wedge both end here, and so does the homotopy builder
-    of poincare.integrate.
+    Each dict is reduced mod p and cleared of zeros, in the order its
+    monomials were made: nothing reads a coefficient in order, and the
+    printer and the documents sort for themselves.  The one-pass d and
+    wedge both end here, and so does the homotopy builder of
+    poincare.integrate.
     """
     q = p.p
     out = {}
     for index, target in sums.items():
-        terms = {}
-        for e in sorted(target):
-            v = target[e] % q
-            if v:
-                terms[e] = v
+        terms = {e: v for e, c in target.items() if (v := c % q)}
         if terms:
             out[index] = MultiPoly._trusted(p, n, terms)
     return DiffForm._trusted(p, n, r, out)

@@ -348,11 +348,7 @@ class _Parser:
                 break
             sign = -1 if self.advance().kind == "MINUS" else 1
         p = self.p.p
-        terms = {}
-        for e in sorted(sums):
-            v = sums[e] % p
-            if v:
-                terms[e] = v
+        terms = {e: v for e, c in sums.items() if (v := c % p)}
         return MultiPoly._trusted(self.p, self.n, terms)
 
     def parse_power(self, tok):

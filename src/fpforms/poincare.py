@@ -172,8 +172,13 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             k, target, odd = slot
             m = exps[j] + 1
             if m > limit:
-                # the layered proof's order: the layers index[:k], then z_j
-                overflow.setdefault(index[: k + 1] + (n + 1,), (m, j + 1))
+                # the layered proof's order: the layers index[:k], then z_j,
+                # and per key the monomial that comes first in index order,
+                # then exponent order
+                key = index[: k + 1] + (n + 1,)
+                first = overflow.get(key)
+                if first is None or (index, exps) < first[0]:
+                    overflow[key] = ((index, exps), (m, j + 1))
             residue = m % p
             inverse = inverses.get(residue)
             if inverse is None:
@@ -183,7 +188,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             e[j] = m
             target[tuple(e)] = p - v if odd else v
     if overflow:
-        m, i = min(overflow.items())[1]
+        m, i = min(overflow.items())[1][1]
         raise _degree_overflow(m, i, limit)
     return _reduced_form(form.p, n, form.r - 1, out)
 

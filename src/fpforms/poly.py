@@ -2,9 +2,14 @@
 
 A polynomial in variables z1..zn is a mapping from exponent vectors (tuples
 of n nonnegative ints) to nonzero residues in 1..p-1.  The zero polynomial
-is the empty mapping.  No term order is maintained beyond a canonical sorted
-iteration order fixed at construction, and no simplification ever happens
-besides dropping zero coefficients: what you build is what you keep.
+is the empty mapping.  No term order is kept: the dict iterates in
+whatever order its monomials were made, and no simplification ever happens
+besides dropping zero coefficients: what you build is what you keep.  The
+canonical order, ascending by exponent vector, exists only where it is
+seen: the text of __str__ and of the printer, the format-1 documents, and
+the errors that name a monomial or an exponent, which scan the sorted
+terms once an error is certain, so they name the offender a sorted
+iteration meets first.
 
 The differential structure is where characteristic p bites:
 
@@ -41,7 +46,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import (
     ArityMismatch,
@@ -116,7 +121,9 @@ def _check_degree(terms, var=None):
     """Raise DegreeOverflow at the first exponent above the cap.
 
     Scans the exponent vectors of terms in iteration order, all variables
-    or only z_var; the message is the one the constructor gives.
+    or only z_var; the message is the one the constructor gives.  Callers
+    whose message must not depend on how a result was built hand it their
+    terms sorted, and only once a C-level max has passed the cap.
     """
     limit = _max_degree.get()
     for exps in terms:
@@ -125,10 +132,29 @@ def _check_degree(terms, var=None):
                 raise _degree_overflow(e, i, limit)
 
 
-def _check_cap(poly):
-    """Raise DegreeOverflow, as _check_degree, if poly passes the cap."""
-    if poly.max_var_degree() > _max_degree.get():
-        _check_degree(poly.terms)
+def _check_cap(terms):
+    """Raise DegreeOverflow, as _check_degree over the sorted terms, if an
+    exponent of terms passes the cap."""
+    if terms and max(chain.from_iterable(terms)) > _max_degree.get():
+        _check_degree(sorted(terms))
+
+
+def _product(left, right, p):
+    """The reduced products of the (exps, c) pairs of left and right.
+
+    Pairs are taken in the order given; a sum that cancels is deleted and,
+    if a later pair brings it back, inserted again.
+    """
+    out = {}
+    for e1, c1 in left:
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            v = (out.get(e, 0) + c1 * c2) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
 
 
 class MultiPoly:
@@ -170,15 +196,15 @@ class MultiPoly:
                     clean[exps] = (clean.get(exps, 0) + c) % p.p
                     if not clean[exps]:
                         del clean[exps]
-        self.terms = {e: clean[e] for e in sorted(clean)}
+        self.terms = clean
 
     @classmethod
     def _trusted(cls, p, n, terms) -> "MultiPoly":
         """A polynomial from terms that are clean by construction.
 
-        p is a Prime, n a valid arity, and terms a dict in the canonical
-        sorted order mapping exponent vectors of length n to residues in
-        1..p-1.  Nothing is checked, reduced, sorted or copied.
+        p is a Prime, n a valid arity, and terms a dict, in any order,
+        mapping exponent vectors of length n to residues in 1..p-1.
+        Nothing is checked, reduced, sorted or copied.
         """
         self = object.__new__(cls)
         self.p = p
@@ -251,13 +277,12 @@ class MultiPoly:
     def _merge(self, other, sign) -> "MultiPoly":
         """self + sign * other, for sign +1 or -1, in one pass.
 
-        The result keeps the canonical order; it is re-sorted only when
-        other brings monomials that self lacks.
+        The result keeps self's monomials in their order and puts the
+        monomials that only other has after them.
         """
         self._check(other)
         p = self.p.p
         out = dict(self.terms)
-        grown = False
         for exps, c in other.terms.items():
             if exps in out:
                 v = (out[exps] + sign * c) % p
@@ -267,9 +292,6 @@ class MultiPoly:
                     del out[exps]
             else:
                 out[exps] = c if sign > 0 else p - c
-                grown = True
-        if grown:
-            out = {e: out[e] for e in sorted(out)}
         return MultiPoly._trusted(self.p, self.n, out)
 
     def __add__(self, other):
@@ -309,27 +331,28 @@ class MultiPoly:
             return NotImplemented
         self._check(other)
         # A constant factor (zero, or one monomial at the zero exponent
-        # vector) scales the other operand: no exponent moves, so the
-        # order stands, and the cap is checked only on an operand built
-        # above it, under a raised limit, as the full product would be.
+        # vector) scales the other operand: no exponent moves, and the cap
+        # is checked only on an operand built above it, under a raised
+        # limit, as the full product would be.
         for a, b in ((self, other), (other, self)):
             if len(b.terms) <= 1 and not any(next(iter(b.terms), ())):
                 out = a * next(iter(b.terms.values()), 0)
-                _check_cap(out)
+                _check_cap(out.terms)
                 return out
         p = self.p.p
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        if self.max_var_degree() + other.max_var_degree() > _max_degree.get():
-            _check_degree(out)
-        return MultiPoly._trusted(self.p, self.n, {e: out[e] for e in sorted(out)})
+        out = _product(self.terms.items(), other.terms.items(), p)
+        limit = _max_degree.get()
+        if (
+            self.max_var_degree() + other.max_var_degree() > limit
+            and out
+            and max(chain.from_iterable(out)) > limit
+        ):
+            # name the exponent that the product of the sorted operands
+            # meets first
+            _check_degree(
+                _product(sorted(self.terms.items()), sorted(other.terms.items()), p)
+            )
+        return MultiPoly._trusted(self.p, self.n, out)
 
     __rmul__ = __mul__
 
@@ -356,7 +379,7 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash((self.p.p, self.n, tuple(self.terms.items())))
+        return hash((self.p.p, self.n, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
     # differential operations
@@ -378,7 +401,6 @@ class MultiPoly:
             v = c * (m % p) % p
             if v:
                 # lowering one exponent by 1 keeps distinct keys distinct
-                # and keeps their order
                 e = list(exps)
                 e[k] = m - 1
                 out[tuple(e)] = v
@@ -476,25 +498,28 @@ class MultiPoly:
     def antiderivative(self, i: int) -> "MultiPoly":
         """Formal antiderivative in z_i with integration constant 0.
 
-        Raises ObstructedAntiderivative on any monomial whose z_i-exponent
-        is = p-1 (mod p): those are exactly the monomials outside the image
-        of partial(i).
+        Raises ObstructedAntiderivative, naming the least such monomial,
+        when any z_i-exponent is = p-1 (mod p): those are exactly the
+        monomials outside the image of partial(i).
         """
         self._check_var(i)
         p = self.p.p
+        top = p - 1
         out = {}
         j = i - 1
         for exps, c in self.terms.items():
             m = exps[j]
-            if m % p == p - 1:
+            if m % p == top:
+                exps = min(e for e in self.terms if e[j] % p == top)
                 raise ObstructedAntiderivative(
                     "monomial %s has z%d-exponent %d = p-1 (mod %d)"
-                    % (monomial_text(exps, c), i, m, p)
+                    % (monomial_text(exps, self.terms[exps]), i, exps[j], p)
                 )
             e = list(exps)
             e[j] = m + 1
             out[tuple(e)] = c * inv_mod(m + 1, p) % p
-        _check_degree(out, i)
+        if out and max(map(itemgetter(j), out)) > _max_degree.get():
+            _check_degree(sorted(out), i)
         return MultiPoly._trusted(self.p, self.n, out)
 
     def is_differential_constant(self) -> bool:
@@ -544,18 +569,20 @@ class MultiPoly:
             tuple(e * p + s for e, s in zip(exps, shift)): c
             for exps, c in self.terms.items()
         }
-        _check_degree(out)
+        _check_cap(out)
         return MultiPoly._trusted(self.p, self.n, out)
 
     def unsubstitute_pth(self) -> "MultiPoly":
-        """Inverse of substitute_pth; needs every exponent divisible by p."""
+        """Inverse of substitute_pth; NotPthPower names the least monomial
+        with an exponent not divisible by p."""
         p = self.p.p
         out = {}
         for exps, c in self.terms.items():
             if any(e % p for e in exps):
+                exps = min(e for e in self.terms if any(x % p for x in e))
                 raise NotPthPower(
                     "monomial %s is not a p-th power (p=%d)"
-                    % (monomial_text(exps, c), p)
+                    % (monomial_text(exps, self.terms[exps]), p)
                 )
             out[tuple(e // p for e in exps)] = c
         return MultiPoly._trusted(self.p, self.n, out)

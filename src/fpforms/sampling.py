@@ -10,8 +10,8 @@ the drawn exponents against the degree cap only when max_degree exceeds
 it; the Prime is passed down, so no inner call tests primality again.
 Every draw is clean by construction, a residue in 1..p-1 at exponents in
 0..max_degree, so the coefficients are built by MultiPoly._trusted with
-their terms sorted once, and the form by DiffForm._trusted with its zero
-coefficients dropped.  random_ratfun keeps the validating RatFun
+their terms in the order drawn (a polynomial keeps no term order), and
+the form by DiffForm._trusted with its zero coefficients dropped.  random_ratfun keeps the validating RatFun
 constructor, since inflating the denominator is the mathematics.  The
 draws and their order are those of the validating constructors, and
 _randint draws each integer from rng.getrandbits by the rejection rule
@@ -64,7 +64,7 @@ def random_poly(
         terms[random_exps(rng, n, max_degree)] = _randint(rng, 1, p.p - 1)
     if max_degree > max_degree_limit():
         _check_degree(terms)
-    return MultiPoly._trusted(p, n, {e: terms[e] for e in sorted(terms)})
+    return MultiPoly._trusted(p, n, terms)
 
 
 def random_ratfun(

@@ -257,8 +257,8 @@ def test_check_json_report():
 
 def test_check_exits_2_on_regression(monkeypatch):
     fake = {"regressions": 1, "claims": [], "seed": 0, "trials": 0}
-    monkeypatch.setattr("fpforms.cli.run_audit", lambda **kw: fake)
-    monkeypatch.setattr("fpforms.cli.report_to_text", lambda report: "forced")
+    monkeypatch.setattr("fpforms.audit.run_audit", lambda **kw: fake)
+    monkeypatch.setattr("fpforms.audit.report_to_text", lambda report: "forced")
     code, out, _ = run(["check"])
     assert code == 2 and out == "forced\n"
 
@@ -318,6 +318,15 @@ def test_flag_placement_and_usage_edges():
         (["check", "--margin", "1"], (1, "", "error: --margin is an oracle option\n")),
         (p3n1 + ["wedge", "z dz", "--margin", "0", "z dz"], (1, "", "error: --margin is an oracle option\n")),
         (p3n1 + ["d", "--", "z^2 dz"], (0, "0\n", "")),
+        # after the command, -- makes the rest forms; before it, -- is refused
+        (
+            p3n1 + ["d", "--", "--json"],
+            (1, "", "error: unexpected - at line 1, column 2 "
+                    "(expected a coefficient or a differential)\n"),
+        ),
+        (["--", "--p", "3", "--n", "1", "d", "z dz"], (1, "", "error: -- may only come after the command\n")),
+        (p3n1 + ["--", "d", "z dz"], (1, "", "error: -- may only come after the command\n")),
+        (["--", "check"], (1, "", "error: -- may only come after the command\n")),
     ]
     for argv, expected in cases:
         assert run(argv) == expected, argv

@@ -310,8 +310,9 @@ def naive_d(form):
 
 
 def assert_same_form(got, expected):
-    """Same degree and the same coefficients in the same order, down to
-    the numerators and denominators (no cross multiplication)."""
+    """Same degree and the same coefficients in the same index order,
+    down to the numerators and denominators (no cross multiplication),
+    each compared as a mapping: a polynomial keeps no term order."""
     assert (got.p, got.n, got.r) == (expected.p, expected.n, expected.r)
     assert list(got.terms) == list(expected.terms)
     for index, c in got.terms.items():
@@ -322,7 +323,7 @@ def assert_same_form(got, expected):
         else:
             pairs = [(c.num, e.num), (c.den, e.den)]
         for a, b in pairs:
-            assert list(a.terms.items()) == list(b.terms.items())
+            assert a.terms == b.terms
     assert str(got) == str(expected)
 
 

@@ -11,7 +11,10 @@ and the README's list of subcommands names exactly the parser's.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -317,6 +320,36 @@ def test_every_function_is_named_outside_its_def_line():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unnamed.append((module, name, lineno))
     assert unnamed == []
+
+
+def test_the_audit_loads_only_for_check():
+    # every command but check runs without the audit and its samplers;
+    # run_audit stays reachable by every route of the public API
+    script = (
+        "import sys, fpforms.cli\n"
+        "print(sorted({'fpforms.audit', 'fpforms.sampling'} & set(sys.modules)))\n"
+        "import fpforms\n"
+        "from fpforms import run_audit\n"
+        "from fpforms import *\n"
+        "import fpforms.audit\n"
+        "assert run_audit is fpforms.run_audit is fpforms.audit.run_audit\n"
+        "assert 'run_audit' in dir() and 'run_audit' in fpforms.__all__\n"
+        "try:\n"
+        "    fpforms.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ)
+    src = str(SRC.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        "module 'fpforms' has no attribute 'no_such_name'",
+    ]
 
 
 def test_readme_lists_every_subcommand():
