@@ -11,12 +11,13 @@ it; the Prime is passed down, so no inner call tests primality again.
 Every draw is clean by construction, a residue in 1..p-1 at exponents in
 0..max_degree, so the coefficients are built by MultiPoly._trusted with
 their terms in the order drawn (a polynomial keeps no term order), and
-the form by DiffForm._trusted with its zero coefficients dropped.  random_ratfun keeps the validating RatFun
-constructor, since inflating the denominator is the mathematics.  The
-draws and their order are those of the validating constructors, and
-_randint draws each integer from rng.getrandbits by the rejection rule
-of random.Random.randint, without its three Python frames, so a seed
-gives the same stream and the same forms.
+the form by DiffForm._trusted with its zero coefficients dropped.
+random_ratfun keeps the validating RatFun constructor, since inflating
+the denominator is the mathematics.  The draws and their order are those
+of the validating constructors, and _randint draws each integer from
+rng.getrandbits by the rejection rule of random.Random.randint, without
+its three Python frames, so a seed gives the same stream and the same
+forms.
 """
 
 from __future__ import annotations
