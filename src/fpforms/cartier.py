@@ -38,10 +38,13 @@ def gamma0(form: DiffForm) -> DiffForm:
     z^(p E + (p-1) chi_I).
     """
     k = form.p.p - 1
+    n = form.n
     out = {}
     for index, coeff in form.terms.items():
-        shift = tuple(k if i in index else 0 for i in range(1, form.n + 1))
-        out[index] = coeff.substitute_pth(shift)
+        shift = [0] * n
+        for i in index:
+            shift[i - 1] = k
+        out[index] = coeff._substituted(shift)
     return _closed_by_construction(form._with_terms(out))
 
 
@@ -68,7 +71,7 @@ def cartier(form: DiffForm) -> DiffForm:
         raise NotClosed("the Cartier operator is defined on closed forms")
     out = {}
     for index, coeff in form.terms.items():
-        out[index] = coeff.residue_mask(index, lower=True).unsubstitute_pth()
+        out[index] = coeff._residue_mask(index, lower=True).unsubstitute_pth()
     return form._with_terms(out)
 
 

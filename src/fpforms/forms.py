@@ -31,11 +31,17 @@ clearing is the one place where unequal denominators meet.
 
 As for polynomials, validation happens at the trust boundary.  The
 constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
-characteristic and arity, and promotes mixed coefficients; the parser,
-JSON documents and user calls go through it.  +, -, d, wedge and the
-coefficient-wise maps of _with_terms build their results with the
-_trusted constructor, which checks nothing, keeps the fresh dict it is
-handed and only restores the canonical index order.
+characteristic and arity, promotes mixed coefficients and sorts the
+indices; the parser, JSON documents and user calls go through it.  +, -,
+d, wedge and the coefficient-wise maps of _with_terms build their
+results with the _trusted constructor, which checks nothing and keeps
+the fresh dict it is handed as it is.  The canonical index order,
+ascending, is an invariant that the producers keep: a coefficient-wise
+map walks its operand's indices in order, and so do negation and a
+merge whose other operand brings no new index.  Only the two producers
+that can break the order sort: _reduced_form, which d, wedge and the
+homotopy builder of poincare.integrate end in, and _merge when the
+other operand brings an index that the first lacks.
 
 Forms are immutable: no operation changes a form once it is built, and
 every result is a new object.  So a form keeps its exterior derivative:
@@ -214,7 +220,7 @@ class DiffForm:
                     coeff = MultiPoly.constant(p, n, coeff)
                 if not isinstance(coeff, (MultiPoly, RatFun)):
                     raise TypeError("coefficient must be MultiPoly or RatFun")
-                if coeff.p != p:
+                if coeff.p.p != p.p:
                     raise PrimeMismatch(
                         "coefficient over F_%d in a form over F_%d"
                         % (coeff.p.p, p.p)
@@ -242,15 +248,16 @@ class DiffForm:
         """A form from terms that are clean by construction.
 
         p is a Prime, n and r are valid, and terms is a fresh dict, which
-        the form keeps, mapping strictly increasing r-tuples in 1..n to
-        nonzero coefficients over (p, n), all MultiPoly or all RatFun.
-        Only the index order is restored, for two indices or more.
+        the form keeps, mapping strictly increasing r-tuples in 1..n, in
+        ascending order, to nonzero coefficients over (p, n), all
+        MultiPoly or all RatFun.  The caller keeps the order (see the
+        module docstring); nothing is checked or sorted here.
         """
         self = object.__new__(cls)
         self.p = p
         self.n = n
         self.r = r
-        self.terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
+        self.terms = terms
         self._d = None
         return self
 
@@ -311,7 +318,7 @@ class DiffForm:
         return best
 
     def _check(self, other):
-        if self.p != other.p:
+        if self.p.p != other.p.p:
             raise PrimeMismatch(
                 "mixed characteristics %d and %d" % (self.p.p, other.p.p)
             )
@@ -326,7 +333,8 @@ class DiffForm:
 
         A zero form of another degree is the neutral element on either
         side; coefficients are promoted to RatFun when the operands' kinds
-        differ.
+        differ.  The indices are sorted again only when other brings one
+        that self lacks.
         """
         self._check(other)
         r = self.r
@@ -338,15 +346,20 @@ class DiffForm:
                     "cannot add forms of degrees %d and %d" % (self.r, other.r)
                 )
         out = dict(self.terms)
+        grew = False
         for index, coeff in other.terms.items():
             if index in out:
                 coeff = out[index] + coeff if sign > 0 else out[index] - coeff
                 if coeff.is_zero():
                     del out[index]
                     continue
-            elif sign < 0:
-                coeff = -coeff
+            else:
+                grew = True
+                if sign < 0:
+                    coeff = -coeff
             out[index] = coeff
+        if grew:
+            out = dict(sorted(out.items()))
         if self.is_polynomial != other.is_polynomial:
             out = {i: _promote(c) for i, c in out.items()}
         return _closed_by_construction(
@@ -386,7 +399,7 @@ class DiffForm:
     def __eq__(self, other):
         if not isinstance(other, DiffForm):
             return NotImplemented
-        if self.p != other.p or self.n != other.n:
+        if self.p.p != other.p.p or self.n != other.n:
             return False
         if self.is_zero() and other.is_zero():
             return True  # the zero form is degree-blind
@@ -545,13 +558,14 @@ def _reduced_form(p, n, r, sums) -> "DiffForm":
     sums maps each target index K to an unreduced exponent -> int dict.
     Each dict is reduced mod p and cleared of zeros, in the order its
     monomials were made: nothing reads a coefficient in order, and the
-    printer and the documents sort for themselves.  The one-pass d and
+    printer and the documents sort for themselves.  The indices K are
+    taken in ascending order, which the form keeps.  The one-pass d and
     wedge both end here, and so does the homotopy builder of
     poincare.integrate.
     """
     q = p.p
     out = {}
-    for index, target in sums.items():
+    for index, target in sorted(sums.items()):
         terms = {e: v for e, c in target.items() if (v := c % q)}
         if terms:
             out[index] = MultiPoly._trusted(p, n, terms)

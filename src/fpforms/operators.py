@@ -62,10 +62,11 @@ def _index_text(index):
 
 
 def _masked(form: DiffForm, every=True, sign=1, lower=False) -> DiffForm:
-    """Each coefficient a_I replaced by a_I.residue_mask(I, every, sign, lower)."""
+    """Each coefficient a_I replaced by a_I.residue_mask(I, every, sign, lower),
+    through the unchecked kernel: the form guarantees its indices."""
     return form._with_terms(
         {
-            index: coeff.residue_mask(index, every, sign, lower)
+            index: coeff._residue_mask(index, every, sign, lower)
             for index, coeff in form.terms.items()
         }
     )
@@ -115,7 +116,7 @@ def corollary_condition(form: DiffForm) -> bool:
     if not form.is_closed():
         return False
     for index, coeff in form.terms.items():
-        if not any(coeff.residue_mask((i,)).is_zero() for i in index):
+        if not any(coeff._residue_mask((i,)).is_zero() for i in index):
             return False
     return True
 
@@ -212,10 +213,11 @@ def p_decompose_step(form: DiffForm, i: int):
         if i not in index:
             tau_terms[index] = coeff
             continue
-        # dz_index = sign dz_i ^ dz_sub; sub is distinct for each index
+        # dz_index = sign dz_i ^ dz_sub; sub is distinct for each index, and
+        # dropping the common entry i keeps ascending indices ascending
         sign, sub = remove_index(index, i)
-        hit = coeff.residue_mask((i,))
-        omega_terms[sub] = hit.residue_mask((i,), sign=sign, lower=True)
+        hit = coeff._residue_mask((i,))
+        omega_terms[sub] = hit._residue_mask((i,), sign=sign, lower=True)
         low = coeff - hit
         eta_terms[sub] = -low if sign < 0 else low
     # _with_terms drops the zero layers

@@ -38,7 +38,10 @@ _trusted constructor instead.  Only the operations that can raise an
 exponent check the cap, and only on the exponents they grow: *, **,
 antiderivative and substitute_pth.  So lowering the cap with
 degree_limit after building a polynomial does not make the
-exponent-preserving operations on it raise.
+exponent-preserving operations on it raise.  The public residue_mask and
+substitute_pth check their arguments and then call the unchecked kernels
+_residue_mask and _substituted; the operators, Cartier and gamma0 call
+the kernels directly, with the multi-indices their forms guarantee.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import (
     ArityMismatch,
@@ -262,7 +265,7 @@ class MultiPoly:
         return max(chain.from_iterable(self.terms)) if self.terms else 0
 
     def _check(self, other):
-        if self.p != other.p:
+        if self.p.p != other.p.p:
             raise PrimeMismatch(
                 "mixed characteristics %d and %d" % (self.p.p, other.p.p)
             )
@@ -375,7 +378,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (
-            self.p == other.p and self.n == other.n and self.terms == other.terms
+            self.p.p == other.p.p and self.n == other.n and self.terms == other.terms
         )
 
     def __hash__(self):
@@ -448,6 +451,11 @@ class MultiPoly:
         variables of index must be distinct and within range, sign is +1
         or -1, and lower needs every=True (with every=False a kept monomial
         need not be divisible by z_index^(p-1)).
+
+        This entry checks its arguments and hands them to _residue_mask,
+        the unchecked kernel.  The operators of operators.py and cartier.py
+        call the kernel directly with a form's own multi-index, which the
+        form already guarantees to be strictly increasing and in range.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1, got %r" % (sign,))
@@ -463,28 +471,42 @@ class MultiPoly:
                     "repeated variable z%d in %s" % (i, _shown(tuple(index)))
                 )
             seen.add(i)
+        return self._residue_mask(index, every, sign, lower)
+
+    def _residue_mask(self, index, every=True, sign=1, lower=False) -> "MultiPoly":
+        """residue_mask on trusted arguments, checking nothing.
+
+        index holds distinct variables in 1..n, sign is +1 or -1, and
+        lower implies every.  With every set, each variable of index
+        filters the survivors of the one before, and the pass stops once
+        none are left.  Kept monomials stay in the order they had.
+        """
         p = self.p.p
         top = p - 1
-        pos = [i - 1 for i in seen]
-        out = {}
+        terms = self.terms
         if every:
-            if lower:
-                shift = tuple(top if j in seen else 0 for j in range(1, n + 1))
-            for exps, c in self.terms.items():
-                for k in pos:
-                    if exps[k] % p != top:
-                        break
-                else:
-                    if lower:
-                        exps = tuple(map(sub, exps, shift))
-                    out[exps] = c if sign == 1 else p - c
+            for i in index:
+                if not terms:
+                    break
+                k = i - 1
+                terms = {e: c for e, c in terms.items() if e[k] % p == top}
+            if lower and terms:
+                shift = [0] * self.n
+                for i in index:
+                    shift[i - 1] = top
+                terms = {tuple(map(sub, e, shift)): c for e, c in terms.items()}
         else:
-            for exps, c in self.terms.items():
+            pos = [i - 1 for i in index]
+            out = {}
+            for exps, c in terms.items():
                 for k in pos:
                     if exps[k] % p == top:
-                        out[exps] = c if sign == 1 else p - c
+                        out[exps] = c
                         break
-        return MultiPoly._trusted(self.p, self.n, out)
+            terms = out
+        if sign != 1:
+            terms = {e: p - c for e, c in terms.items()}
+        return MultiPoly._trusted(self.p, self.n, terms)
 
     def partial_multi(self, index) -> "MultiPoly":
         """Product of (p-1)-fold partials over the variables in index.
@@ -524,8 +546,7 @@ class MultiPoly:
 
     def is_differential_constant(self) -> bool:
         """True when every partial derivative vanishes, i.e. f lies in K[z^p]."""
-        p = self.p.p
-        return all(e % p == 0 for exps in self.terms for e in exps)
+        return not any(map(self.p.p.__rmod__, chain.from_iterable(self.terms)))
 
     def frobenius_decompose(self):
         """Split f as sum over residue patterns E of g_E * z^E.
@@ -556,7 +577,6 @@ class MultiPoly:
 
         shift is an exponent vector, zero when omitted.
         """
-        p = self.p.p
         shift = tuple(shift) if shift else (0,) * self.n
         if len(shift) != self.n:
             raise ArityMismatch(
@@ -565,8 +585,14 @@ class MultiPoly:
             )
         if any(not isinstance(s, int) or s < 0 for s in shift):
             raise ValueError("bad shift %r" % (shift,))
+        return self._substituted(shift)
+
+    def _substituted(self, shift) -> "MultiPoly":
+        """substitute_pth on a trusted shift, a sequence of n nonnegative
+        ints; only the cap is checked, on the exponents that grew."""
+        scale = (self.p.p,) * self.n
         out = {
-            tuple(e * p + s for e, s in zip(exps, shift)): c
+            tuple(map(add, map(mul, exps, scale), shift)): c
             for exps, c in self.terms.items()
         }
         _check_cap(out)
@@ -576,16 +602,20 @@ class MultiPoly:
         """Inverse of substitute_pth; NotPthPower names the least monomial
         with an exponent not divisible by p."""
         p = self.p.p
-        out = {}
-        for exps, c in self.terms.items():
-            if any(e % p for e in exps):
-                exps = min(e for e in self.terms if any(x % p for x in e))
-                raise NotPthPower(
-                    "monomial %s is not a p-th power (p=%d)"
-                    % (monomial_text(exps, self.terms[exps]), p)
-                )
-            out[tuple(e // p for e in exps)] = c
-        return MultiPoly._trusted(self.p, self.n, out)
+        residue = p.__rmod__
+        terms = self.terms
+        if any(map(residue, chain.from_iterable(terms))):
+            exps = min(e for e in terms if any(map(residue, e)))
+            raise NotPthPower(
+                "monomial %s is not a p-th power (p=%d)"
+                % (monomial_text(exps, terms[exps]), p)
+            )
+        quotient = p.__rfloordiv__
+        return MultiPoly._trusted(
+            self.p,
+            self.n,
+            {tuple(map(quotient, exps)): c for exps, c in terms.items()},
+        )
 
     # ------------------------------------------------------------------
     # presentation

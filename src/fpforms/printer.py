@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from .errors import ParseError, PrimeOutOfRange, _shown
 from .forms import DiffForm
-from .poly import MAX_VARIABLES, MultiPoly, _check_degree
+from .poly import MAX_VARIABLES, MultiPoly, _check_cap
 from .ratfun import RatFun
 from .scalar import Prime
 
 FORMAT_VERSION = 1
+
+_MONOMIAL_KEYS = frozenset(("exps", "c"))
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +79,7 @@ def _monos_to_poly(monos, p: Prime, n: int, where: str) -> MultiPoly:
     terms = {}
     previous = None
     for mono in monos:
-        if not isinstance(mono, dict) or set(mono) != {"exps", "c"}:
+        if not isinstance(mono, dict) or mono.keys() != _MONOMIAL_KEYS:
             raise ParseError("%s entries need exactly 'exps' and 'c'" % where)
         exps, c = mono["exps"], mono["c"]
         if (
@@ -95,7 +97,9 @@ def _monos_to_poly(monos, p: Prime, n: int, where: str) -> MultiPoly:
             raise ParseError("%s monomials not sorted strictly" % where)
         previous = key
         terms[key] = c
-    _check_degree(terms)
+    # a C-level max first; the terms are sorted, so the scan names the
+    # exponent the validating constructor would
+    _check_cap(terms)
     return MultiPoly._trusted(p, n, terms)
 
 

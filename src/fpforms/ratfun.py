@@ -215,9 +215,22 @@ class RatFun:
             self.num.residue_mask(index, every, sign, lower), self.den
         )
 
+    def _residue_mask(self, index, every=True, sign=1, lower=False) -> "RatFun":
+        """residue_mask on trusted arguments, through the numerator's kernel."""
+        return RatFun._trusted(
+            self.num._residue_mask(index, every, sign, lower), self.den
+        )
+
     def substitute_pth(self, shift=None) -> "RatFun":
         """num(z^p) * z^shift / den(z^p)."""
         return RatFun(self.num.substitute_pth(shift), self.den.substitute_pth())
+
+    def _substituted(self, shift) -> "RatFun":
+        """substitute_pth on a trusted shift.  den(z^p) is a nonzero
+        differential constant, so the quotient is clean by construction."""
+        return RatFun._trusted(
+            self.num._substituted(shift), self.den._substituted((0,) * self.n)
+        )
 
     def __str__(self):
         return "(%s)/(%s)" % (self.num, self.den)

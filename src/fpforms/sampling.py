@@ -17,7 +17,8 @@ the denominator is the mathematics.  The draws and their order are those
 of the validating constructors, and _randint draws each integer from
 rng.getrandbits by the rejection rule of random.Random.randint, without
 its three Python frames, so a seed gives the same stream and the same
-forms.
+forms.  random_exps applies the same rule inline, with getrandbits and
+the bit width bound once per exponent vector.
 """
 
 from __future__ import annotations
@@ -47,7 +48,20 @@ def _randint(rng: random.Random, a: int, b: int) -> int:
 
 
 def random_exps(rng: random.Random, n: int, max_degree: int):
-    return tuple([_randint(rng, 0, max_degree) for _ in range(n)])
+    """n draws of _randint(rng, 0, max_degree), with getrandbits and the
+    bit width bound once for the whole vector."""
+    width = max_degree + 1
+    if width < 1:
+        return tuple([_randint(rng, 0, max_degree) for _ in range(n)])
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        v = getrandbits(k)
+        while v >= width:
+            v = getrandbits(k)
+        out.append(v)
+    return tuple(out)
 
 
 def random_poly(

@@ -21,7 +21,9 @@ def is_prime(m: int) -> bool:
     Miller-Rabin with the witness bases 2, 3, 5 and 7 is exact for every
     m below 3215031751 = 151 * 751 * 28351, the first strong pseudoprime
     to all four, for which it returns True.  That covers the supported
-    range, and Prime rejects larger values before calling it.
+    range, and Prime rejects larger values before calling it.  Below
+    121 = 11^2, a number that 2, 3, 5 and 7 do not divide is prime, so
+    those skip Miller-Rabin.
 
     >>> [q for q in range(20) if is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -31,6 +33,8 @@ def is_prime(m: int) -> bool:
     for q in _WITNESSES:
         if m % q == 0:
             return m == q
+    if m < 121:
+        return True
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -23,6 +23,7 @@ from fpforms.sampling import (
     random_closed_form,
     random_exact_form,
     random_form,
+    random_poly,
 )
 
 TRIALS = 100
@@ -93,6 +94,43 @@ def test_cartier_kills_exact_forms():
         n = rng.randint(1, 3)
         r = rng.randint(1, n)
         assert cartier(random_exact_form(rng, p, n, r)).is_zero()
+
+
+# (p, n, r, s): every split of a degree r + s <= n into two positive ones
+SPLITS = [
+    (p, n, r, s)
+    for p in (2, 3, 5, 7)
+    for n in range(2, 5)
+    for r in range(1, n)
+    for s in range(1, n - r + 1)
+]
+
+
+def test_cartier_is_multiplicative():
+    # C(a ^ b) = C(a) ^ C(b) for closed a and b: with C(gamma0(alpha)) =
+    # alpha, C makes the cohomology a graded ring isomorphic to the forms
+    rng = random.Random(7008)
+    nonzero = 0
+    for p, n, r, s in SPLITS * 10:
+        a = random_closed_form(rng, p, n, r, max_degree=2)
+        b = random_closed_form(rng, p, n, s, max_degree=2)
+        image = cartier(a.wedge(b))
+        assert image == cartier(a).wedge(cartier(b))
+        nonzero += not image.is_zero()
+    assert nonzero > len(SPLITS) * 3
+
+
+def test_cartier_is_semilinear_over_the_differential_constants():
+    # C(g(z^p) a) = g C(a): K[z^p] acts on the classes through z^p -> z
+    rng = random.Random(7009)
+    nonzero = 0
+    for p, n, r, _ in SPLITS * 10:
+        a = random_closed_form(rng, p, n, r, max_degree=2)
+        g = random_poly(rng, p, n, max_degree=2, max_terms=3)
+        image = cartier(a * g.substitute_pth())
+        assert image == cartier(a) * g
+        nonzero += not image.is_zero()
+    assert nonzero > len(SPLITS) * 3
 
 
 def test_cartier_guards():

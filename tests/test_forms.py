@@ -10,6 +10,7 @@ from fpforms import (
     MultiPoly,
     NotClosed,
     RatFun,
+    cartier,
     class_representative,
     clear_denominators,
     degree_limit,
@@ -17,17 +18,25 @@ from fpforms import (
     form_to_doc,
     gamma0,
     insert_index,
+    integrate,
     irrational_part,
     max_degree_limit,
     merge_indices,
     phi,
     remove_index,
     sorted_index_sign,
+    split_complete_restricted,
     split_rational_irrational,
     variables,
     wedge,
 )
-from fpforms.sampling import random_form, random_poly
+from fpforms.operators import p_decompose_step
+from fpforms.sampling import (
+    random_closed_form,
+    random_form,
+    random_p_closed_form,
+    random_poly,
+)
 
 TRIALS = 120
 
@@ -280,14 +289,58 @@ def test_every_result_keeps_one_coefficient_kind():
     assert seen == {MultiPoly, RatFun}
 
 
-def test_trusted_restores_the_index_order():
-    p = 5
-    x = MultiPoly.variable(p, 3, 1)
-    for indices in ([], [(2,)], [(3,), (1,)], [(3,), (1,), (2,)]):
-        terms = {i: x for i in indices}
-        w = DiffForm._trusted(DiffForm.zero(p, 3, 1).p, 3, 1, terms)
-        assert list(w.terms) == sorted(indices)
-        assert w.terms == terms
+def test_results_keep_the_canonical_index_order():
+    # DiffForm._trusted keeps the order it is handed, so every public
+    # operation must hand it ascending indices: the coefficient-wise maps
+    # by walking their operand in order, d, wedge, integrate and a merge
+    # that meets a new index by sorting
+    def in_order(*forms):
+        for w in forms:
+            assert list(w.terms) == sorted(w.terms), w
+        return len(forms)
+
+    rng = random.Random(2828)
+    cells = [
+        (p, n, r, rational)
+        for p in (2, 3, 5, 7)
+        for n in range(1, 5)
+        for r in range(n + 1)
+        for rational in (False, True)
+    ]
+    checked = 0
+    with degree_limit(1000):  # gamma0 of a rational form scales by p
+        for p, n, r, rational in cells * 3:
+            one = MultiPoly.constant(p, n, 1)
+            lam = random_poly(rng, p, n, 1, 2, nonzero=True).substitute_pth()
+            over = RatFun(one, lam) if rational else one
+            a = random_form(rng, p, n, r, max_degree=3) * over
+            b = random_form(rng, p, n, r, max_degree=3, rational=rational)
+            c = random_form(
+                rng, p, n, rng.randint(0, n - r), max_degree=2, rational=rational
+            )
+            g = random_poly(rng, p, n, 2, 2)
+            zero = DiffForm.zero(p, n, r)
+            checked += in_order(
+                a + b, b + a, a - b, b - a, zero + a, a + zero, -a, a * g,
+                a.d(), b.d(), a.wedge(c), c.wedge(a), gamma0(a), gamma0(b),
+            )
+            if r == 0:
+                continue
+            closed = random_closed_form(rng, p, n, r) * over
+            exact = random_p_closed_form(rng, p, n, r) * over
+            checked += in_order(
+                phi(closed),
+                irrational_part(closed),
+                *split_rational_irrational(closed),
+                integrate(exact),
+            )
+            if rational:
+                continue
+            checked += in_order(cartier(closed), *split_complete_restricted(closed))
+            for i in range(1, n + 1):
+                checked += in_order(*p_decompose_step(a + closed, i))
+    assert checked > 5000
+
 
 def naive_d(form):
     """d as the sum of coeff.partial(j) placed through insert_index,

@@ -15,6 +15,18 @@ def test_is_prime_small_table():
     assert not is_prime(-7)
 
 
+def test_is_prime_matches_a_sieve():
+    # below 121 = 11^2 is_prime decides by trial division alone; the sieve
+    # checks that shortcut and the Miller-Rabin route above it
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 1)
+    for q in range(2, 101):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, limit + 1, q))
+    expected = [m for m, prime in enumerate(sieve) if prime]
+    assert [m for m in range(limit + 1) if is_prime(m)] == expected
+
+
 def test_is_prime_catches_carmichael_numbers():
     # strong pseudoprime traps for weak probabilistic tests
     for k in (561, 1105, 1729, 2465, 2821, 6601, 8911):
