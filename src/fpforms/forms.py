@@ -22,12 +22,16 @@ d and wedge run one kernel, a single pass over the monomials of
 polynomial coefficients.  What depends on a multi-index alone (signs,
 target indices, their sums) is found once per coefficient, and d shifts
 an exponent by setting one entry of a list copy of the monomial's
-exponents, taking the tuple and restoring the entry.  A rational form
-is cleared first, by ratfun.clear_denominators, to omega = a / lam with
-a polynomial and lam a p-th power.  As d(lam) = 0, d(omega) = d(a) /
-lam, and with other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So
-d, wedge and poincare.integrate form no RatFun sum or product: the
-clearing is the one place where unequal denominators meet.
+exponents, taking the tuple and restoring the entry.  Each target index
+gets one exponent -> int sum, kept reduced mod p as it is updated (a
+sign -1 is carried as a residue), so no pass reduces it afterwards:
+_reduced_form only drops the sums that cancelled, and copies nothing
+when none did.  A rational form is cleared first, by
+ratfun.clear_denominators, to omega = a / lam with a polynomial and lam
+a p-th power.  As d(lam) = 0, d(omega) = d(a) / lam, and with
+other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So d, wedge and
+poincare.integrate form no RatFun sum or product: the clearing is the
+one place where unequal denominators meet.
 
 As for polynomials, validation happens at the trust boundary.  The
 constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
@@ -77,7 +81,7 @@ from .errors import (
     PrimeMismatch,
     _shown,
 )
-from .poly import MultiPoly, _check_arity, max_degree_limit
+from .poly import MultiPoly, _check_arity, _nonzero, max_degree_limit
 from .ratfun import RatFun, clear_denominators
 from .scalar import Prime
 
@@ -417,8 +421,9 @@ class DiffForm:
         """Exterior product self ^ other.
 
         As for d, the result is one signed sum per target index: every
-        sign * c1 * c2 bound for z^(E1+E2) dz_K goes unreduced into one
-        exponent -> int dict, and _reduced_form reduces each dict once.
+        sign * c1 * c2 bound for z^(E1+E2) dz_K is added mod p into one
+        exponent -> residue dict, the sign folded into c1 as a residue,
+        and _reduced_form drops the sums that cancelled.
         A pair of coefficients whose degree bound passes the cap is
         multiplied by the checked MultiPoly product, in pair order, so
         DegreeOverflow is raised exactly where the pairwise route raises
@@ -435,6 +440,7 @@ class DiffForm:
         return _closed_by_construction(out, self, other)
 
     def _wedge_polynomial(self, other) -> "DiffForm":
+        q = self.p.p
         cap = max_degree_limit()
         right = [
             (index, b, b.max_var_degree(), list(b.terms.items()))
@@ -451,26 +457,29 @@ class DiffForm:
                 get = target.get
                 if bound + degree > cap:
                     for e, c in (a * b).terms.items():
-                        target[e] = get(e, 0) + sign * c
+                        target[e] = (get(e, 0) + sign * c) % q
                     continue
                 for e1, c1 in a.terms.items():
-                    c1 *= sign
+                    if sign < 0:
+                        c1 = q - c1
                     for e2, c2 in b_terms:
                         e = tuple(map(add, e1, e2))
-                        target[e] = get(e, 0) + c1 * c2
+                        target[e] = (get(e, 0) + c1 * c2) % q
         return _reduced_form(self.p, self.n, self.r + other.r, sums)
 
     def d(self) -> "DiffForm":
         """Exterior derivative, computed on first use and then kept.
 
         For polynomial forms it is one signed sum per target index: every
-        sign * c * m * z^(E - e_j) bound for dz_J goes unreduced into one
-        exponent -> int dict, and _reduced_form reduces each dict once,
-        as for wedge.  The moves (k, sign, target sum) of an index are
-        found once per coefficient; each monomial's exponents are copied
-        into one list, and each move sets one entry, takes the tuple and
-        restores the entry.  A rational form is cleared first (see the
-        module docstring), and every coefficient sits over its one lam.
+        sign * c * m * z^(E - e_j) bound for dz_J is added mod p into one
+        exponent -> residue dict, and _reduced_form drops the sums that
+        cancelled, as for wedge.  The moves (k, sign, target sum) of an
+        index are found once per coefficient, in one pass over 1..n that
+        counts the entries of the index below j: the sign is (-1)^count,
+        as a residue.  Each monomial's exponents are copied into one list,
+        and each move sets one entry, takes the tuple and restores the
+        entry.  A rational form is cleared first (see the module
+        docstring), and every coefficient sits over its one lam.
         """
         if self._d is None:
             if self.is_polynomial:
@@ -485,20 +494,23 @@ class DiffForm:
         sums = {}
         for index, coeff in self.terms.items():
             moves = []
+            pos = 0
+            r = len(index)
             for j in range(1, n + 1):
-                sign, new_index = insert_index(index, j)
-                if sign:
-                    moves.append((j - 1, sign, sums.setdefault(new_index, {})))
+                if pos < r and index[pos] == j:
+                    pos += 1
+                    continue
+                target = sums.setdefault(index[:pos] + (j,) + index[pos:], {})
+                moves.append((j - 1, p - 1 if pos % 2 else 1, target))
             for exps, c in coeff.terms.items():
                 e = list(exps)
                 for k, sign, target in moves:
                     m = exps[k]
-                    v = m % p
-                    if v:
+                    if m % p:
                         e[k] = m - 1
                         key = tuple(e)
                         e[k] = m
-                        target[key] = target.get(key, 0) + sign * c * v
+                        target[key] = (target.get(key, 0) + sign * c * m) % p
         return _reduced_form(self.p, n, self.r + 1, sums)
 
     def is_closed(self) -> bool:
@@ -512,7 +524,10 @@ class DiffForm:
         return form_to_text(self)
 
     def __repr__(self):
-        return "DiffForm(p=%d, n=%d, r=%d, %s)" % (self.p.p, self.n, self.r, self)
+        # a zero form may have a degree too long for str()
+        return "DiffForm(p=%d, n=%d, r=%s, %s)" % (
+            self.p.p, self.n, _shown(self.r), self
+        )
 
 
 # ----------------------------------------------------------------------
@@ -555,18 +570,19 @@ def _divided(form, lam) -> "DiffForm":
 def _reduced_form(p, n, r, sums) -> "DiffForm":
     """The degree-r form sum_K sums[K] dz_K over F_p, p a Prime.
 
-    sums maps each target index K to an unreduced exponent -> int dict.
-    Each dict is reduced mod p and cleared of zeros, in the order its
-    monomials were made: nothing reads a coefficient in order, and the
-    printer and the documents sort for themselves.  The indices K are
-    taken in ascending order, which the form keeps.  The one-pass d and
-    wedge both end here, and so does the homotopy builder of
-    poincare.integrate.
+    sums maps each target index K to an exponent -> residue dict, reduced
+    mod p as it was summed.  Its zeros, the sums that cancelled, are
+    dropped by poly._nonzero; a dict without one becomes the coefficient
+    as it is.  The monomials stay in the order they were first touched:
+    nothing reads a coefficient in order, and the printer and the
+    documents sort for themselves.  The indices K are taken in ascending
+    order, which the form keeps.  The one-pass d and wedge both end here,
+    and so does the homotopy builder of poincare.integrate, whose values
+    are nonzero residues already, so it pays no copy.
     """
-    q = p.p
     out = {}
     for index, target in sorted(sums.items()):
-        terms = {e: v for e, c in target.items() if (v := c % q)}
+        terms = _nonzero(target)
         if terms:
             out[index] = MultiPoly._trusted(p, n, terms)
     return DiffForm._trusted(p, n, r, out)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
 from .forms import DiffForm, sorted_index_sign
-from .poly import MultiPoly, _check_arity, _degree_overflow, max_degree_limit
+from .poly import MultiPoly, _check_arity, _degree_overflow, _nonzero, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -331,7 +331,11 @@ class _Parser:
         return MultiPoly._trusted(self.p, self.n, terms)
 
     def parse_polysum(self):
-        """['-'] prod (('+' | '-') prod)*, summed in one exponent -> int dict."""
+        """['-'] prod (('+' | '-') prod)*, summed in one exponent -> int dict.
+
+        Each sum is kept reduced mod p as it is updated, as in d and
+        wedge, and poly._nonzero drops the ones that cancelled.
+        """
         tok = self.peek()
         sign = 1
         if tok.kind == "MINUS":
@@ -339,17 +343,16 @@ class _Parser:
             sign = -1
         elif tok.kind == "PLUS":
             self.advance()
+        p = self.p.p
         sums = {}
         get = sums.get
         while True:
             for e, c in self.parse_product(allow_ratio=False).terms.items():
-                sums[e] = get(e, 0) + sign * c
+                sums[e] = (get(e, 0) + sign * c) % p
             if self.peek().kind not in ("PLUS", "MINUS"):
                 break
             sign = -1 if self.advance().kind == "MINUS" else 1
-        p = self.p.p
-        terms = {e: v for e, c in sums.items() if (v := c % p)}
-        return MultiPoly._trusted(self.p, self.n, terms)
+        return MultiPoly._trusted(self.p, self.n, _nonzero(sums))
 
     def parse_power(self, tok):
         """Consume a variable and its optional exponent: (index, exponent)."""

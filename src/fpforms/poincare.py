@@ -14,6 +14,8 @@ input monomial times one z_i, so its degree is at most the input's + 1.
 The builder finds the slot of each i in I (its position k, the sum for
 I minus i, the parity of k) once per coefficient and each inverse of
 w_i mod p once per call, and sets z_i's exponent in a list copy of E.
+Its scan for i almost always stops at z1.  Each monomial of the
+potential is written once, as a nonzero residue: nothing is reduced.
 
 The builder is also the p-closedness test.  A monomial with all w_j = 0
 (mod p) has E_j = p-1 (mod p) for each j in its index I, so it is kept by
@@ -146,7 +148,8 @@ def _equals_over(numerators: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
 def _homotopy_potential(form: DiffForm) -> DiffForm:
     """iota_X(form) / w_i on each weight block of a closed polynomial form.
 
-    See the module docstring: the caller checks closedness, this p-closedness.
+    See the module docstring: the caller checks closedness, this
+    p-closedness.  A scan for i that runs past z_n raises NotPClosed.
     """
     p, n = form.p.p, form.n
     limit = max_degree_limit()
@@ -161,11 +164,11 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             rest = index[:k] + index[k + 1 :]
             slots[i - 1] = (k, out.setdefault(rest, {}), k % 2)
         for exps, c in coeff.terms.items():
-            for j in range(n):
-                if (exps[j] + chi[j]) % p:
-                    break
-            else:
-                raise NotPClosed(p_closed_failure(form))
+            j = 0
+            while not (exps[j] + chi[j]) % p:
+                j += 1
+                if j == n:
+                    raise NotPClosed(p_closed_failure(form))
             slot = slots[j]
             if slot is None:
                 continue

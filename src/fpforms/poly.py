@@ -160,6 +160,18 @@ def _product(left, right, p):
     return out
 
 
+def _nonzero(terms):
+    """A dict of residues without its zeros; terms itself when it has none.
+
+    The sums of d, wedge and the parser are reduced mod p as they are
+    updated, so a sum that cancels keeps its first slot, as 0, until
+    this one filter drops it; the rest keep their order.
+    """
+    if 0 in terms.values():
+        return {e: c for e, c in terms.items() if c}
+    return terms
+
+
 class MultiPoly:
     """A sparse polynomial over F_p in n variables.
 
@@ -179,6 +191,7 @@ class MultiPoly:
         _check_arity(n)
         self.p = p
         self.n = n
+        q = p.p
         clean = {}
         limit = _max_degree.get()
         if terms:
@@ -189,16 +202,27 @@ class MultiPoly:
                         "exponent vector %s has length %d, expected %d"
                         % (_shown(exps), len(exps), n)
                     )
-                for i, e in enumerate(exps, start=1):
-                    if type(e) is not int or e < 0:
-                        raise ValueError("bad exponent %s for z%d" % (_shown(e), i))
-                    if e > limit:
-                        raise _degree_overflow(e, i, limit)
-                c = int(c) % p.p
+                for e in exps:
+                    if type(e) is not int or e < 0 or e > limit:
+                        # an error is certain; a rescan names the first
+                        # variable whose exponent fails, type and sign
+                        # tested before the cap
+                        for i, e in enumerate(exps, start=1):
+                            if type(e) is not int or e < 0:
+                                raise ValueError(
+                                    "bad exponent %s for z%d" % (_shown(e), i)
+                                )
+                            if e > limit:
+                                raise _degree_overflow(e, i, limit)
+                c = int(c) % q
                 if c:
-                    clean[exps] = (clean.get(exps, 0) + c) % p.p
-                    if not clean[exps]:
-                        del clean[exps]
+                    if exps in clean:
+                        # a sum that cancels gives up its slot
+                        c = (clean[exps] + c) % q
+                        if not c:
+                            del clean[exps]
+                            continue
+                    clean[exps] = c
         self.terms = clean
 
     @classmethod

@@ -151,6 +151,37 @@ def test_an_int_too_long_to_print_is_named_by_its_digit_count(build, error, mess
     assert str(caught.value) == message
 
 
+def test_a_zero_form_of_a_degree_too_long_to_print_has_a_repr():
+    # any degree is valid for a zero form, and repr names it by its digits
+    text = "DiffForm(p=3, n=1, r=<5001-digit int>, 0)"
+    assert repr(DiffForm(3, 1, 10**5000)) == text
+
+
+@pytest.mark.parametrize(
+    "exps, error, message",
+    [
+        ((1, -1), ValueError, "bad exponent -1 for z2"),
+        ((True, 0), ValueError, "bad exponent True for z1"),
+        ((0, 1.0), ValueError, "bad exponent 1.0 for z2"),
+        ((65, -1), DegreeOverflow, "exponent 65 of z1 exceeds the degree limit 64"),
+        ((-1, 65), ValueError, "bad exponent -1 for z1"),
+        ((0, 0, 0), ArityMismatch, "exponent vector (0, 0, 0) has length 3, "
+         "expected 2"),
+    ],
+)
+def test_the_constructor_names_the_first_bad_exponent(exps, error, message):
+    # the variables are tested in order, each for type and sign before the cap
+    with pytest.raises(error) as caught:
+        MultiPoly(3, 2, {(0, 0): 1, exps: 1})
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_key_of_any_sequence_merges_by_its_tuple():
+    # (0, 1) cancels on its third entry and comes back, last, on its fourth
+    f = MultiPoly(3, 2, {(0, 1): 1, (1, 0): 1, range(0, 2): 2, b"\x00\x01": 1})
+    assert list(f.terms.items()) == [((1, 0), 1), ((0, 1), 1)]
+
+
 def test_arity_at_the_bound_is_accepted():
     f = parse_form("x dy", 3, MAX_VARIABLES)
     assert f.n == MAX_VARIABLES and str(f.d()) == "dz1^dz2"
