@@ -220,7 +220,7 @@ class DiffForm:
                             "index %s is not strictly increasing" % _shown(index)
                         )
                     last = i
-                if isinstance(coeff, int):
+                if type(coeff) is int:
                     coeff = MultiPoly.constant(p, n, coeff)
                 if not isinstance(coeff, (MultiPoly, RatFun)):
                     raise TypeError("coefficient must be MultiPoly or RatFun")
@@ -390,9 +390,9 @@ class DiffForm:
 
     def __mul__(self, other):
         """Coefficient-wise multiplication by a scalar or function."""
-        if isinstance(other, (int, MultiPoly, RatFun)):
-            if isinstance(other, int):
-                other = MultiPoly.constant(self.p, self.n, other)
+        if type(other) is int:
+            other = MultiPoly.constant(self.p, self.n, other)
+        if isinstance(other, (MultiPoly, RatFun)):
             return self._with_terms(
                 {i: c * other for i, c in self.terms.items()}
             )

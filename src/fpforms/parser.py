@@ -20,9 +20,17 @@ numerator and denominator: "(a + b/c)" means (a + b)/c.
 All numerals are reduced mod p, at any length; exponents stay plain
 integers.  Parentheses nest at most 100 levels deep.  Errors carry
 1-based line and column positions plus the expected token kinds.
+
+The tokens are the plain strings that one compiled pattern finds, with
+'' for the end of input, and the parser reads them by index.  No token
+keeps a position: a ParseError finds the offset of its token by
+scanning the text again, and turns it into a line and a column.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import islice
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
 from .forms import DiffForm, sorted_index_sign
@@ -35,28 +43,9 @@ _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 # three frames of recursion per level stay far below Python's limit
 _MAX_NESTING = 100
 
-_SYMBOLS = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return "_Token(%s, %r)" % (self.kind, self.text)
+# a numeral, a name, a symbol, or any other visible character, which no
+# text may hold; whitespace between tokens is skipped
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|[-+*/^()]|\S")
 
 
 def _residue(digits, p):
@@ -68,94 +57,85 @@ def _residue(digits, p):
     return value
 
 
+def _error(text, k, message, expected=(), error=ParseError):
+    """error(message) at token k of text, found by tokenizing again."""
+    offset = len(text)  # the end of input, past the last token
+    for match in islice(_TOKEN.finditer(text), k, None):
+        offset = match.start()
+        break
+    line = text.count("\n", 0, offset) + 1
+    return error(message, line, offset - text.rfind("\n", 0, offset), expected)
+
+
 def _tokenize(text):
-    tokens = []
-    line, column = 1, 1
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            depth += (ch == "(") - (ch == ")")
+    """The token strings of text, then two '' for the end of input.
+
+    The parser never moves past the first '', so it can look one token
+    ahead without a clamp.  A character that starts no token, and the
+    '(' that nests deeper than _MAX_NESTING levels, raise here, the
+    first of them in the text.  The pattern's last branch takes the
+    first kind, and its name branch a word character that is neither a
+    letter nor a digit, such as '²', which may continue a name but not
+    start one.
+    """
+    tokens = _TOKEN.findall(text)
+    bad = [
+        t for t in set(tokens)
+        if not (t[0].isalpha() or t[0].isdecimal() or t in "+-*/^()")
+    ]
+    end = min(map(tokens.index, bad)) if bad else len(tokens)
+    if tokens.count("(") > _MAX_NESTING:
+        depth = 0
+        for k in range(end):
+            depth += (tokens[k] == "(") - (tokens[k] == ")")
             if depth > _MAX_NESTING:
                 message = "parentheses nest deeper than %d levels" % _MAX_NESTING
-                raise ParseError(message, line, column)
-            tokens.append(_Token(_SYMBOLS[ch], ch, line, column))
-            column += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, column)
-    # two EOF tokens: the parser never moves past the first, so peek(1)
-    # can index without a clamp
-    eof = _Token("EOF", "", line, column)
-    tokens += (eof, eof)
+                raise _error(text, k, message)
+    if bad:
+        raise _error(text, end, "unexpected character %r" % tokens[end][0])
+    tokens += ("", "")
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, p: Prime, n: int):
-        self.tokens = tokens
+    def __init__(self, text, p: Prime, n: int):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.p = p
         self.n = n
 
     # ------------------------------------------------------------------
 
-    def peek(self, ahead=0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def fail(self, message, k, expected=(), error=ParseError):
+        """Raise error(message) at token k."""
+        raise _error(self.text, k, message, expected, error)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind, what) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail("unexpected %s" % (tok.text or "end of input"), tok, (what,))
-        return self.advance()
-
-    def fail(self, message, tok, expected=()):
-        raise ParseError(message, tok.line, tok.column, expected)
+    def unexpected(self, k, *expected):
+        self.fail("unexpected %s" % (self.tokens[k] or "end of input"), k, expected)
 
     def exponent(self):
         """Consume a caret and the exponent numeral after it."""
-        self.advance()
-        tok = self.expect("NUMBER", "an exponent")
+        k = self.pos + 1
+        digits = self.tokens[k]
+        if not digits.isdecimal():
+            self.unexpected(k, "an exponent")
+        self.pos = k + 1
         try:
-            return int(tok.text)
+            return int(digits)
         except ValueError:
-            self.fail("exponent of %d digits is too large" % len(tok.text), tok)
+            self.fail("exponent of %d digits is too large" % len(digits), k)
+
+    def close(self):
+        """Consume the ')' of a parenthesized atom."""
+        if self.tokens[self.pos] != ")":
+            self.unexpected(self.pos, "')'")
+        self.pos += 1
 
     # ------------------------------------------------------------------
     # name classification
 
-    def _variable_index(self, name, tok):
+    def _variable_index(self, name, k):
         """1-based index for a variable name, or None if not a variable."""
         if name in _ALIASES:
             if name == "z" and self.n == 1:
@@ -165,56 +145,55 @@ class _Parser:
             try:
                 return int(name[1:])
             except ValueError:
-                raise VariableOutOfRange(
+                raise _error(
+                    self.text,
+                    k,
                     "variable index of %d digits is outside 1..%d"
                     % (len(name) - 1, self.n),
-                    tok.line,
-                    tok.column,
+                    error=VariableOutOfRange,
                 ) from None
         return None
 
-    def _check_range(self, idx, name, tok):
+    def _check_range(self, idx, name, k):
         if not 1 <= idx <= self.n:
-            raise VariableOutOfRange(
+            self.fail(
                 "variable %s denotes z%d, outside 1..%d" % (name, idx, self.n),
-                tok.line,
-                tok.column,
+                k,
+                error=VariableOutOfRange,
             )
         return idx
 
-    def _differential_index(self, tok):
+    def _differential_index(self, k):
         """Index of a differential token like dz2 or dx; None otherwise."""
-        name = tok.text
-        if tok.kind != "NAME" or len(name) < 2 or name[0] != "d":
+        name = self.tokens[k]
+        if len(name) < 2 or name[0] != "d":
             return None
-        return self._variable_index(name[1:], tok)
+        return self._variable_index(name[1:], k)
 
-    def _starts_atom(self, tok):
-        if tok.kind in ("NUMBER", "LPAREN"):
-            return True
-        if tok.kind == "NAME":
-            if self._differential_index(tok) is not None:
-                return False
-            return True
-        return False
+    def _starts_atom(self, k):
+        tok = self.tokens[k]
+        if tok[:1].isalpha():
+            return self._differential_index(k) is None
+        return tok == "(" or tok.isdecimal()
 
     # ------------------------------------------------------------------
     # grammar
 
     def parse(self) -> DiffForm:
-        tok = self.peek()
-        if tok.kind == "EOF":
-            self.fail("empty expression", tok, ("a term",))
+        tokens = self.tokens
+        if not tokens[0]:
+            self.fail("empty expression", 0, ("a term",))
         sign = 1
-        if tok.kind == "MINUS":
-            self.advance()
+        if tokens[0] == "-":
+            self.pos = 1
             sign = -1
-        elif tok.kind == "PLUS":
-            self.advance()
+        elif tokens[0] == "+":
+            self.pos = 1
         total = self.parse_term(sign)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            term = self.parse_term(-1 if op.kind == "MINUS" else 1)
+        while tokens[self.pos] in ("+", "-"):
+            op = self.pos
+            self.pos += 1
+            term = self.parse_term(-1 if tokens[op] == "-" else 1)
             if total.is_zero():
                 total = term
             elif term.is_zero():
@@ -227,60 +206,44 @@ class _Parser:
                 )
             else:
                 total = total + term
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail("trailing input %r" % tok.text, tok, ("+", "-", "end of input"))
+        k = self.pos
+        if tokens[k]:
+            self.fail("trailing input %r" % tokens[k], k, ("+", "-", "end of input"))
         return total
 
     def parse_term(self, sign) -> DiffForm:
-        tok = self.peek()
         coeff = None
-        if self._starts_atom(tok):
+        if self._starts_atom(self.pos):
             coeff = self.parse_product(allow_ratio=True)
-        indices = None
-        tok = self.peek()
-        if self._differential_index(tok) is not None:
+        indices = ()
+        if self._differential_index(self.pos) is not None:
             indices = self.parse_basis()
-        if coeff is None and indices is None:
-            self.fail(
-                "unexpected %s" % (tok.text or "end of input"),
-                tok,
-                ("a coefficient", "a differential"),
-            )
+        elif coeff is None:
+            self.unexpected(self.pos, "a coefficient", "a differential")
         if coeff is None:
             coeff = MultiPoly.constant(self.p, self.n, 1)
-        if indices is None:
-            return DiffForm(self.p, self.n, 0, {(): coeff * sign})
         perm_sign, index = sorted_index_sign(indices)
-        if perm_sign == 0:
-            return DiffForm.zero(self.p, self.n, len(indices))
-        return DiffForm(
-            self.p,
-            self.n,
-            len(indices),
-            {index: coeff * (sign * perm_sign)},
-        )
+        coeff = coeff * (sign * perm_sign)
+        # parse_basis checked the range, so one nonzero term is clean
+        terms = {} if coeff.is_zero() else {index: coeff}
+        return DiffForm._trusted(self.p, self.n, len(indices), terms)
 
     def parse_basis(self):
+        tokens = self.tokens
         indices = []
-        tok = self.peek()
-        idx = self._differential_index(tok)
-        while idx is not None:
-            self._check_range(idx, tok.text[1:], tok)
+        k = self.pos
+        idx = self._differential_index(k)
+        while True:
+            self._check_range(idx, tokens[k][1:], k)
             indices.append(idx)
-            self.advance()
-            if self.peek().kind != "CARET":
+            k += 1
+            if tokens[k] != "^":
                 break
-            nxt = self.peek(1)
-            if self._differential_index(nxt) is None:
-                self.fail(
-                    "expected a differential after '^'",
-                    nxt,
-                    ("dz<k>",),
-                )
-            self.advance()  # the caret
-            tok = self.peek()
-            idx = self._differential_index(tok)
+            idx = self._differential_index(k + 1)
+            if idx is None:
+                self.fail("expected a differential after '^'", k + 1, ("dz<k>",))
+            k += 1
+        self.pos = k
         return tuple(indices)
 
     def parse_product(self, allow_ratio):
@@ -294,21 +257,22 @@ class _Parser:
         only while the coefficient is nonzero, as a zero product has no
         monomial to carry it.
         """
+        tokens = self.tokens
         p = self.p.p
         limit = max_degree_limit()
         coeff, exps = 1, [0] * self.n
         folded = False
         value = None
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             if value is not None:
                 value = value * self.parse_atom(allow_ratio)
-            elif tok.kind == "NUMBER":
-                self.advance()
-                coeff = coeff * _residue(tok.text, p) % p
+            elif tok.isdecimal():
+                self.pos += 1
+                coeff = coeff * _residue(tok, p) % p
                 folded = True
-            elif tok.kind == "NAME":
-                i, k = self.parse_power(tok)
+            elif tok[:1].isalpha():
+                i, k = self.parse_power()
                 if k > limit:
                     raise _degree_overflow(k, i, limit)
                 e = exps[i - 1] + k
@@ -320,10 +284,9 @@ class _Parser:
                 value = self.parse_atom(allow_ratio)
                 if folded:
                     value = self._monomial(coeff, exps) * value
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.advance()
-            elif not self._starts_atom(tok):
+            if tokens[self.pos] == "*":
+                self.pos += 1
+            elif not self._starts_atom(self.pos):
                 return self._monomial(coeff, exps) if value is None else value
 
     def _monomial(self, coeff, exps) -> MultiPoly:
@@ -336,67 +299,71 @@ class _Parser:
         Each sum is kept reduced mod p as it is updated, as in d and
         wedge, and poly._nonzero drops the ones that cancelled.
         """
-        tok = self.peek()
+        tokens = self.tokens
         sign = 1
-        if tok.kind == "MINUS":
-            self.advance()
+        if tokens[self.pos] == "-":
+            self.pos += 1
             sign = -1
-        elif tok.kind == "PLUS":
-            self.advance()
+        elif tokens[self.pos] == "+":
+            self.pos += 1
         p = self.p.p
         sums = {}
         get = sums.get
         while True:
             for e, c in self.parse_product(allow_ratio=False).terms.items():
                 sums[e] = (get(e, 0) + sign * c) % p
-            if self.peek().kind not in ("PLUS", "MINUS"):
+            if tokens[self.pos] == "+":
+                sign = 1
+            elif tokens[self.pos] == "-":
+                sign = -1
+            else:
                 break
-            sign = -1 if self.advance().kind == "MINUS" else 1
+            self.pos += 1
         return MultiPoly._trusted(self.p, self.n, _nonzero(sums))
 
-    def parse_power(self, tok):
+    def parse_power(self):
         """Consume a variable and its optional exponent: (index, exponent)."""
-        idx = self._variable_index(tok.text, tok)
+        k = self.pos
+        name = self.tokens[k]
+        idx = self._variable_index(name, k)
         if idx is None:
-            self.fail("unknown name %r" % tok.text, tok, ("a variable",))
-        self._check_range(idx, tok.text, tok)
-        self.advance()
-        if self.peek().kind == "CARET":
+            self.fail("unknown name %r" % name, k, ("a variable",))
+        self._check_range(idx, name, k)
+        self.pos = k + 1
+        if self.tokens[k + 1] == "^":
             return idx, self.exponent()
         return idx, 1
 
     def parse_atom(self, allow_ratio):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return MultiPoly.constant(self.p, self.n, _residue(tok.text, self.p.p))
-        if tok.kind == "NAME":
-            idx, exp = self.parse_power(tok)
+        k = self.pos
+        tok = self.tokens[k]
+        if tok.isdecimal():
+            self.pos = k + 1
+            return MultiPoly.constant(self.p, self.n, _residue(tok, self.p.p))
+        if tok[:1].isalpha():
+            idx, exp = self.parse_power()
             exps = [0] * self.n
             exps[idx - 1] = exp
             return MultiPoly.monomial(self.p, self.n, tuple(exps))
-        if tok.kind == "LPAREN":
-            self.advance()
+        if tok == "(":
+            self.pos = k + 1
             num = self.parse_polysum()
-            if self.peek().kind == "SLASH":
+            slash = self.pos
+            if self.tokens[slash] == "/":
                 if not allow_ratio:
-                    self.fail("ratios may not nest", self.peek())
-                slash = self.advance()
+                    self.fail("ratios may not nest", slash)
+                self.pos = slash + 1
                 den = self.parse_polysum()
-                self.expect("RPAREN", "')'")
+                self.close()
                 try:
                     return RatFun(num, den)
                 except ZeroDenominator:
                     self.fail("division by the zero polynomial", slash)
-            self.expect("RPAREN", "')'")
-            if self.peek().kind == "CARET":
+            self.close()
+            if self.tokens[self.pos] == "^":
                 return num**self.exponent()
             return num
-        self.fail(
-            "unexpected %s" % (tok.text or "end of input"),
-            tok,
-            ("a number", "a variable", "'('"),
-        )
+        self.unexpected(k, "a number", "a variable", "'('")
 
 
 def parse_form(text: str, p, n: int) -> DiffForm:
@@ -409,4 +376,4 @@ def parse_form(text: str, p, n: int) -> DiffForm:
     """
     p = Prime(p)
     _check_arity(n)
-    return _Parser(_tokenize(text), p, n).parse()
+    return _Parser(text, p, n).parse()

@@ -214,7 +214,9 @@ class MultiPoly:
                                 )
                             if e > limit:
                                 raise _degree_overflow(e, i, limit)
-                c = int(c) % q
+                if type(c) is not int:
+                    raise TypeError("coefficient %s is not an int" % _shown(c))
+                c %= q
                 if c:
                     if exps in clean:
                         # a sum that cancels gives up its slot
@@ -322,7 +324,7 @@ class MultiPoly:
         return MultiPoly._trusted(self.p, self.n, out)
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -337,17 +339,17 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._merge(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if type(other) is int else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             p = self.p.p
             c = other % p
             if c == 1:
@@ -384,7 +386,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("polynomial powers need a nonnegative int")
         out = MultiPoly.constant(self.p, self.n, 1)
         base = self
@@ -397,7 +399,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = MultiPoly.constant(self.p, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented

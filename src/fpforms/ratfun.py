@@ -11,10 +11,12 @@ coefficients exactly as cheap as the polynomial one.
 
 The constructor normalizes: a denominator that is already a differential
 constant (all exponents divisible by p) is kept as given, anything else is
-inflated by the identity above.  No reduction to lowest terms is attempted,
-so one value has many representations.  Equality compares the numerators
-alone when the two denominators are the same polynomial, which is exact
-because F_p[z] is an integral domain, and cross-multiplies otherwise.
+inflated by the identity above, with Q^(p-1) in closed form when Q is a
+monomial or binomial (_cofrobenius) and Q^p by Frobenius.  No reduction
+to lowest terms is attempted, so one value has many representations.
+Equality compares the numerators alone when the two denominators are the
+same polynomial, which is exact because F_p[z] is an integral domain,
+and cross-multiplies otherwise.
 
 As for polynomials and forms, validation happens at the trust boundary.
 The constructor RatFun(num, den) checks and normalizes whatever it is
@@ -33,16 +35,42 @@ raise, from the MultiPoly operations underneath.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly
+from .poly import MultiPoly, max_degree_limit
 from .scalar import inv_mod
 
 
 def _unit(p, n) -> MultiPoly:
     """The constant 1 over F_p in n variables, p a Prime."""
     return MultiPoly._trusted(p, n, {(0,) * n: 1})
+
+
+def _cofrobenius(den) -> MultiPoly:
+    """den^(p-1), the factor that turns den into den^p.
+
+    b*m gives m^(p-1), as b^(p-1) = 1 mod p, and a*m1 + b*m gives
+    sum_j (-a/b)^j m1^j m^(p-1-j), as C(p-1, j) = (-1)^j: p distinct terms
+    and no intermediate product.  Three or more terms, or a power whose
+    exponents would pass the cap, go through den ** (p-1), which raises
+    the DegreeOverflow it always raised.
+    """
+    p = den.p.p
+    if len(den.terms) > 2 or (p - 1) * den.max_var_degree() > max_degree_limit():
+        return den ** (p - 1)
+    (m, b), *rest = den.terms.items()
+    exps = tuple(e * (p - 1) for e in m)
+    out = {exps: 1}
+    for m1, a in rest:
+        step = tuple(map(sub, m1, m))
+        ratio = (p - a) * inv_mod(b, p) % p
+        c = 1
+        for _ in range(p - 1):
+            exps = tuple(map(add, exps, step))
+            c = c * ratio % p
+            out[exps] = c
+    return MultiPoly._trusted(den.p, den.n, out)
 
 
 class RatFun:
@@ -75,7 +103,7 @@ class RatFun:
         if num.is_zero():
             den = _unit(num.p, num.n)
         elif not den.is_differential_constant():
-            num = num * den ** (num.p.p - 1)
+            num = num * _cofrobenius(den)
             # Frobenius: den^p over F_p is den with every exponent times p
             den = den.substitute_pth()
         self.num = num
@@ -131,7 +159,7 @@ class RatFun:
             return other
         if isinstance(other, MultiPoly):
             return RatFun(other)
-        if isinstance(other, int):
+        if type(other) is int:
             return RatFun(MultiPoly.constant(self.p, self.n, other))
         return None
 
@@ -165,10 +193,10 @@ class RatFun:
         return self._merge(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return NotImplemented if self._coerce(other) is None else -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return RatFun._trusted(self.num * other, self.den)
         other = self._coerce(other)
         if other is None:

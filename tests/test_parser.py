@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 
@@ -16,7 +18,8 @@ from fpforms import (
     parse_form,
     variables,
 )
-from fpforms.parser import _Parser, _residue, _tokenize
+from fpforms.parser import _error, _residue, _tokenize
+from frozen_parser import _Parser as _FrozenParser, _tokenize as _frozen_tokenize
 from fpforms.printer import form_to_text
 from fpforms.scalar import Prime
 from fpforms.sampling import random_form
@@ -158,9 +161,10 @@ def test_round_trip_is_canonical_text():
         assert form_to_text(parse_form(text, p, n)) == text
 
 
-class _AtomByAtomParser(_Parser):
+class _AtomByAtomParser(_FrozenParser):
     """The parser before numbers and powers were folded: every atom is a
-    MultiPoly or RatFun, multiplied and summed one at a time."""
+    MultiPoly or RatFun, multiplied and summed one at a time.  It reads
+    the frozen parser's tokens."""
 
     def parse_product(self, allow_ratio):
         value = self.parse_atom(allow_ratio)
@@ -275,15 +279,22 @@ def _random_expression(rng, n):
     return text
 
 
-def _outcome(parser_class, text, p, n):
+def _frozen_parse(parser_class):
+    return lambda text, p, n: parser_class(_frozen_tokenize(text), Prime(p), n).parse()
+
+
+def _outcome(parse, text, p, n):
     try:
-        form = parser_class(_tokenize(text), Prime(p), n).parse()
+        form = parse(text, p, n)
     except FpFormsError as err:
         return type(err), str(err)
     return form.r, form_to_text(form)
 
 
 def test_folded_products_parse_as_atom_by_atom():
+    # parse_form against the frozen parser, and both against the one
+    # that multiplies atom by atom: the same forms, error types and
+    # error texts, positions included
     rng = random.Random(8003)
     kinds = set()
     for _ in range(1500):
@@ -291,7 +302,66 @@ def test_folded_products_parse_as_atom_by_atom():
         n = rng.randint(1, 3)
         text = _random_expression(rng, n)
         with degree_limit(rng.choice((64, 64, 40, 12))):
-            got = _outcome(_Parser, text, p, n)
-            assert got == _outcome(_AtomByAtomParser, text, p, n), text
+            got = _outcome(parse_form, text, p, n)
+            assert got == _outcome(_frozen_parse(_FrozenParser), text, p, n), text
+            assert got == _outcome(_frozen_parse(_AtomByAtomParser), text, p, n), text
         kinds.add(got[0])
     assert {0, 1, 2, ParseError, VariableOutOfRange, DegreeOverflow} <= kinds
+
+
+def _token_texts(tokenize, text):
+    """The token strings of text, or the text of the error it raises."""
+    try:
+        return [getattr(t, "text", t) for t in tokenize(text)]
+    except ParseError as err:
+        return str(err)
+
+
+def test_the_token_pattern_agrees_with_the_tokenizer_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, predicate in (
+        (r"\s", str.isspace),
+        (r"\d", str.isdecimal),
+        (r"[^\W_]", str.isalnum),
+    ):
+        assert "".join(re.findall(pattern, every)) == "".join(filter(predicate, every))
+    # a name may not start with what [^\W\d_] takes beyond isalpha, as '²'
+    alpha = set(filter(str.isalpha, every))
+    odd = set(re.findall(r"[^\W\d_]", every)) - alpha
+    assert len(odd) > 1000 and "\u00b2" in odd and odd <= set(filter(str.isalnum, every))
+    for c in sorted(odd):
+        assert _token_texts(_tokenize, c).startswith("unexpected character")
+        for text in (c, "x%s dx" % c, "(x%s) dx" % c):
+            assert _token_texts(_tokenize, text) == _token_texts(_frozen_tokenize, text)
+    # the frozen tokenizer takes every other such code point alone and
+    # after a letter, so one text of each kind holds them all
+    chars = sorted(set(filter(str.isspace, every)) | set(filter(str.isalnum, every)))
+    for text in (
+        " ".join(c for c in chars if c not in odd),
+        " ".join("x" + c for c in chars),
+    ):
+        tokens = _token_texts(_tokenize, text)
+        assert isinstance(tokens, list) and tokens == _token_texts(_frozen_tokenize, text)
+
+
+def test_error_positions_match_the_frozen_tokens():
+    # the offset of token k, found only on error, gives the line and
+    # column the frozen tokenizer kept for every token
+    rng = random.Random(8004)
+    spaces = [" ", "  ", "\n", "\t", "\r\n", "\u2028", "\u3000", ""]
+    lines = 0
+    for _ in range(300):
+        text = _random_expression(rng, rng.randint(1, 3))
+        text = "".join(
+            part + rng.choice(spaces) for part in re.split(r"(?<=[ ^*])", text)
+        )
+        try:
+            frozen = _frozen_tokenize(text)
+        except ParseError:
+            continue
+        assert [t.text for t in frozen] == _tokenize(text)
+        lines += frozen[-1].line > 2
+        for k, tok in enumerate(frozen):
+            err = _error(text, k, "m")
+            assert (err.line, err.column) == (tok.line, tok.column), (text, k)
+    assert lines > 100

@@ -15,6 +15,7 @@ from fpforms import (
     NotPthPower,
     Prime,
     PrimeMismatch,
+    RatFun,
     degree_limit,
     gamma0,
     max_degree_limit,
@@ -174,6 +175,71 @@ def test_the_constructor_names_the_first_bad_exponent(exps, error, message):
     with pytest.raises(error) as caught:
         MultiPoly(3, 2, {(0, 0): 1, exps: 1})
     assert type(caught.value) is error and str(caught.value) == message
+
+
+_BIG = 10**4999 + 7  # 5000 digits, more than str() will print
+
+
+def _int_slots():
+    """Every slot that takes an int, as a function of the value put in it."""
+    z = MultiPoly.variable(3, 1, 1)
+    q = RatFun(z, z + 1)
+    w = DiffForm.basis(3, 1, (1,)) * z
+    return {
+        "MultiPoly(coefficient)": lambda c: MultiPoly(3, 1, {(1,): c}),
+        "DiffForm(scalar)": lambda c: DiffForm(3, 1, 1, {(1,): c}),
+        "MultiPoly * c": lambda c: z * c,
+        "c * MultiPoly": lambda c: c * z,
+        "MultiPoly + c": lambda c: z + c,
+        "c + MultiPoly": lambda c: c + z,
+        "MultiPoly - c": lambda c: z - c,
+        "c - MultiPoly": lambda c: c - z,
+        "RatFun * c": lambda c: q * c,
+        "c * RatFun": lambda c: c * q,
+        "RatFun + c": lambda c: q + c,
+        "c + RatFun": lambda c: c + q,
+        "RatFun - c": lambda c: q - c,
+        "c - RatFun": lambda c: c - q,
+        "DiffForm * c": lambda c: w * c,
+        "c * DiffForm": lambda c: c * w,
+    }
+
+
+@pytest.mark.parametrize("slot", sorted(_int_slots()))
+@pytest.mark.parametrize("value", [True, False, 1.0, 1.9, "2"], ids=repr)
+def test_every_int_slot_refuses_other_types(slot, value):
+    # only type(c) is int is a coefficient: no bool, float or str
+    with pytest.raises(TypeError) as caught:
+        _int_slots()[slot](value)
+    # c - f names the operator it was given, not the + it reduces to
+    assert " for +:" not in str(caught.value) or "+" in slot
+
+
+@pytest.mark.parametrize("slot", sorted(_int_slots()))
+def test_every_int_slot_takes_a_long_int_and_reduces_it(slot):
+    make = _int_slots()[slot]
+    assert make(_BIG) == make(_BIG % 3) == make(_BIG % 3 + 3 * _BIG)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.0, "2"], ids=repr)
+def test_a_power_refuses_every_exponent_but_an_int(value):
+    with pytest.raises(ValueError, match="nonnegative int"):
+        MultiPoly.variable(3, 1, 1) ** value
+
+
+def test_a_power_takes_a_long_int_exponent():
+    two = MultiPoly.constant(3, 1, 2)
+    assert two**_BIG == pow(2, _BIG, 3)
+    with pytest.raises(DegreeOverflow):
+        MultiPoly.variable(3, 1, 1) ** _BIG
+
+
+def test_the_constructor_tests_exponents_before_coefficients():
+    with pytest.raises(ValueError, match="bad exponent -1 for z1"):
+        MultiPoly(3, 1, {(-1,): 1.5})
+    with pytest.raises(TypeError) as caught:
+        MultiPoly(3, 1, {(0,): 1, (1,): True})
+    assert str(caught.value) == "coefficient True is not an int"
 
 
 def test_a_key_of_any_sequence_merges_by_its_tuple():

@@ -64,6 +64,79 @@ def test_inflated_denominator_is_the_pth_power(p):
     assert inflated >= 20
 
 
+def _short_denominator(rng, p, n, max_degree, size):
+    """A polynomial of size terms, 1 or 2, that is not a differential
+    constant."""
+    while True:
+        den = random_poly(rng, p, n, max_degree, max_terms=2, nonzero=True)
+        if len(den.terms) == size and not den.is_differential_constant():
+            return den
+
+
+def _normal_forms(num, den):
+    """The constructor's normal form of num/den and the one through
+    den ** (p-1), each as sorted terms or as its DegreeOverflow text."""
+    p = num.p.p
+    outcomes = []
+    for build in (
+        lambda: RatFun(num, den),
+        lambda: RatFun._trusted(num * den ** (p - 1), den.substitute_pth()),
+    ):
+        try:
+            f = build()
+        except DegreeOverflow as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((sorted(f.num.terms.items()), sorted(f.den.terms.items())))
+    return outcomes
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_short_denominators_match_the_square_and_multiply_power(p):
+    # (a + b)^(p-1) = sum_j (-1)^j a^j b^(p-1-j) mod p, built in closed form
+    rng = random.Random(3200 + p)
+    overflows = 0
+    for cap in (64, 20, 12) if p == 13 else (64,):
+        with degree_limit(cap):
+            for k in range(40):
+                n = rng.randint(1, 3)
+                num = random_poly(rng, p, n, 3, 3, nonzero=True)
+                den = _short_denominator(rng, p, n, 3, 1 + k % 2)
+                closed, powered = _normal_forms(num, den)
+                assert closed == powered
+                overflows += isinstance(closed, str)
+    assert overflows >= (20 if p == 13 else 0)
+
+
+def test_short_denominators_at_a_large_prime():
+    p = 1009
+    rng = random.Random(3209)
+    with degree_limit(10**6):
+        for n, size in ((1, 1), (1, 2), (2, 2)):
+            num = random_poly(rng, p, n, 3, 3, nonzero=True)
+            den = _short_denominator(rng, p, n, 3, size)
+            closed, powered = _normal_forms(num, den)
+            assert closed == powered
+
+
+def test_only_long_or_tall_denominators_take_the_power(monkeypatch):
+    x, y = variables(13, 2)
+    short = (x + 2 * y**4, 3 * y**4)
+    long, tall = x + y + 1, x + y**5
+    expected = x * long**12
+    calls = _counting(monkeypatch, MultiPoly, "__pow__")
+    for den in short:
+        RatFun(x, den)
+    assert calls == []
+    assert RatFun(x, long).num == expected
+    assert calls == ["__pow__"]
+    with degree_limit(59):
+        # 12 * 5 passes the cap, so ** raises what it always raised
+        with pytest.raises(DegreeOverflow, match="^exponent 60 of z2 exceeds the degree limit 59$"):
+            RatFun(x, tall)
+    assert calls == ["__pow__"] * 2
+
+
 def test_zero_denominator_rejected():
     (z,) = variables(3, 1)
     with pytest.raises(ZeroDenominator):
