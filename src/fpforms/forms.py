@@ -81,7 +81,7 @@ from .errors import (
     PrimeMismatch,
     _shown,
 )
-from .poly import MultiPoly, _check_arity, _nonzero, max_degree_limit
+from .poly import MultiPoly, _check_arity, _check_cap, _nonzero, max_degree_limit
 from .ratfun import RatFun, clear_denominators
 from .scalar import Prime
 
@@ -423,12 +423,11 @@ class DiffForm:
         As for d, the result is one signed sum per target index: every
         sign * c1 * c2 bound for z^(E1+E2) dz_K is added mod p into one
         exponent -> residue dict, the sign folded into c1 as a residue,
-        and _reduced_form drops the sums that cancelled.
-        A pair of coefficients whose degree bound passes the cap is
-        multiplied by the checked MultiPoly product, in pair order, so
-        DegreeOverflow is raised exactly where the pairwise route raises
-        it.  Rational operands are cleared first (see the module
-        docstring), and every coefficient sits over lam * mu.
+        and _reduced_form drops the sums that cancelled.  When the two
+        forms' degree bounds sum past the cap, the result is checked by
+        poly._check_cap, so products that cancel raise nothing.  Rational
+        operands are cleared first (see the module docstring), and every
+        coefficient sits over lam * mu.
         """
         self._check(other)
         if self.is_polynomial and other.is_polynomial:
@@ -441,31 +440,23 @@ class DiffForm:
 
     def _wedge_polynomial(self, other) -> "DiffForm":
         q = self.p.p
-        cap = max_degree_limit()
-        right = [
-            (index, b, b.max_var_degree(), list(b.terms.items()))
-            for index, b in other.terms.items()
-        ]
+        right = [(index, list(b.terms.items())) for index, b in other.terms.items()]
         sums = {}
         for left, a in self.terms.items():
-            bound = a.max_var_degree()
-            for index, b, degree, b_terms in right:
+            for index, b_terms in right:
                 sign, new_index = merge_indices(left, index)
                 if not sign:
                     continue
                 target = sums.setdefault(new_index, {})
                 get = target.get
-                if bound + degree > cap:
-                    for e, c in (a * b).terms.items():
-                        target[e] = (get(e, 0) + sign * c) % q
-                    continue
                 for e1, c1 in a.terms.items():
                     if sign < 0:
                         c1 = q - c1
                     for e2, c2 in b_terms:
                         e = tuple(map(add, e1, e2))
                         target[e] = (get(e, 0) + c1 * c2) % q
-        return _reduced_form(self.p, self.n, self.r + other.r, sums)
+        grown = self.max_var_degree() + other.max_var_degree() > max_degree_limit()
+        return _reduced_form(self.p, self.n, self.r + other.r, sums, grown)
 
     def d(self) -> "DiffForm":
         """Exterior derivative, computed on first use and then kept.
@@ -567,7 +558,7 @@ def _divided(form, lam) -> "DiffForm":
     return DiffForm._trusted(form.p, form.n, form.r, terms)
 
 
-def _reduced_form(p, n, r, sums) -> "DiffForm":
+def _reduced_form(p, n, r, sums, check=False) -> "DiffForm":
     """The degree-r form sum_K sums[K] dz_K over F_p, p a Prime.
 
     sums maps each target index K to an exponent -> residue dict, reduced
@@ -578,12 +569,15 @@ def _reduced_form(p, n, r, sums) -> "DiffForm":
     documents sort for themselves.  The indices K are taken in ascending
     order, which the form keeps.  The one-pass d and wedge both end here,
     and so does the homotopy builder of poincare.integrate, whose values
-    are nonzero residues already, so it pays no copy.
+    are nonzero residues already, so it pays no copy.  With check set,
+    each coefficient passes poly._check_cap, in ascending index order.
     """
     out = {}
     for index, target in sorted(sums.items()):
         terms = _nonzero(target)
         if terms:
+            if check:
+                _check_cap(terms)
             out[index] = MultiPoly._trusted(p, n, terms)
     return DiffForm._trusted(p, n, r, out)
 

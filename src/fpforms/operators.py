@@ -204,7 +204,7 @@ def p_decompose_step(form: DiffForm, i: int):
         raise DegreeZero("decomposition needs a form of degree >= 1")
     if not form.is_polynomial:
         raise NonPolynomial("decomposition is defined for polynomial forms")
-    if not isinstance(i, int) or not 1 <= i <= form.n:
+    if type(i) is not int or not 1 <= i <= form.n:
         raise IndexOutOfRange("variable z%r outside 1..%d" % (i, form.n))
     omega_terms = {}
     eta_terms = {}

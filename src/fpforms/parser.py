@@ -33,7 +33,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
-from .forms import DiffForm, sorted_index_sign
+from .forms import DiffForm, _promote, sorted_index_sign
 from .poly import MultiPoly, _check_arity, _degree_overflow, _nonzero, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
@@ -180,38 +180,60 @@ class _Parser:
     # grammar
 
     def parse(self) -> DiffForm:
+        """form := ['-'] term (('+' | '-') term)*, summed per index in place:
+        a polynomial coefficient in one reduced exponent -> residue dict, a
+        rational one by RatFun +, so no term copies the running total.  A
+        total that is zero when a term comes takes that term as it is, of
+        any degree and kind; a zero result has the last term's degree."""
         tokens = self.tokens
         if not tokens[0]:
             self.fail("empty expression", 0, ("a term",))
-        sign = 1
-        if tokens[0] == "-":
-            self.pos = 1
-            sign = -1
-        elif tokens[0] == "+":
-            self.pos = 1
-        total = self.parse_term(sign)
-        while tokens[self.pos] in ("+", "-"):
+        p = self.p.p
+        sums, degree, rational = {}, None, False
+        op = 0
+        while True:
+            if tokens[op] in ("+", "-"):
+                self.pos = op + 1
+            elif op:
+                break
+            r, index, coeff = self.parse_term(-1 if tokens[op] == "-" else 1)
+            if not coeff.is_zero():
+                if (r != degree or rational) and all(
+                    self._sum(acc).is_zero() for acc in sums.values()
+                ):
+                    sums, degree, rational = {}, r, False
+                elif r != degree:
+                    message = "term of degree %d in a degree-%d expression"
+                    self.fail(message % (r, degree), op)
+                acc = sums.setdefault(index, {})
+                if type(coeff) is MultiPoly and type(acc) is dict:
+                    get = acc.get
+                    for e, c in coeff.terms.items():
+                        acc[e] = (get(e, 0) + c) % p
+                else:
+                    # coeff itself on a new index; a sum that cancelled adds as 0
+                    rational = True
+                    sums[index] = self._sum(acc) + coeff if acc else coeff
             op = self.pos
-            self.pos += 1
-            term = self.parse_term(-1 if tokens[op] == "-" else 1)
-            if total.is_zero():
-                total = term
-            elif term.is_zero():
-                pass
-            elif term.r != total.r:
-                self.fail(
-                    "term of degree %d in a degree-%d expression"
-                    % (term.r, total.r),
-                    op,
-                )
-            else:
-                total = total + term
-        k = self.pos
-        if tokens[k]:
-            self.fail("trailing input %r" % tokens[k], k, ("+", "-", "end of input"))
-        return total
+        if tokens[op]:
+            self.fail("trailing input %r" % tokens[op], op, ("+", "-", "end of input"))
+        terms = {}
+        for index, acc in sorted(sums.items()):
+            coeff = self._sum(acc)
+            if not coeff.is_zero():
+                terms[index] = _promote(coeff) if rational else coeff
+        return DiffForm._trusted(self.p, self.n, degree if terms else r, terms)
 
-    def parse_term(self, sign) -> DiffForm:
+    def _sum(self, acc):
+        """A running coefficient, an exponent -> residue dict or a RatFun,
+        as a MultiPoly or RatFun."""
+        if type(acc) is dict:
+            return MultiPoly._trusted(self.p, self.n, _nonzero(acc))
+        return acc
+
+    def parse_term(self, sign):
+        """(degree, index, coefficient) of one term, its index sorted and
+        the coefficient signed; the coefficient may be zero."""
         coeff = None
         if self._starts_atom(self.pos):
             coeff = self.parse_product(allow_ratio=True)
@@ -223,10 +245,7 @@ class _Parser:
         if coeff is None:
             coeff = MultiPoly.constant(self.p, self.n, 1)
         perm_sign, index = sorted_index_sign(indices)
-        coeff = coeff * (sign * perm_sign)
-        # parse_basis checked the range, so one nonzero term is clean
-        terms = {} if coeff.is_zero() else {index: coeff}
-        return DiffForm._trusted(self.p, self.n, len(indices), terms)
+        return len(indices), index, coeff * (sign * perm_sign)
 
     def parse_basis(self):
         tokens = self.tokens

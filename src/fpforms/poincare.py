@@ -11,8 +11,8 @@ integrate takes the first such i, so each monomial gives at most one
 monomial of the potential, and no two give the same one: its weight is
 w, which fixes i, then E and I.  Every monomial of the potential is an
 input monomial times one z_i, so its degree is at most the input's + 1.
-The builder finds the slot of each i in I (its position k, the sum for
-I minus i, the parity of k) once per coefficient and each inverse of
+The builder finds the slot of each i in I (the sum for I minus i, the
+parity of its position in I) once per coefficient and each inverse of
 w_i mod p once per call, and sets z_i's exponent in a list copy of E.
 Its scan for i almost always stops at z1.  Each monomial of the
 potential is written once, as a nonzero residue: nothing is reduced.
@@ -27,10 +27,9 @@ with the reason p_closed_failure gives, which names the same index I.
 The paper's proof works layer by layer: it splits off z_i^(p-1) dz_i ^
 omega_i and dz_i ^ eta_i per variable (p_decompose_step) and recurses
 into omega_i.  It gives the same potential term for term and is the
-oracle of tests/test_poincare.py.  Only grown exponents are checked
-against the cap; when several outgrow it, the error names the first the
-layered proof meets (it recurses into the layers j < i of a monomial's
-index before it integrates in z_i).
+oracle of tests/test_poincare.py.  Only grown exponents are compared
+with the cap; once one outgrows it, the potential is checked by
+poly._check_cap, coefficient by coefficient in index order.
 
 Rational input is cleared to a polynomial form first: the collected
 denominator lam is a differential constant, so omega = (lam * omega)/lam
@@ -71,7 +70,7 @@ from .errors import (
 )
 from .forms import DiffForm, _divided, _keep_cleared_d, _reduced_form, insert_index
 from .operators import p_closed_failure
-from .poly import MultiPoly, _degree_overflow, max_degree_limit
+from .poly import MultiPoly, max_degree_limit
 from .ratfun import _cofactors, clear_denominators
 from .scalar import inv_mod
 
@@ -154,7 +153,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
     p, n = form.p.p, form.n
     limit = max_degree_limit()
     out = {}
-    overflow = {}
+    grown = False
     inverses = {}
     for index, coeff in form.terms.items():
         chi = [0] * n
@@ -162,7 +161,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
         for k, i in enumerate(index):
             chi[i - 1] = 1
             rest = index[:k] + index[k + 1 :]
-            slots[i - 1] = (k, out.setdefault(rest, {}), k % 2)
+            slots[i - 1] = (out.setdefault(rest, {}), k % 2)
         for exps, c in coeff.terms.items():
             j = 0
             while not (exps[j] + chi[j]) % p:
@@ -172,16 +171,10 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             slot = slots[j]
             if slot is None:
                 continue
-            k, target, odd = slot
+            target, odd = slot
             m = exps[j] + 1
             if m > limit:
-                # the layered proof's order: the layers index[:k], then z_j,
-                # and per key the monomial that comes first in index order,
-                # then exponent order
-                key = index[: k + 1] + (n + 1,)
-                first = overflow.get(key)
-                if first is None or (index, exps) < first[0]:
-                    overflow[key] = ((index, exps), (m, j + 1))
+                grown = True
             residue = m % p
             inverse = inverses.get(residue)
             if inverse is None:
@@ -190,10 +183,7 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
             e = list(exps)
             e[j] = m
             target[tuple(e)] = p - v if odd else v
-    if overflow:
-        m, i = min(overflow.items())[1][1]
-        raise _degree_overflow(m, i, limit)
-    return _reduced_form(form.p, n, form.r - 1, out)
+    return _reduced_form(form.p, n, form.r - 1, out, grown)
 
 
 # ----------------------------------------------------------------------

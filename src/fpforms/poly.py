@@ -7,9 +7,8 @@ whatever order its monomials were made, and no simplification ever happens
 besides dropping zero coefficients: what you build is what you keep.  The
 canonical order, ascending by exponent vector, exists only where it is
 seen: the text of __str__ and of the printer, the format-1 documents, and
-the errors that name a monomial or an exponent, which scan the sorted
-terms once an error is certain, so they name the offender a sorted
-iteration meets first.
+the errors that name a monomial, which scan the sorted terms once an
+error is certain, so they name the least offender.
 
 The differential structure is where characteristic p bites:
 
@@ -27,21 +26,24 @@ The differential structure is where characteristic p bites:
 Per-variable exponents are capped, at 64 by default and for a with block
 by degree_limit, in the current thread or task only, so that runaway
 constructions (denominators raised to a huge characteristic) fail fast
-with DegreeOverflow instead of exhausting memory.
+with DegreeOverflow instead of exhausting memory.  Input (the
+constructor, the parser's atoms, documents, the sampler) names its first
+offender where it stands.  A result computed from operands within the
+cap follows one rule, _check_cap: it raises exactly when it has an
+exponent above the cap, naming the first variable whose largest exponent
+passes it, with that exponent; a form's coefficients are checked in
+index order.  * and ** apply the rule before they build.
 
 Validation happens at the trust boundary, not on every result.  The
 constructor MultiPoly(p, n, terms) checks and normalizes whatever it is
-given (the parser, JSON documents and user calls go through it).  Results
-that are clean by construction (sums, negations, scalar multiples,
-partials, residue masks, Frobenius parts) are built by the unchecked
-_trusted constructor instead.  Only the operations that can raise an
-exponent check the cap, and only on the exponents they grow: *, **,
-antiderivative and substitute_pth.  So lowering the cap with
-degree_limit after building a polynomial does not make the
-exponent-preserving operations on it raise.  The public residue_mask and
-substitute_pth check their arguments and then call the unchecked kernels
-_residue_mask and _substituted; the operators, Cartier and gamma0 call
-the kernels directly, with the multi-indices their forms guarantee.
+given.  Results that are clean by construction (sums, negations, scalar
+multiples, partials, residue masks, Frobenius parts) are built by the
+unchecked _trusted constructor instead.  Only *, **, substitute_pth and
+antiderivative, which can raise an exponent, check the cap, so lowering
+it does not make the exponent-preserving operations raise.  The public
+residue_mask and substitute_pth check their arguments and then call the
+unchecked kernels _residue_mask and _substituted, which the operators,
+Cartier and gamma0 call directly.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ _max_degree = ContextVar("fpforms_max_degree", default=DEFAULT_MAX_DEGREE)
 def degree_limit(limit: int):
     """Cap per-variable exponents at limit for a with block, in the current
     thread or task only; the cap before comes back on exit."""
-    if not isinstance(limit, int) or limit < 1:
+    if type(limit) is not int or limit < 1:
         raise ValueError("degree limit must be a positive integer")
     token = _max_degree.set(limit)
     try:
@@ -120,50 +122,51 @@ def _degree_overflow(e, i, limit) -> DegreeOverflow:
     )
 
 
-def _check_degree(terms, var=None):
-    """Raise DegreeOverflow at the first exponent above the cap.
-
-    Scans the exponent vectors of terms in iteration order, all variables
-    or only z_var; the message is the one the constructor gives.  Callers
-    whose message must not depend on how a result was built hand it their
-    terms sorted, and only once a C-level max has passed the cap.
-    """
+def _check_degree(terms):
+    """Raise DegreeOverflow for input at its first exponent above the
+    cap, in the order of terms, as the constructor does; a C-level max
+    gates the scan."""
     limit = _max_degree.get()
-    for exps in terms:
-        for i, e in enumerate(exps, start=1):
-            if e > limit and (var is None or i == var):
-                raise _degree_overflow(e, i, limit)
+    if terms and max(chain.from_iterable(terms)) > limit:
+        for exps in terms:
+            for i, e in enumerate(exps, start=1):
+                if e > limit:
+                    raise _degree_overflow(e, i, limit)
+
+
+def _check_maxima(maxima):
+    """The cap rule on a result whose largest z_i-exponent is maxima[i - 1]:
+    DegreeOverflow for the first variable whose largest exponent passes it."""
+    limit = _max_degree.get()
+    for i, m in enumerate(maxima, start=1):
+        if m > limit:
+            raise _degree_overflow(m, i, limit)
 
 
 def _check_cap(terms):
-    """Raise DegreeOverflow, as _check_degree over the sorted terms, if an
-    exponent of terms passes the cap."""
+    """The cap rule on a computed result with the exponent vectors terms."""
     if terms and max(chain.from_iterable(terms)) > _max_degree.get():
-        _check_degree(sorted(terms))
+        _check_maxima(map(max, zip(*terms)))
 
 
-def _product(left, right, p):
-    """The reduced products of the (exps, c) pairs of left and right.
+def _check_product(f, g):
+    """The cap rule on f * g, before it is built: the z_i-leading monomial
+    of a product over F_p never cancels, so max_i(f g) = max_i f + max_i g
+    (a zero factor leaves no exponent at all)."""
+    if f.max_var_degree() + g.max_var_degree() > _max_degree.get():
+        _check_maxima(map(add, map(max, zip(*f.terms)), map(max, zip(*g.terms))))
 
-    Pairs are taken in the order given; a sum that cancels is deleted and,
-    if a later pair brings it back, inserted again.
-    """
-    out = {}
-    for e1, c1 in left:
-        for e2, c2 in right:
-            e = tuple(map(add, e1, e2))
-            v = (out.get(e, 0) + c1 * c2) % p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+
+def _check_power(f, k):
+    """The cap rule on f**k, before it is built: max_i(f^k) = k max_i f."""
+    if k * f.max_var_degree() > _max_degree.get():
+        _check_maxima([k * m for m in map(max, zip(*f.terms))])
 
 
 def _nonzero(terms):
     """A dict of residues without its zeros; terms itself when it has none.
 
-    The sums of d, wedge and the parser are reduced mod p as they are
+    The sums of *, d, wedge and the parser are reduced mod p as they are
     updated, so a sum that cancels keeps its first slot, as 0, until
     this one filter drops it; the rest keep their order.
     """
@@ -260,7 +263,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, p, n, i) -> "MultiPoly":
         _check_arity(n)
-        if not 1 <= i <= n:
+        if type(i) is not int or not 1 <= i <= n:
             raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
         exps = [0] * n
         exps[i - 1] = 1
@@ -359,35 +362,28 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        # A constant factor (zero, or one monomial at the zero exponent
-        # vector) scales the other operand: no exponent moves, and the cap
-        # is checked only on an operand built above it, under a raised
-        # limit, as the full product would be.
+        _check_product(self, other)
+        # a constant factor (zero, or one monomial at the zero exponent
+        # vector) scales the other operand: no exponent moves
         for a, b in ((self, other), (other, self)):
             if len(b.terms) <= 1 and not any(next(iter(b.terms), ())):
-                out = a * next(iter(b.terms.values()), 0)
-                _check_cap(out.terms)
-                return out
+                return a * next(iter(b.terms.values()), 0)
         p = self.p.p
-        out = _product(self.terms.items(), other.terms.items(), p)
-        limit = _max_degree.get()
-        if (
-            self.max_var_degree() + other.max_var_degree() > limit
-            and out
-            and max(chain.from_iterable(out)) > limit
-        ):
-            # name the exponent that the product of the sorted operands
-            # meets first
-            _check_degree(
-                _product(sorted(self.terms.items()), sorted(other.terms.items()), p)
-            )
-        return MultiPoly._trusted(self.p, self.n, out)
+        out = {}
+        get = out.get
+        right = other.terms.items()
+        for e1, c1 in self.terms.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = (get(e, 0) + c1 * c2) % p
+        return MultiPoly._trusted(self.p, self.n, _nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if type(k) is not int or k < 0:
             raise ValueError("polynomial powers need a nonnegative int")
+        _check_power(self, k)
         out = MultiPoly.constant(self.p, self.n, 1)
         base = self
         while k:
@@ -414,7 +410,7 @@ class MultiPoly:
     # differential operations
 
     def _check_var(self, i):
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise IndexOutOfRange(
                 "variable z%s outside 1..%d" % (_shown(i), self.n)
             )
@@ -443,7 +439,7 @@ class MultiPoly:
         partial(i)^p = 0 identically, so k may be large.
         """
         self._check_var(i)
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("derivative order must be a nonnegative int")
         if k >= self.p.p:
             return MultiPoly.zero(self.p, self.n)
@@ -490,7 +486,7 @@ class MultiPoly:
         n = self.n
         seen = set()
         for i in index:
-            if not isinstance(i, int) or not 1 <= i <= n:
+            if type(i) is not int or not 1 <= i <= n:
                 raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
             if i in seen:
                 raise IndexOutOfRange(
@@ -566,8 +562,9 @@ class MultiPoly:
             e = list(exps)
             e[j] = m + 1
             out[tuple(e)] = c * inv_mod(m + 1, p) % p
-        if out and max(map(itemgetter(j), out)) > _max_degree.get():
-            _check_degree(sorted(out), i)
+        top = max(map(itemgetter(j), out)) if out else 0
+        if top > _max_degree.get():
+            raise _degree_overflow(top, i, _max_degree.get())
         return MultiPoly._trusted(self.p, self.n, out)
 
     def is_differential_constant(self) -> bool:
@@ -609,7 +606,7 @@ class MultiPoly:
                 "shift %r has length %d, expected %d"
                 % (shift, len(shift), self.n)
             )
-        if any(not isinstance(s, int) or s < 0 for s in shift):
+        if any(type(s) is not int or s < 0 for s in shift):
             raise ValueError("bad shift %r" % (shift,))
         return self._substituted(shift)
 

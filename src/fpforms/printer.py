@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .errors import ParseError, PrimeOutOfRange, _shown
 from .forms import DiffForm
-from .poly import MAX_VARIABLES, MultiPoly, _check_cap
+from .poly import MAX_VARIABLES, MultiPoly, _check_degree
 from .ratfun import RatFun
 from .scalar import Prime
 
@@ -97,9 +97,7 @@ def _monos_to_poly(monos, p: Prime, n: int, where: str) -> MultiPoly:
             raise ParseError("%s monomials not sorted strictly" % where)
         previous = key
         terms[key] = c
-    # a C-level max first; the terms are sorted, so the scan names the
-    # exponent the validating constructor would
-    _check_cap(terms)
+    _check_degree(terms)
     return MultiPoly._trusted(p, n, terms)
 
 

@@ -38,7 +38,7 @@ from functools import reduce
 from operator import add, mul, sub
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly, max_degree_limit
+from .poly import MultiPoly, _check_power
 from .scalar import inv_mod
 
 
@@ -52,13 +52,13 @@ def _cofrobenius(den) -> MultiPoly:
 
     b*m gives m^(p-1), as b^(p-1) = 1 mod p, and a*m1 + b*m gives
     sum_j (-a/b)^j m1^j m^(p-1-j), as C(p-1, j) = (-1)^j: p distinct terms
-    and no intermediate product.  Three or more terms, or a power whose
-    exponents would pass the cap, go through den ** (p-1), which raises
-    the DegreeOverflow it always raised.
+    and no intermediate product.  Three or more terms go through
+    den ** (p-1); either way the cap is checked before anything is built.
     """
     p = den.p.p
-    if len(den.terms) > 2 or (p - 1) * den.max_var_degree() > max_degree_limit():
+    if len(den.terms) > 2:
         return den ** (p - 1)
+    _check_power(den, p - 1)
     (m, b), *rest = den.terms.items()
     exps = tuple(e * (p - 1) for e in m)
     out = {exps: 1}

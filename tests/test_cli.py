@@ -286,6 +286,11 @@ def test_flag_placement_and_usage_edges():
             (1, "", "error: --margin must be a nonnegative integer\n"),
         ),
         (p3n1 + ["d", "9" * 5000 + " dz"], (0, "0\n", "")),
+        # omega ^ omega = 0, though its pair products pass the cap and cancel
+        (
+            ["--p", "3", "--n", "2", "wedge", "x^64 dx + x dy", "x^64 dx + x dy"],
+            (0, "0\n", ""),
+        ),
         # --margin may come anywhere, but belongs to oracle alone
         (p3n1 + ["--margin", "0", "oracle", "z dz"], (0, "none\n", "")),
         (p3n1 + ["d", "--margin", "0", "z dz"], (1, "", "error: --margin is an oracle option\n")),

@@ -22,6 +22,7 @@ from fpforms import (
     irrational_part,
     max_degree_limit,
     merge_indices,
+    parse_form,
     phi,
     remove_index,
     sorted_index_sign,
@@ -37,6 +38,7 @@ from fpforms.sampling import (
     random_p_closed_form,
     random_poly,
 )
+from test_poly import cap_rule
 
 TRIALS = 120
 
@@ -461,39 +463,44 @@ def test_wedge_matches_naive_oracle(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 13))
 def test_wedge_overflows_where_the_naive_oracle_does(p):
-    # under a lowered cap a product that passes it must raise the
-    # oracle's DegreeOverflow, for the first such pair in pair order;
-    # pairs within the cap, and pairs whose degree bound passes the cap
-    # while their product stays below it, must give the oracle's form
+    # the oracle, under a raised cap, gives the wedge; under the lowered
+    # cap, which the operands fit, the wedge raises exactly when that
+    # result has an exponent above it, with the cap rule's message for its
+    # first such coefficient in index order, and otherwise returns it
     rng = random.Random(4031 + p)
     cap = 2 * p
     raised = done = 0
-    with degree_limit(cap):
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            r = rng.randint(0, n)
-            s = rng.randint(0, n - r)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n)
+        s = rng.randint(0, n - r)
+        with degree_limit(cap):
             a = random_form(rng, p, n, r, max_degree=cap, max_terms=4)
             b = random_form(rng, p, n, s, max_degree=cap, max_terms=4)
-            try:
-                expected = naive_wedge(a, b)
-            except DegreeOverflow as exc:
-                with pytest.raises(DegreeOverflow, match="^%s$" % exc):
-                    a.wedge(b)
-                raised += 1
+        with degree_limit(RAISED_CAP):
+            expected = naive_wedge(a, b)
+        message = cap_rule(expected.terms.values(), cap)
+        with degree_limit(cap):
+            if message is None:
+                assert_same_form(a.wedge(b), expected)
+                done += 1
                 continue
-            assert_same_form(a.wedge(b), expected)
-            done += 1
-        z1, z2, z3, z4 = variables(p, 4)
-        # in pair order dz1^dz3 fits, dz1^dz4 overflows in z2 and
-        # dz2^dz3 in z1; taken by the right factor first, z1 would come
-        # first
+            with pytest.raises(DegreeOverflow) as caught:
+                a.wedge(b)
+            assert str(caught.value) == message
+            raised += 1
+    z1, z2, z3, z4 = variables(p, 4)
+    with degree_limit(cap):
+        # pairs come as dz1^dz3 (over the cap in z2), then dz2^dz1 (over
+        # it in z1); the rule takes the coefficients in index order, so
+        # dz1^dz2 and z1 come first
         a = DiffForm(p, 4, 1, {(1,): z2**cap, (2,): z1**cap})
-        b = DiffForm(p, 4, 1, {(3,): z1 * z4, (4,): z2})
-        message = "^exponent %d of z2 exceeds the degree limit %d$" % (cap + 1, cap)
-        for route in (naive_wedge, DiffForm.wedge):
-            with pytest.raises(DegreeOverflow, match=message):
-                route(a, b)
+        b = DiffForm(p, 4, 1, {(1,): z1, (3,): z2})
+        with pytest.raises(DegreeOverflow) as caught:
+            a.wedge(b)
+        assert str(caught.value) == (
+            "exponent %d of z1 exceeds the degree limit %d" % (cap + 1, cap)
+        )
         # the bound is 2 * cap, the product z1^cap * z2^cap stays within it
         a = DiffForm(p, 4, 1, {(1,): z2**cap})
         b = DiffForm(p, 4, 1, {(2,): z1**cap + z3})
@@ -501,6 +508,15 @@ def test_wedge_overflows_where_the_naive_oracle_does(p):
         assert a.wedge(b).max_var_degree() == cap
         assert max_degree_limit() == cap
     assert raised >= 5 and done >= 5
+
+
+def test_products_over_the_cap_that_cancel_leave_the_wedge_in_it():
+    # omega ^ omega = 0: the pair products x^65 dx^dy and -x^65 dx^dy pass
+    # the default cap 64, and cancel
+    omega = parse_form("x^64 dx + x dy", 3, 2)
+    assert max_degree_limit() == 64
+    assert omega.wedge(omega) == DiffForm.zero(3, 2, 2)
+    assert omega.wedge(omega).is_zero()
 
 
 def over_two_denominators(rng, p, n, r, max_degree):

@@ -1,6 +1,7 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
 through global or nonlocal, writes into no module-level container from a
-function, and leaves a form's kept derivative _d to forms.py; every
+function, leaves a form's kept derivative _d to forms.py and the
+message of a DegreeOverflow to poly.py and the parser's atoms; every
 public name has a user, and every function a mention.
 
 The project ships no linter, so this stdlib-only check (the ast module)
@@ -267,6 +268,63 @@ def test_only_forms_touches_a_kept_derivative(module):
         if isinstance(node, ast.Attribute) and node.attr == "_d"
     ]
     assert bool(touches) == (module == "forms.py"), (module, touches)
+
+
+def _callee(call):
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+_CAP_CHECKS = {
+    "_check_cap", "_check_degree", "_check_maxima", "_check_power", "_check_product",
+    "_degree_overflow",
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_poly_and_parser_name_an_overflow(module):
+    # poly.py keeps the one rule that names the overflow of a computed
+    # result, and the parser's atoms are input, named where they stand;
+    # no function that checks the cap sorts monomials to re-make a product
+    # in another order, or keeps an order dict, to pick the exponent named
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    refers = "_degree_overflow" in _used_names(tree) | set(_imported_names(tree))
+    assert refers == (module in ("poly.py", "parser.py")), module
+    sorted_monomials = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+        if not any(_callee(call) in _CAP_CHECKS for call in calls):
+            continue
+        sorted_monomials += [
+            (function.name, call.lineno)
+            for call in calls
+            if _callee(call) == "sorted"
+            and any(
+                getattr(node, "id", None) == "terms" or getattr(node, "attr", None) == "terms"
+                for node in ast.walk(call)
+            )
+        ]
+        sorted_monomials += [
+            (function.name, call.lineno)
+            for call in calls
+            if _callee(call) in _CAP_CHECKS
+            and any(
+                isinstance(node, ast.Call) and _callee(node) == "sorted"
+                for arg in call.args
+                for node in ast.walk(arg)
+            )
+        ]
+    assert sorted_monomials == [], module
+    overflow_names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and "overflow" in node.id.lower()
+    ]
+    assert overflow_names == [], module
 
 
 def _public_name_users():

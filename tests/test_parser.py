@@ -309,6 +309,50 @@ def test_folded_products_parse_as_atom_by_atom():
     assert {0, 1, 2, ParseError, VariableOutOfRange, DegreeOverflow} <= kinds
 
 
+_TERMS = [
+    "x dx", "2*x dx", "y^3 dx", "x^5 dx", "x dy", "(1/y) dx", "(x/2) dx",
+    "(y/(x + 1)) dy", "(1/(x + y)) dx", "(x^3/(y^2 + x)) dx", "(y^4/x^2) dx",
+    "0 dy", "0", "1", "x", "dx^dy", "dy^dx", "dx^dx", "(1/x) dx^dy",
+]
+
+
+def test_sums_of_many_terms_parse_as_the_frozen_parser():
+    # terms summed per index in place: a total that cancels takes the next
+    # term of any degree and kind, a nonzero one refuses another degree,
+    # and a rational sum keeps its kind, as the frozen parser's + does
+    rng = random.Random(8005)
+    kinds = set()
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        text = rng.choice(("", "-", "+")) + rng.choice(_TERMS)
+        for _ in range(rng.randint(0, 6)):
+            text += rng.choice((" + ", " - ")) + rng.choice(_TERMS)
+        with degree_limit(rng.choice((64, 10, 6))):
+            got = _outcome(parse_form, text, p, 2)
+            assert got == _outcome(_frozen_parse(_FrozenParser), text, p, 2), text
+        kinds.add(got[0])
+    assert {0, 1, 2, ParseError, DegreeOverflow} <= kinds
+
+
+def test_same_index_terms_sum_without_copying_the_total(monkeypatch):
+    # no merge copies the running coefficient or form, so the copies do
+    # not grow with the number of terms
+    copies = []
+    for cls in (MultiPoly, RatFun, DiffForm):
+        merge = cls._merge
+        monkeypatch.setattr(
+            cls, "_merge", lambda *args, merge=merge: copies.append(1) or merge(*args)
+        )
+    counts = []
+    for size in (10, 100, 1000):
+        text = " - ".join("%d*x^%d*y dx + x dy" % (k % 4, k % 50) for k in range(size))
+        before = len(copies)
+        form = parse_form(text, 5, 2)
+        counts.append(len(copies) - before)
+        assert form == _frozen_parse(_FrozenParser)(text, 5, 2)
+    assert counts == [counts[0]] * 3
+
+
 def _token_texts(tokenize, text):
     """The token strings of text, or the text of the error it raises."""
     try:

@@ -24,7 +24,10 @@ from fpforms import (
     parse_form,
     variables,
 )
-from fpforms.sampling import random_poly
+from fpforms.errors import FpFormsError
+from fpforms.operators import p_decompose_step
+from fpforms.poincare import integrate
+from fpforms.sampling import random_exps, random_form, random_poly
 
 TRIALS = 150
 PRIMES = (2, 3, 5, 7)
@@ -213,6 +216,40 @@ def test_every_int_slot_refuses_other_types(slot, value):
         _int_slots()[slot](value)
     # c - f names the operator it was given, not the + it reduces to
     assert " for +:" not in str(caught.value) or "+" in slot
+
+
+def _enter_degree_limit(limit):
+    with degree_limit(limit):
+        pass
+
+
+def _index_and_count_slots():
+    """Each index, order, shift and limit slot -> (its error, a call that
+    puts value there)."""
+    f = MultiPoly.variable(3, 2, 1) + 1
+    form = parse_form("z1^2 dz1^dz2", 3, 2)
+    return {
+        "partial": (IndexOutOfRange, lambda v: f.partial(v)),
+        "partial_pow order": (ValueError, lambda v: f.partial_pow(1, v)),
+        "antiderivative": (IndexOutOfRange, lambda v: f.antiderivative(v)),
+        "variable": (IndexOutOfRange, lambda v: MultiPoly.variable(3, 2, v)),
+        "substitute_pth shift": (ValueError, lambda v: f.substitute_pth((v, 0))),
+        "residue_mask": (IndexOutOfRange, lambda v: f.residue_mask((v,))),
+        "p_decompose_step": (IndexOutOfRange, lambda v: p_decompose_step(form, v)),
+        "degree_limit": (ValueError, _enter_degree_limit),
+    }
+
+
+@pytest.mark.parametrize("slot", sorted(_index_and_count_slots()))
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+def test_every_index_and_count_slot_refuses_a_bool(slot, value):
+    # type(i) is int: True is not the index, order, shift or cap 1, nor
+    # False the 0
+    error, call = _index_and_count_slots()[slot]
+    with pytest.raises(error) as caught:
+        call(value)
+    assert caught.type is error
+    assert max_degree_limit() == 64
 
 
 @pytest.mark.parametrize("slot", sorted(_int_slots()))
@@ -599,9 +636,7 @@ def test_lowering_the_cap_spares_exponent_preserving_ops():
 
 def fold_product(f, g):
     """f * g as the pairwise fold over the sorted operands that reduces as
-    it goes, with the DegreeOverflow message it gives: the first offending
-    exponent in the order in which each monomial's running sum last
-    turned nonzero."""
+    it goes."""
     p = f.p.p
     out = {}
     right = sorted(g.terms.items())
@@ -613,13 +648,6 @@ def fold_product(f, g):
                 out[e] = v
             elif e in out:
                 del out[e]
-    limit = max_degree_limit()
-    for exps in out:
-        for i, e in enumerate(exps, start=1):
-            if e > limit:
-                raise DegreeOverflow(
-                    "exponent %d of z%d exceeds the degree limit %d" % (e, i, limit)
-                )
     return MultiPoly(f.p, f.n, out)
 
 
@@ -636,6 +664,22 @@ def fold_power(f, k):
     return out
 
 
+# a cap that no oracle result of these tests reaches
+RAISED_CAP = 10**6
+
+
+def cap_rule(parts, cap):
+    """The DegreeOverflow text that the cap rule gives for a result whose
+    polynomials, checked in order, are parts: the first with an exponent
+    above cap names its first variable whose largest exponent passes cap,
+    with that exponent.  None when no part has such an exponent."""
+    for f in parts:
+        for i, top in enumerate(map(max, zip(*f.terms)), start=1):
+            if top > cap:
+                return "exponent %d of z%d exceeds the degree limit %d" % (top, i, cap)
+    return None
+
+
 def outcome(thunk):
     try:
         return ("ok", thunk().terms)
@@ -643,15 +687,22 @@ def outcome(thunk):
         return ("overflow", str(exc))
 
 
+def ruled(result, cap):
+    """outcome() of a computation whose result, computed under a raised
+    cap, is the polynomial result, under the rule at cap."""
+    message = cap_rule([result], cap)
+    return ("ok", result.terms) if message is None else ("overflow", message)
+
+
 def test_product_overflow_names_the_same_exponent():
     with degree_limit(5):
-        # z1^8 cancels (mod 3) and comes back after z1^6 is made, so the
-        # fold names 8; the first monomial made, z1^6, is not the one named
+        # z1^8 cancels (mod 3) and comes back after z1^6 is made; the
+        # product's largest z1-exponent, 5 + 5, is the one named
         f = MultiPoly(3, 1, {(5,): 2, (3,): 1, (2,): 2, (1,): 1})
         g = MultiPoly(3, 1, {(5,): 2, (4,): 2, (2,): 2, (1,): 2, (0,): 1})
         with pytest.raises(DegreeOverflow) as caught:
             f * g
-        assert str(caught.value) == "exponent 8 of z1 exceeds the degree limit 5"
+        assert str(caught.value) == "exponent 10 of z1 exceeds the degree limit 5"
     rng = random.Random(2014)
     overflows = 0
     for _ in range(1500):
@@ -661,12 +712,86 @@ def test_product_overflow_names_the_same_exponent():
         f = random_poly(rng, p, n, max_degree=cap, max_terms=10)
         g = random_poly(rng, p, n, max_degree=cap, max_terms=10)
         k = rng.randint(2, 4)
+        with degree_limit(RAISED_CAP):
+            product, power = fold_product(f, g), fold_power(f, k)
         with degree_limit(cap):
             got = outcome(lambda: f * g)
-            assert got == outcome(lambda: fold_product(f, g))
-            assert outcome(lambda: f**k) == outcome(lambda: fold_power(f, k))
+            assert got == ruled(product, cap)
+            assert outcome(lambda: f**k) == ruled(power, cap)
         overflows += got[0] == "overflow"
     assert overflows > 500
+
+
+def _normal_form_parts(num, den):
+    """The polynomials the rational normal form checks, in order:
+    den^(p-1), num * den^(p-1), den^p; none when it keeps num and den."""
+    if num.is_zero() or den.is_differential_constant():
+        return []
+    cofactor = den ** (den.p.p - 1)
+    return [cofactor, num * cofactor, den.substitute_pth()]
+
+
+def test_every_computed_result_follows_the_cap_rule():
+    # each operation runs under a raised cap and then under a lowered one
+    # that its operands fit: there it returns the same result, or raises
+    # the cap rule's DegreeOverflow for that result, a form's coefficients
+    # taken in index order; ** refuses a huge power before it multiplies
+    rng = random.Random(2032)
+    seen = {}
+    for _ in range(250):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        cap = rng.randint(p, 3 * p)
+        with degree_limit(cap):
+            f = random_poly(rng, p, n, cap, 4)
+            g = random_poly(rng, p, n, cap, 4)
+            den = random_poly(rng, p, n, cap, 2, nonzero=True)
+            r = rng.randint(0, n)
+            a = random_form(rng, p, n, r, cap, 3)
+            b = random_form(rng, p, n, rng.randint(0, n - r), cap, 3)
+            omega = random_form(rng, p, n, rng.randint(0, n - 1), cap, 3).d()
+        i = rng.randint(1, n)
+        k = rng.randint(0, 4)
+        shift = random_exps(rng, n, p)
+        form_parts = lambda form: list(form.terms.values())
+        cases = {
+            "*": (lambda: f * g, lambda h: [h]),
+            "**": (lambda: f**k, lambda h: [h]),
+            "substitute_pth": (lambda: f.substitute_pth(shift), lambda h: [h]),
+            "antiderivative": (lambda: f.antiderivative(i), lambda h: [h]),
+            "RatFun": (lambda: RatFun(f, den), lambda q: _normal_form_parts(f, den)),
+            "wedge": (lambda: a.wedge(b), form_parts),
+            "gamma0": (lambda: gamma0(a), form_parts),
+            "integrate": (lambda: integrate(omega), form_parts),
+        }
+        for name, (thunk, parts) in cases.items():
+            try:
+                with degree_limit(RAISED_CAP):
+                    result = thunk()
+                    message = cap_rule(parts(result), cap)
+            except FpFormsError as exc:
+                # an obstructed antiderivative is the same at every cap
+                with degree_limit(cap), pytest.raises(type(exc)) as caught:
+                    thunk()
+                assert str(caught.value) == str(exc)
+                continue
+            if message is None:
+                with degree_limit(cap):
+                    got = thunk()
+                if name == "RatFun":
+                    got, result = (got.num, got.den), (result.num, result.den)
+                assert got == result, name
+            else:
+                with degree_limit(cap), pytest.raises(DegreeOverflow) as caught:
+                    thunk()
+                assert str(caught.value) == message, name
+            seen.setdefault(name, set()).add(message is None)
+    assert all(kinds == {True, False} for kinds in seen.values()), seen
+    assert len(seen) == 8
+    (z,) = variables(2**31 - 1, 1)
+    with pytest.raises(DegreeOverflow) as caught:
+        (z + 1) ** (2**31 - 2)
+    assert str(caught.value) == "exponent 2147483646 of z1 exceeds the degree limit 64"
 
 
 def test_constant_factors_scale_as_the_pairwise_product():

@@ -17,6 +17,7 @@ from fpforms import (
 )
 from fpforms.ratfun import _cofactors
 from fpforms.sampling import random_form, random_poly, random_ratfun
+from test_poly import RAISED_CAP, cap_rule
 
 TRIALS = 120
 # the results of the unchecked constructor are tested up to p = 13
@@ -119,11 +120,13 @@ def test_short_denominators_at_a_large_prime():
             assert closed == powered
 
 
-def test_only_long_or_tall_denominators_take_the_power(monkeypatch):
+def test_only_long_denominators_take_the_power(monkeypatch):
     x, y = variables(13, 2)
     short = (x + 2 * y**4, 3 * y**4)
     long, tall = x + y + 1, x + y**5
     expected = x * long**12
+    with degree_limit(RAISED_CAP):
+        message = cap_rule([tall**12], 59)
     calls = _counting(monkeypatch, MultiPoly, "__pow__")
     for den in short:
         RatFun(x, den)
@@ -131,10 +134,13 @@ def test_only_long_or_tall_denominators_take_the_power(monkeypatch):
     assert RatFun(x, long).num == expected
     assert calls == ["__pow__"]
     with degree_limit(59):
-        # 12 * 5 passes the cap, so ** raises what it always raised
-        with pytest.raises(DegreeOverflow, match="^exponent 60 of z2 exceeds the degree limit 59$"):
+        # 12 * 5 passes the cap: the closed form refuses tall^12 by the cap
+        # rule before it builds a term, and takes no power
+        with pytest.raises(DegreeOverflow) as caught:
             RatFun(x, tall)
-    assert calls == ["__pow__"] * 2
+    assert str(caught.value) == message
+    assert message == "exponent 60 of z2 exceeds the degree limit 59"
+    assert calls == ["__pow__"]
 
 
 def test_zero_denominator_rejected():
