@@ -72,8 +72,6 @@ Only this module reads or sets a form's kept derivative.
 
 from __future__ import annotations
 
-from operator import add
-
 from .errors import (
     ArityMismatch,
     DegreeMismatch,
@@ -81,7 +79,15 @@ from .errors import (
     PrimeMismatch,
     _shown,
 )
-from .poly import MultiPoly, _check_arity, _check_cap, _nonzero, max_degree_limit
+from .poly import (
+    _ADD_KERNELS,
+    MultiPoly,
+    _check_arity,
+    _check_cap,
+    _kernel,
+    _nonzero,
+    max_degree_limit,
+)
 from .ratfun import RatFun, clear_denominators
 from .scalar import Prime
 
@@ -441,6 +447,7 @@ class DiffForm:
     def _wedge_polynomial(self, other) -> "DiffForm":
         q = self.p.p
         right = [(index, list(b.terms.items())) for index, b in other.terms.items()]
+        vector_add = _kernel(_ADD_KERNELS, self.n)
         sums = {}
         for left, a in self.terms.items():
             for index, b_terms in right:
@@ -453,7 +460,7 @@ class DiffForm:
                     if sign < 0:
                         c1 = q - c1
                     for e2, c2 in b_terms:
-                        e = tuple(map(add, e1, e2))
+                        e = vector_add(e1, e2)
                         target[e] = (get(e, 0) + c1 * c2) % q
         grown = self.max_var_degree() + other.max_var_degree() > max_degree_limit()
         return _reduced_form(self.p, self.n, self.r + other.r, sums, grown)

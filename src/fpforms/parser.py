@@ -180,16 +180,20 @@ class _Parser:
     # grammar
 
     def parse(self) -> DiffForm:
-        """form := ['-'] term (('+' | '-') term)*, summed per index in place:
-        a polynomial coefficient in one reduced exponent -> residue dict, a
-        rational one by RatFun +, so no term copies the running total.  A
+        """form := ['-'] term (('+' | '-') term)*, summed per index in place.
+
+        Each index keeps its numerator as one reduced exponent -> residue
+        dict, and its denominator in dens, absent for a polynomial sum.  A
+        term over its index's denominator (a polynomial term on a
+        polynomial sum) adds into the dict and copies nothing; any other
+        term goes through RatFun +, which copies the running total.  A
         total that is zero when a term comes takes that term as it is, of
         any degree and kind; a zero result has the last term's degree."""
         tokens = self.tokens
         if not tokens[0]:
             self.fail("empty expression", 0, ("a term",))
         p = self.p.p
-        sums, degree, rational = {}, None, False
+        sums, dens, degree = {}, {}, None
         op = 0
         while True:
             if tokens[op] in ("+", "-"):
@@ -198,38 +202,44 @@ class _Parser:
                 break
             r, index, coeff = self.parse_term(-1 if tokens[op] == "-" else 1)
             if not coeff.is_zero():
-                if (r != degree or rational) and all(
-                    self._sum(acc).is_zero() for acc in sums.values()
+                if (r != degree or dens) and not any(
+                    any(acc.values()) for acc in sums.values()
                 ):
-                    sums, degree, rational = {}, r, False
+                    sums, dens, degree = {}, {}, r
                 elif r != degree:
                     message = "term of degree %d in a degree-%d expression"
                     self.fail(message % (r, degree), op)
                 acc = sums.setdefault(index, {})
-                if type(coeff) is MultiPoly and type(acc) is dict:
+                if type(coeff) is MultiPoly:
+                    num, den = coeff, None
+                else:
+                    num, den = coeff.num, coeff.den
+                if dens.get(index) == den:
                     get = acc.get
-                    for e, c in coeff.terms.items():
+                    for e, c in num.terms.items():
                         acc[e] = (get(e, 0) + c) % p
                 else:
-                    # coeff itself on a new index; a sum that cancelled adds as 0
-                    rational = True
-                    sums[index] = self._sum(acc) + coeff if acc else coeff
+                    # a sum that cancelled adds as 0
+                    total = self._sum(acc, dens.get(index)) + coeff if acc else coeff
+                    if type(total) is RatFun:
+                        dens[index] = total.den
+                        total = total.num
+                    sums[index] = dict(total.terms)
             op = self.pos
         if tokens[op]:
             self.fail("trailing input %r" % tokens[op], op, ("+", "-", "end of input"))
         terms = {}
         for index, acc in sorted(sums.items()):
-            coeff = self._sum(acc)
+            coeff = self._sum(acc, dens.get(index))
             if not coeff.is_zero():
-                terms[index] = _promote(coeff) if rational else coeff
+                terms[index] = _promote(coeff) if dens else coeff
         return DiffForm._trusted(self.p, self.n, degree if terms else r, terms)
 
-    def _sum(self, acc):
-        """A running coefficient, an exponent -> residue dict or a RatFun,
-        as a MultiPoly or RatFun."""
-        if type(acc) is dict:
-            return MultiPoly._trusted(self.p, self.n, _nonzero(acc))
-        return acc
+    def _sum(self, acc, den):
+        """A running coefficient, the exponent -> residue dict acc over
+        den (None for 1), as a MultiPoly or RatFun."""
+        num = MultiPoly._trusted(self.p, self.n, _nonzero(acc))
+        return num if den is None else RatFun._trusted(num, den)
 
     def parse_term(self, sign):
         """(degree, index, coefficient) of one term, its index sorted and

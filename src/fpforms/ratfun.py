@@ -35,10 +35,10 @@ raise, from the MultiPoly operations underneath.
 from __future__ import annotations
 
 from functools import reduce
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly, _check_power
+from .poly import _ADD_KERNELS, MultiPoly, _check_power, _kernel
 from .scalar import inv_mod
 
 
@@ -62,12 +62,13 @@ def _cofrobenius(den) -> MultiPoly:
     (m, b), *rest = den.terms.items()
     exps = tuple(e * (p - 1) for e in m)
     out = {exps: 1}
+    vector_add = _kernel(_ADD_KERNELS, den.n)
     for m1, a in rest:
         step = tuple(map(sub, m1, m))
         ratio = (p - a) * inv_mod(b, p) % p
         c = 1
         for _ in range(p - 1):
-            exps = tuple(map(add, exps, step))
+            exps = vector_add(exps, step)
             c = c * ratio % p
             out[exps] = c
     return MultiPoly._trusted(den.p, den.n, out)

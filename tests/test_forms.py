@@ -38,7 +38,7 @@ from fpforms.sampling import (
     random_p_closed_form,
     random_poly,
 )
-from test_poly import cap_rule
+from test_poly import cap_rule, fold_product
 
 TRIALS = 120
 
@@ -438,6 +438,27 @@ def naive_wedge(a, b):
                 c = -c
             out[index] = c
     return DiffForm(a.p, a.n, a.r + b.r, out)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_kernel_callers_past_the_unrolled_arity(p):
+    # at n = 9 the exponent kernels are the map fallback: *, wedge,
+    # gamma0, Cartier and RatFun's closed-form cofactor run through it
+    rng = random.Random(9109 + p)
+    n = 9
+    for _ in range(4):
+        f = random_poly(rng, p, n, max_degree=4, max_terms=6, nonzero=True)
+        g = random_poly(rng, p, n, max_degree=4, max_terms=6)
+        assert f * g == fold_product(f, g)
+        r = rng.randint(1, 3)
+        a = random_form(rng, p, n, r, max_terms=2)
+        b = random_form(rng, p, n, rng.randint(0, 3), max_terms=2)
+        assert a.wedge(b) == naive_wedge(a, b)
+        assert cartier(gamma0(a)) == a
+        den = random_poly(rng, p, n, max_degree=2, max_terms=2, nonzero=True)
+        if not den.is_differential_constant():
+            got = RatFun(f, den)
+            assert got.num == f * den ** (p - 1) and got.den == den.substitute_pth()
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 13))

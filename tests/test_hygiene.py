@@ -1,8 +1,9 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
 through global or nonlocal, writes into no module-level container from a
 function, leaves a form's kept derivative _d to forms.py and the
-message of a DegreeOverflow to poly.py and the parser's atoms; every
-public name has a user, and every function a mention.
+message of a DegreeOverflow to poly.py and the parser's atoms, and
+generates code only in poly.py's kernel generator; every public name has
+a user, and every function a mention.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -325,6 +326,98 @@ def test_only_poly_and_parser_name_an_overflow(module):
         and "overflow" in node.id.lower()
     ]
     assert overflow_names == [], module
+
+
+_CODE_BUILTINS = {"eval", "exec", "compile"}
+
+
+def _string_constants(tree):
+    """Names bound at module level to a str literal."""
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def generated_code(source):
+    """(function, line, from a template) of every name eval, exec or
+    compile (the builtins; re.compile is an attribute), with the innermost
+    def around it, or "" at module level.  A name is from a template when
+    it is called on CONSTANT.format(...), CONSTANT a module-level str
+    literal."""
+    tree = ast.parse(source)
+    constants = _string_constants(tree)
+    owner = {}
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                owner[node] = function.name
+    templated = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _CODE_BUILTINS:
+            first = node.args[0] if node.args else None
+            if (
+                isinstance(first, ast.Call)
+                and isinstance(first.func, ast.Attribute)
+                and first.func.attr == "format"
+                and getattr(first.func.value, "id", None) in constants
+            ):
+                templated.add(node.func)
+    return sorted(
+        (owner.get(node, ""), node.lineno, node in templated)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in _CODE_BUILTINS
+    )
+
+
+def test_detector_flags_code_built_from_anything_but_a_template():
+    source = (
+        "import re\n"
+        "_T = 'lambda a: {x}'\n"
+        "_P = re.compile('x')\n"
+        "def gen(x):\n"
+        "    return eval(_T.format(x=x)), eval(x), exec('pass')\n"
+        "run = compile\n"
+    )
+    assert generated_code(source) == [
+        ("", 6, False),
+        ("gen", 5, False),
+        ("gen", 5, False),
+        ("gen", 5, True),
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_code_is_generated_only_from_the_kernel_templates(module):
+    # the exponent kernels are the one generated code: eval runs only in
+    # poly._kernels, on a module-level template, and every table comes
+    # from module-level strings and a module-level fallback function
+    source = (SRC / module).read_text(encoding="utf-8")
+    found = generated_code(source)
+    if module != "poly.py":
+        assert found == [], module
+        return
+    assert found and all(owner == "_kernels" and ok for owner, _, ok in found)
+    tree = ast.parse(source)
+    constants = _string_constants(tree)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kernels"
+    ]
+    assert calls
+    top_level = [node.value for node in tree.body if isinstance(node, ast.Assign)]
+    for call in calls:
+        assert call in top_level
+        *strings, fallback = call.args
+        assert strings and all(getattr(a, "id", None) in constants for a in strings)
+        assert getattr(fallback, "id", None) in functions
 
 
 def _public_name_users():

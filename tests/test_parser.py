@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -20,7 +21,7 @@ from fpforms import (
 )
 from fpforms.parser import _error, _residue, _tokenize
 from frozen_parser import _Parser as _FrozenParser, _tokenize as _frozen_tokenize
-from fpforms.printer import form_to_text
+from fpforms.printer import form_to_doc, form_to_text
 from fpforms.scalar import Prime
 from fpforms.sampling import random_form
 
@@ -288,7 +289,7 @@ def _outcome(parse, text, p, n):
         form = parse(text, p, n)
     except FpFormsError as err:
         return type(err), str(err)
-    return form.r, form_to_text(form)
+    return form.r, form_to_text(form), json.dumps(form_to_doc(form))
 
 
 def test_folded_products_parse_as_atom_by_atom():
@@ -350,6 +351,32 @@ def test_same_index_terms_sum_without_copying_the_total(monkeypatch):
         form = parse_form(text, 5, 2)
         counts.append(len(copies) - before)
         assert form == _frozen_parse(_FrozenParser)(text, 5, 2)
+    assert counts == [counts[0]] * 3
+
+
+def test_same_denominator_terms_sum_without_copying_the_total(monkeypatch):
+    # rational terms over one denominator, and polynomial terms while the
+    # total has none, add into one numerator dict; the terms over another
+    # denominator, a fixed few, go through RatFun +
+    copies = []
+    for cls in (MultiPoly, RatFun, DiffForm):
+        merge = cls._merge
+        monkeypatch.setattr(
+            cls, "_merge", lambda *args, merge=merge: copies.append(1) or merge(*args)
+        )
+    counts = []
+    for size in (10, 100, 1000):
+        text = " + ".join(
+            "(%d*x^%d*w^%d/y) dx - x^%d dy" % (k % 3, k % 7, k % 5, k % 4)
+            for k in range(size)
+        )
+        text += " + (1/x) dx - (x/y) dx + ((x + w)/y) dx"
+        before = len(copies)
+        form = parse_form(text, 3, 4)
+        counts.append(len(copies) - before)
+        expected = _frozen_parse(_FrozenParser)(text, 3, 4)
+        assert form_to_text(form) == form_to_text(expected)
+        assert form_to_doc(form) == form_to_doc(expected)
     assert counts == [counts[0]] * 3
 
 

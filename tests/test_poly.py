@@ -27,6 +27,13 @@ from fpforms import (
 from fpforms.errors import FpFormsError
 from fpforms.operators import p_decompose_step
 from fpforms.poincare import integrate
+from fpforms.poly import (
+    _ADD_KERNELS,
+    _FLOORDIV_KERNELS,
+    _SCALE_ADD_KERNELS,
+    _UNROLLED_ARITY,
+    _kernel,
+)
 from fpforms.sampling import random_exps, random_form, random_poly
 
 TRIALS = 150
@@ -666,6 +673,41 @@ def fold_power(f, k):
 
 # a cap that no oracle result of these tests reaches
 RAISED_CAP = 10**6
+
+
+def test_exponent_kernels_equal_their_map_definitions():
+    # the spelled-out kernels up to _UNROLLED_ARITY and the map fallback
+    # above it build the same tuples as the map expressions, on zero
+    # vectors and on ints of 2^70 and more
+    rng = random.Random(3307)
+    big = 2**70
+    for n in range(1, 11):
+        add_n = _kernel(_ADD_KERNELS, n)
+        scale_add = _kernel(_SCALE_ADD_KERNELS, n)
+        floordiv = _kernel(_FLOORDIV_KERNELS, n)
+        generated = n <= _UNROLLED_ARITY
+        assert (add_n is not _ADD_KERNELS[0]) == generated
+        assert (scale_add is not _SCALE_ADD_KERNELS[0]) == generated
+        assert (floordiv is not _FLOORDIV_KERNELS[0]) == generated
+        vectors = [
+            (0,) * n,
+            tuple(big + i for i in range(n)),
+            tuple(rng.randrange(5) for _ in range(n)),
+            tuple(rng.choice((0, 1, 63, big, 3 * big + 7)) for _ in range(n)),
+        ]
+        for a in vectors:
+            for k in (1, 2, 3, 13, big + 1):
+                got = floordiv(a, k)
+                assert type(got) is tuple and got == tuple(x // k for x in a)
+            for b in vectors:
+                got = add_n(a, b)
+                assert type(got) is tuple and got == tuple(map(lambda x, y: x + y, a, b))
+                for k in (2, 13, big + 1):
+                    want = tuple(k * x + y for x, y in zip(a, b))
+                    assert scale_add(k, a, b) == want
+                    # gamma0 hands its shift over as a list
+                    got = scale_add(k, a, list(b))
+                    assert type(got) is tuple and got == want
 
 
 def cap_rule(parts, cap):
