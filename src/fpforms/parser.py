@@ -184,11 +184,12 @@ class _Parser:
 
         Each index keeps its numerator as one reduced exponent -> residue
         dict, and its denominator in dens, absent for a polynomial sum.  A
-        term over its index's denominator (a polynomial term on a
-        polynomial sum) adds into the dict and copies nothing; any other
-        term goes through RatFun +, which copies the running total.  A
-        total that is zero when a term comes takes that term as it is, of
-        any degree and kind; a zero result has the last term's degree."""
+        term that leaves the denominator as it is adds into the dict and
+        copies nothing: a term over the same one, or a polynomial term,
+        times the denominator of a nonzero sum.  A term that changes it
+        goes through RatFun +, which copies the running total.  A total
+        that is zero when a term comes takes that term as it is, of any
+        degree and kind; a zero result has the last term's degree."""
         tokens = self.tokens
         if not tokens[0]:
             self.fail("empty expression", 0, ("a term",))
@@ -210,17 +211,22 @@ class _Parser:
                     message = "term of degree %d in a degree-%d expression"
                     self.fail(message % (r, degree), op)
                 acc = sums.setdefault(index, {})
-                if type(coeff) is MultiPoly:
-                    num, den = coeff, None
+                over = dens.get(index)
+                if type(coeff) is RatFun:
+                    num = coeff.num if coeff.den == over else None
+                elif over is None:
+                    num = coeff
                 else:
-                    num, den = coeff.num, coeff.den
-                if dens.get(index) == den:
+                    # a nonzero sum keeps its denominator; a zero one has 1
+                    num = coeff * over if any(acc.values()) else None
+                if num is not None:
                     get = acc.get
                     for e, c in num.terms.items():
                         acc[e] = (get(e, 0) + c) % p
                 else:
-                    # a sum that cancelled adds as 0
-                    total = self._sum(acc, dens.get(index)) + coeff if acc else coeff
+                    # a sum that cancelled adds as 0; the result's dict is
+                    # copied, as the next terms add into it
+                    total = self._sum(acc, over) + coeff if acc else coeff
                     if type(total) is RatFun:
                         dens[index] = total.den
                         total = total.num

@@ -355,8 +355,8 @@ def test_same_index_terms_sum_without_copying_the_total(monkeypatch):
 
 
 def test_same_denominator_terms_sum_without_copying_the_total(monkeypatch):
-    # rational terms over one denominator, and polynomial terms while the
-    # total has none, add into one numerator dict; the terms over another
+    # rational terms over the denominator of their index, and polynomial
+    # terms, add into one numerator dict; the terms that change a
     # denominator, a fixed few, go through RatFun +
     copies = []
     for cls in (MultiPoly, RatFun, DiffForm):
@@ -367,7 +367,8 @@ def test_same_denominator_terms_sum_without_copying_the_total(monkeypatch):
     counts = []
     for size in (10, 100, 1000):
         text = " + ".join(
-            "(%d*x^%d*w^%d/y) dx - x^%d dy" % (k % 3, k % 7, k % 5, k % 4)
+            "(x^%d*w^%d/y) dx - x^%d dy + %d*w^%d dx"
+            % (k % 40, k // 40, k % 4, k % 3, k % 6)
             for k in range(size)
         )
         text += " + (1/x) dx - (x/y) dx + ((x + w)/y) dx"
