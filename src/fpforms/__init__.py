@@ -41,11 +41,8 @@ from .errors import (
 )
 from .forms import (
     DiffForm,
-    insert_index,
     is_closed,
     merge_indices,
-    remove_index,
-    sorted_index_sign,
     wedge,
 )
 from .operators import (
@@ -123,7 +120,6 @@ __all__ = [
     "form_to_doc",
     "form_to_text",
     "gamma0",
-    "insert_index",
     "integrate",
     "irrational_part",
     "is_closed",
@@ -137,10 +133,8 @@ __all__ = [
     "p_operator",
     "parse_form",
     "phi",
-    "remove_index",
     "run_audit",
     "same_class",
-    "sorted_index_sign",
     "split_complete_restricted",
     "split_rational_irrational",
     "variables",

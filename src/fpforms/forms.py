@@ -7,13 +7,20 @@ promotes everything to RatFun as soon as one rational coefficient appears.
 Degree 0 forms are keyed by the empty tuple.  Forms of degree above n can
 only be zero and are kept around so that d on top-degree forms stays total.
 
-Sign conventions, fixed once here and reused everywhere:
+Sign conventions, fixed once here:
 
-* dz_j ^ dz_I = (-1)^k dz_J where J is I with j inserted at position k
-  (0-based), and 0 when j already occurs in I;
-* d(a dz_I) = sum_j partial_j(a) dz_j ^ dz_I;
-* wedge multiplies coefficients and merges index tuples with the sign of
-  the permutation sorting their concatenation.
+* dz_I ^ dz_J = s dz_K, where K is the sorted union of I and J and s is
+  the sign of the permutation sorting their concatenation, and 0 when I
+  and J share an index.  merge_indices is this rule, and the one place
+  that computes it: wedge, the parser's sort of a term's differentials,
+  the exactness oracle and p_decompose_step all call it.  With I = (j,)
+  it reads dz_j ^ dz_J = (-1)^k dz_K, k the number of entries of J
+  below j;
+* d(a dz_I) = sum_j partial_j(a) dz_j ^ dz_I.
+
+The two hot loops, d here and the homotopy builder of
+poincare.integrate, count that k inline as they walk an index, as a
+call per move or per slot would slow them.
 
 Together these give d(d(omega)) = 0 (mixed partials commute and the two
 insertions anticommute) and the graded Leibniz rule for d over wedge.
@@ -95,57 +102,14 @@ from .scalar import Prime
 # multi-index helpers; multi-indices are plain strictly increasing tuples
 
 
-def sorted_index_sign(indices):
-    """Sort an index sequence, tracking the permutation sign.
-
-    Returns (sign, tuple); sign is 0 when an index repeats (the wedge of a
-    basis vector with itself).
-
-    >>> sorted_index_sign((2, 1))
-    (-1, (1, 2))
-    """
-    seq = list(indices)
-    sign = 1
-    # insertion sort; quadratic but the tuples have at most n entries
-    for a in range(1, len(seq)):
-        b = a
-        while b > 0 and seq[b - 1] > seq[b]:
-            seq[b - 1], seq[b] = seq[b], seq[b - 1]
-            sign = -sign
-            b -= 1
-        if b > 0 and seq[b - 1] == seq[b]:
-            return 0, None
-    return sign, tuple(seq)
-
-
-def insert_index(index, j):
-    """Sign and result of dz_j ^ dz_index; (0, None) when j is in index.
-
-    >>> insert_index((1, 3), 2)
-    (-1, (1, 2, 3))
-    """
-    pos = 0
-    for i in index:
-        if i == j:
-            return 0, None
-        if i < j:
-            pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, index[:pos] + (j,) + index[pos:]
-
-
-def remove_index(index, j):
-    """Sign and result of extracting dz_j from dz_index.
-
-    dz_index = sign * dz_j ^ dz_rest, where sign = (-1)^position.
-    """
-    pos = index.index(j)
-    sign = -1 if pos % 2 else 1
-    return sign, index[:pos] + index[pos + 1 :]
-
-
 def merge_indices(left, right):
-    """Sign and merged tuple for dz_left ^ dz_right; (0, None) on overlap."""
+    """Sign and merged tuple for dz_left ^ dz_right; (0, None) on overlap.
+
+    The package's one sign rule (see the module docstring).
+
+    >>> merge_indices((2,), (1, 3)) == (-1, (1, 2, 3))
+    True
+    """
     out = []
     sign = 1
     i = j = 0
@@ -327,13 +291,8 @@ class DiffForm:
                 best = m
         return best
 
-    def _check(self, other):
-        if self.p.p != other.p.p:
-            raise PrimeMismatch(
-                "mixed characteristics %d and %d" % (self.p.p, other.p.p)
-            )
-        if self.n != other.n:
-            raise ArityMismatch("mixed variable counts %d and %d" % (self.n, other.n))
+    # the same characteristic and arity, with the same messages
+    _check = MultiPoly._check
 
     # ------------------------------------------------------------------
     # linear structure
@@ -498,6 +457,8 @@ class DiffForm:
                 if pos < r and index[pos] == j:
                     pos += 1
                     continue
+                # dz_j ^ dz_index = (-1)^pos dz_target, merge_indices' rule
+                # counted inline: pos entries of index lie below j
                 target = sums.setdefault(index[:pos] + (j,) + index[pos:], {})
                 moves.append((j - 1, p - 1 if pos % 2 else 1, target))
             for exps, c in coeff.terms.items():

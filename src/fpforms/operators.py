@@ -30,14 +30,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import (
-    DegreeZero,
-    IndexOutOfRange,
-    NonPolynomial,
-    NotClosed,
-)
-from .forms import DiffForm, remove_index
-from .poly import MultiPoly
+from .errors import DegreeZero, NonPolynomial, NotClosed
+from .forms import DiffForm, merge_indices
+from .poly import MultiPoly, _check_var
 from .ratfun import RatFun
 
 __all__ = [
@@ -204,8 +199,7 @@ def p_decompose_step(form: DiffForm, i: int):
         raise DegreeZero("decomposition needs a form of degree >= 1")
     if not form.is_polynomial:
         raise NonPolynomial("decomposition is defined for polynomial forms")
-    if type(i) is not int or not 1 <= i <= form.n:
-        raise IndexOutOfRange("variable z%r outside 1..%d" % (i, form.n))
+    _check_var(i, form.n)
     omega_terms = {}
     eta_terms = {}
     tau_terms = {}
@@ -215,7 +209,8 @@ def p_decompose_step(form: DiffForm, i: int):
             continue
         # dz_index = sign dz_i ^ dz_sub; sub is distinct for each index, and
         # dropping the common entry i keeps ascending indices ascending
-        sign, sub = remove_index(index, i)
+        sub = tuple(k for k in index if k != i)
+        sign = merge_indices((i,), sub)[0]
         hit = coeff._residue_mask((i,))
         omega_terms[sub] = hit._residue_mask((i,), sign=sign, lower=True)
         low = coeff - hit

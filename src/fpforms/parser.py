@@ -33,7 +33,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
-from .forms import DiffForm, _promote, sorted_index_sign
+from .forms import DiffForm, _promote, merge_indices
 from .poly import MultiPoly, _check_arity, _degree_overflow, _nonzero, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
@@ -260,8 +260,14 @@ class _Parser:
             self.unexpected(self.pos, "a coefficient", "a differential")
         if coeff is None:
             coeff = MultiPoly.constant(self.p, self.n, 1)
-        perm_sign, index = sorted_index_sign(indices)
-        return len(indices), index, coeff * (sign * perm_sign)
+        # sort the checked differentials one at a time: dz_index ^ dz_j
+        index = ()
+        for j in indices:
+            step, index = merge_indices(index, (j,))
+            sign *= step
+            if not step:
+                break
+        return len(indices), index, coeff * sign
 
     def parse_basis(self):
         tokens = self.tokens

@@ -68,7 +68,7 @@ from .errors import (
     NotPClosed,
     SystemTooLarge,
 )
-from .forms import DiffForm, _divided, _keep_cleared_d, _reduced_form, insert_index
+from .forms import DiffForm, _divided, _keep_cleared_d, _reduced_form, merge_indices
 from .operators import p_closed_failure
 from .poly import MultiPoly, max_degree_limit
 from .ratfun import _cofactors, clear_denominators
@@ -161,6 +161,8 @@ def _homotopy_potential(form: DiffForm) -> DiffForm:
         for k, i in enumerate(index):
             chi[i - 1] = 1
             rest = index[:k] + index[k + 1 :]
+            # dz_index = (-1)^k dz_i ^ dz_rest, merge_indices' rule counted
+            # inline; a call per slot would slow this loop
             slots[i - 1] = (out.setdefault(rest, {}), k % 2)
         for exps, c in coeff.terms.items():
             j = 0
@@ -286,7 +288,7 @@ def exactness_oracle(
         for c, (J, _) in enumerate(cols):
             for j in support:
                 if w[j - 1] % p:
-                    sign, I = insert_index(J, j)
+                    sign, I = merge_indices((j,), J)
                     if sign:
                         m[row_of[I]][c] = sign * w[j - 1] % p
         x = _solve_mod_p(m, p)

@@ -124,6 +124,12 @@ def _check_arity(n):
         raise ArityMismatch("n exceeds the variable limit %d" % MAX_VARIABLES)
 
 
+def _check_var(i, n):
+    """Raise IndexOutOfRange unless i is an int in 1..n, not a bool."""
+    if type(i) is not int or not 1 <= i <= n:
+        raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
+
+
 def _degree_overflow(e, i, limit) -> DegreeOverflow:
     """The error for exponent e of z_i above the cap limit."""
     return DegreeOverflow(
@@ -320,8 +326,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, p, n, i) -> "MultiPoly":
         _check_arity(n)
-        if type(i) is not int or not 1 <= i <= n:
-            raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
+        _check_var(i, n)
         exps = [0] * n
         exps[i - 1] = 1
         return cls(p, n, {tuple(exps): 1})
@@ -467,15 +472,9 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # differential operations
 
-    def _check_var(self, i):
-        if type(i) is not int or not 1 <= i <= self.n:
-            raise IndexOutOfRange(
-                "variable z%s outside 1..%d" % (_shown(i), self.n)
-            )
-
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative with respect to z_i."""
-        self._check_var(i)
+        _check_var(i, self.n)
         p = self.p.p
         out = {}
         k = i - 1
@@ -496,7 +495,7 @@ class MultiPoly:
         against.  Iteration stops as soon as the result vanishes, and
         partial(i)^p = 0 identically, so k may be large.
         """
-        self._check_var(i)
+        _check_var(i, self.n)
         if type(k) is not int or k < 0:
             raise ValueError("derivative order must be a nonnegative int")
         if k >= self.p.p:
@@ -538,14 +537,13 @@ class MultiPoly:
         form already guarantees to be strictly increasing and in range.
         """
         if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+            raise ValueError("sign must be +1 or -1, got %s" % _shown(sign))
         if lower and not every:
             raise ValueError("lower=True needs every=True")
         n = self.n
         seen = set()
         for i in index:
-            if type(i) is not int or not 1 <= i <= n:
-                raise IndexOutOfRange("variable z%s outside 1..%d" % (_shown(i), n))
+            _check_var(i, n)
             if i in seen:
                 raise IndexOutOfRange(
                     "repeated variable z%d in %s" % (i, _shown(tuple(index)))
@@ -605,7 +603,7 @@ class MultiPoly:
         when any z_i-exponent is = p-1 (mod p): those are exactly the
         monomials outside the image of partial(i).
         """
-        self._check_var(i)
+        _check_var(i, self.n)
         p = self.p.p
         top = p - 1
         out = {}
@@ -662,11 +660,11 @@ class MultiPoly:
         shift = tuple(shift) if shift else (0,) * self.n
         if len(shift) != self.n:
             raise ArityMismatch(
-                "shift %r has length %d, expected %d"
-                % (shift, len(shift), self.n)
+                "shift %s has length %d, expected %d"
+                % (_shown(shift), len(shift), self.n)
             )
         if any(type(s) is not int or s < 0 for s in shift):
-            raise ValueError("bad shift %r" % (shift,))
+            raise ValueError("bad shift %s" % _shown(shift))
         return self._substituted(shift)
 
     def _substituted(self, shift) -> "MultiPoly":

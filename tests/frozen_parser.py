@@ -6,11 +6,14 @@ a loop over the characters, and _Parser reads those tokens.  The tests
 compare fpforms.parser with this copy, outcome for outcome: the same
 forms, the same error types and the same error texts, positions
 included.  Do not edit it to follow the library.
+
+The helpers it once imported from fpforms.parser and fpforms.forms, the
+index sort and the numeral reduction, are copied in as they stood, so
+the oracle stays put when the library moves.
 """
 
 from fpforms.errors import ParseError, VariableOutOfRange, ZeroDenominator
-from fpforms.forms import DiffForm, sorted_index_sign
-from fpforms.parser import _residue
+from fpforms.forms import DiffForm
 from fpforms.poly import MultiPoly, _degree_overflow, _nonzero, max_degree_limit
 from fpforms.ratfun import RatFun
 from fpforms.scalar import Prime
@@ -19,6 +22,40 @@ _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
 # three frames of recursion per level stay far below Python's limit
 _MAX_NESTING = 100
+
+
+
+def _residue(digits, p):
+    """The numeral digits mod p; int() refuses more than 4300 digits."""
+    value = 0
+    for start in range(0, len(digits), 600):
+        chunk = digits[start:start + 600]
+        value = (value * 10 ** len(chunk) + int(chunk)) % p
+    return value
+
+
+def sorted_index_sign(indices):
+    """Sort an index sequence, tracking the permutation sign.
+
+    Returns (sign, tuple); sign is 0 when an index repeats (the wedge of a
+    basis vector with itself).
+
+    >>> sorted_index_sign((2, 1))
+    (-1, (1, 2))
+    """
+    seq = list(indices)
+    sign = 1
+    # insertion sort; quadratic but the tuples have at most n entries
+    for a in range(1, len(seq)):
+        b = a
+        while b > 0 and seq[b - 1] > seq[b]:
+            seq[b - 1], seq[b] = seq[b], seq[b - 1]
+            sign = -sign
+            b -= 1
+        if b > 0 and seq[b - 1] == seq[b]:
+            return 0, None
+    return sign, tuple(seq)
+
 
 _SYMBOLS = {
     "+": "PLUS",

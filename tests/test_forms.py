@@ -4,28 +4,32 @@ import random
 import pytest
 
 from fpforms import (
+    ArityMismatch,
     DegreeMismatch,
     DegreeOverflow,
+    DegreeZero,
     DiffForm,
+    IndexOutOfRange,
     MultiPoly,
+    NonPolynomial,
     NotClosed,
+    PrimeMismatch,
     RatFun,
+    ZeroDenominator,
     cartier,
     class_representative,
     clear_denominators,
     degree_limit,
     doc_to_form,
+    exactness_oracle,
     form_to_doc,
     gamma0,
-    insert_index,
     integrate,
     irrational_part,
     max_degree_limit,
     merge_indices,
     parse_form,
     phi,
-    remove_index,
-    sorted_index_sign,
     split_complete_restricted,
     split_rational_irrational,
     variables,
@@ -68,30 +72,57 @@ def brute_sign(perm):
     return sign
 
 
-def test_sorted_index_sign_matches_inversion_count():
+def _sorted_tuples(universe):
+    return [
+        index
+        for r in range(len(universe) + 1)
+        for index in itertools.combinations(universe, r)
+    ]
+
+
+def test_parsed_differentials_sort_with_the_inversion_sign():
+    # at p = 5 the signs +1 and -1 are distinct residues
     for size in (1, 2, 3, 4):
-        for perm in itertools.permutations(range(1, size + 1)):
-            sign, ordered = sorted_index_sign(perm)
-            assert ordered == tuple(range(1, size + 1))
-            assert sign == brute_sign(perm)
-    assert sorted_index_sign((2, 2)) == (0, None)
+        ordered = tuple(range(1, size + 1))
+        for perm in itertools.permutations(ordered):
+            text = "^".join("dz%d" % i for i in perm)
+            expected = DiffForm(5, 4, size, {ordered: brute_sign(perm)})
+            assert_same_form(parse_form(text, 5, 4), expected)
+    assert parse_form("dz2^dz2", 5, 4) == DiffForm.zero(5, 4, 2)
+    assert parse_form("dz3^dz1^dz3", 5, 4) == DiffForm.zero(5, 4, 3)
 
 
-def test_insert_remove_merge_consistency():
+def test_merge_indices_matches_inversion_count():
+    for left in _sorted_tuples((1, 2, 3, 4)):
+        for right in _sorted_tuples((1, 2, 3, 4)):
+            if set(left) & set(right):
+                assert merge_indices(left, right) == (0, None)
+            else:
+                merged = tuple(sorted(left + right))
+                sign = brute_sign(left + right)
+                assert merge_indices(left, right) == (sign, merged)
+
+
+def test_merge_indices_round_trip():
+    # dz_j ^ dz_index = (-1)^k dz_bigger, k the entries of index below j;
+    # splitting dz_j off bigger again gives back index and the same sign
     universe = (1, 2, 3, 4)
-    for r in range(len(universe) + 1):
-        for index in itertools.combinations(universe, r):
-            for j in universe:
-                sign, bigger = insert_index(index, j)
-                if j in index:
-                    assert sign == 0 and bigger is None
-                    continue
-                assert bigger == tuple(sorted(index + (j,)))
-                back_sign, back = remove_index(bigger, j)
-                assert back == index
-                assert back_sign == sign
-                m_sign, merged = merge_indices((j,), index)
-                assert (m_sign, merged) == (sign, bigger)
+    for index in _sorted_tuples(universe):
+        for j in universe:
+            sign, bigger = merge_indices((j,), index)
+            if j in index:
+                assert sign == 0 and bigger is None
+                continue
+            assert bigger == tuple(sorted(index + (j,)))
+            assert sign == (-1) ** sum(i < j for i in index)
+            back = tuple(i for i in bigger if i != j)
+            assert back == index
+            assert merge_indices((j,), back) == (sign, bigger)
+            # dz_index ^ dz_j moves dz_j past all of index
+            assert merge_indices(index, (j,)) == (
+                sign * (-1) ** len(index),
+                bigger,
+            )
 
 
 def test_merge_indices_block_sign():
@@ -99,6 +130,65 @@ def test_merge_indices_block_sign():
     assert merge_indices((2, 3), (1,)) == (1, (1, 2, 3))
     assert merge_indices((2,), (1,)) == (-1, (1, 2))
     assert merge_indices((1, 2), (2, 3)) == (0, None)
+
+
+_DX = DiffForm.basis(3, 2, (1,))
+_CONSTANT = parse_form("x", 3, 2)
+_RATIONAL = parse_form("(1/y) dx", 3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _DX + DiffForm.basis(5, 2, (1,)), PrimeMismatch,
+         "mixed characteristics 3 and 5"),
+        (lambda: _DX + DiffForm.basis(3, 3, (1,)), ArityMismatch,
+         "mixed variable counts 2 and 3"),
+        (lambda: _DX.wedge(DiffForm.basis(5, 2, (2,))), PrimeMismatch,
+         "mixed characteristics 3 and 5"),
+        (lambda: _DX.wedge(DiffForm.basis(3, 3, (2,))), ArityMismatch,
+         "mixed variable counts 2 and 3"),
+        (lambda: DiffForm(3, 2, 1, {(1,): MultiPoly.variable(5, 2, 1)}),
+         PrimeMismatch, "coefficient over F_5 in a form over F_3"),
+        (lambda: DiffForm(3, 2, 1, {(1,): MultiPoly.variable(3, 3, 1)}),
+         ArityMismatch, "coefficient in 3 variables, form in 2"),
+        (lambda: DiffForm(3, 2, 2, {(2, 1): 1}), IndexOutOfRange,
+         "index (2, 1) is not strictly increasing"),
+        (lambda: p_decompose_step(_CONSTANT, 1), DegreeZero,
+         "decomposition needs a form of degree >= 1"),
+        (lambda: p_decompose_step(_RATIONAL, 1), NonPolynomial,
+         "decomposition is defined for polynomial forms"),
+        (lambda: split_complete_restricted(_CONSTANT), DegreeZero,
+         "the split needs a form of degree >= 1"),
+        (lambda: split_complete_restricted(_RATIONAL), NonPolynomial,
+         "the split is defined for polynomial forms"),
+        (lambda: RatFun(MultiPoly.variable(3, 2, 1)) / 0, ZeroDenominator,
+         "division by the zero rational function"),
+        (lambda: exactness_oracle(_DX, degree_margin=-1), ValueError,
+         "degree_margin must be nonnegative"),
+    ],
+    ids=[
+        "add-prime",
+        "add-arity",
+        "wedge-prime",
+        "wedge-arity",
+        "coefficient-prime",
+        "coefficient-arity",
+        "index-order",
+        "decompose-degree-zero",
+        "decompose-rational",
+        "split-degree-zero",
+        "split-rational",
+        "ratfun-over-zero",
+        "oracle-margin",
+    ],
+)
+def test_typed_guards_name_their_offence(build, error, message):
+    # DiffForm and MultiPoly share one operand check, so + and wedge on
+    # forms raise the polynomial messages
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_zero_form_compares_across_degrees():
@@ -345,12 +435,12 @@ def test_results_keep_the_canonical_index_order():
 
 
 def naive_d(form):
-    """d as the sum of coeff.partial(j) placed through insert_index,
+    """d as the sum of coeff.partial(j) placed through merge_indices,
     folded in index order with + and - (the oracle for DiffForm.d)."""
     out = {}
     for index, coeff in form.terms.items():
         for j in range(1, form.n + 1):
-            sign, new_index = insert_index(index, j)
+            sign, new_index = merge_indices((j,), index)
             if sign == 0:
                 continue
             da = coeff.partial(j)

@@ -3,7 +3,9 @@ through global or nonlocal, writes into no module-level container from a
 function, leaves a form's kept derivative _d to forms.py and the
 message of a DegreeOverflow to poly.py and the parser's atoms, and
 generates code only in poly.py's kernel generator; every public name has
-a user, and every function a mention.
+a user, and every function a mention.  The frozen parser of the tests
+borrows no code from fpforms.parser or fpforms.forms but the DiffForm
+class, so it stays put when they change.
 
 The project ships no linter, so this stdlib-only check (the ast module)
 keeps dead imports from piling up as code moves between modules.
@@ -13,6 +15,8 @@ and the README's list of subcommands names exactly the parser's.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -418,6 +422,52 @@ def test_code_is_generated_only_from_the_kernel_templates(module):
         *strings, fallback = call.args
         assert strings and all(getattr(a, "id", None) in constants for a in strings)
         assert getattr(fallback, "id", None) in functions
+
+
+_LIVE_PARSER = ("fpforms.parser", "fpforms.forms")
+
+
+def borrowed_from_the_live_parser(source):
+    """Every name that source imports from fpforms and that is
+    fpforms.parser or fpforms.forms or was defined there; DiffForm aside."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in _LIVE_PARSER]
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("fpforms"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                if inspect.ismodule(value):
+                    home = value.__name__
+                else:
+                    home = getattr(value, "__module__", None)
+                if home in _LIVE_PARSER and value is not fpforms.DiffForm:
+                    found.append(alias.name)
+    return found
+
+
+def test_detector_flags_code_borrowed_from_the_live_parser():
+    source = (
+        "import fpforms.parser\n"
+        "from fpforms import forms, parse_form, MultiPoly\n"
+        "from fpforms.forms import DiffForm, merge_indices\n"
+        "from fpforms.parser import _residue\n"
+        "from fpforms.poly import _nonzero\n"
+    )
+    assert borrowed_from_the_live_parser(source) == [
+        "fpforms.parser",
+        "forms",
+        "parse_form",
+        "merge_indices",
+        "_residue",
+    ]
+
+
+def test_the_frozen_parser_borrows_only_diffform_from_parser_and_forms():
+    # the oracle compares the live parser with itself if it shares code
+    source = (ROOT / "tests" / "frozen_parser.py").read_text(encoding="utf-8")
+    assert borrowed_from_the_live_parser(source) == []
 
 
 def _public_name_users():

@@ -18,6 +18,7 @@ from fpforms import (
     o_operator_expanded,
     p_closed_failure,
     p_operator,
+    parse_form,
     phi,
     split_complete_restricted,
     split_rational_irrational,
@@ -50,6 +51,23 @@ def test_p_closed_failure_names_first_bad_index():
     closed_bad = DiffForm(3, 2, 2, {(1, 2): x * x * y * y})
     assert p_closed_failure(closed_bad) == "obstructed at I=(1,2)"
     assert p_closed_failure(DiffForm(3, 2, 1, {(1,): x})) is None
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("2", None),
+        ("(2*y^3/y^3)", None),
+        ("x", "degree-0 form is not a field constant"),
+        ("(x^3/y^3)", "degree-0 form is not a field constant"),
+    ],
+)
+def test_a_degree_zero_form_is_p_closed_when_it_is_a_field_constant(text, reason):
+    # the rational cases reach RatFun.is_constant
+    omega = parse_form(text, 3, 2)
+    assert p_closed_failure(omega) == reason
+    assert is_p_closed(omega) is (reason is None)
+    assert corollary_condition(omega) is (reason is None)
 
 
 def test_phi_on_closed_forms_is_differential_constant():

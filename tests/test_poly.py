@@ -142,6 +142,26 @@ def test_arity_above_the_bound_is_refused_before_any_tuple(n):
             DegreeMismatch,
             "index (1,) has length 1 in a degree-<5001-digit int> form",
         ),
+        (
+            lambda: MultiPoly.variable(3, 2, 1).substitute_pth((10**5000,)),
+            ArityMismatch,
+            "shift (<5001-digit int>,) has length 1, expected 2",
+        ),
+        (
+            lambda: MultiPoly.variable(3, 2, 1).substitute_pth((10**5000, -1)),
+            ValueError,
+            "bad shift (<5001-digit int>, -1)",
+        ),
+        (
+            lambda: MultiPoly.variable(3, 2, 1).residue_mask((1,), sign=10**5000),
+            ValueError,
+            "sign must be +1 or -1, got <5001-digit int>",
+        ),
+        (
+            lambda: p_decompose_step(DiffForm.basis(3, 2, (1,)), 10**5000),
+            IndexOutOfRange,
+            "variable z<5001-digit int> outside 1..2",
+        ),
     ],
     ids=[
         "form-arity",
@@ -152,6 +172,10 @@ def test_arity_above_the_bound_is_refused_before_any_tuple(n):
         "partial-index",
         "form-index-entry",
         "form-degree",
+        "shift-length",
+        "shift-entry",
+        "mask-sign",
+        "decompose-index",
     ],
 )
 def test_an_int_too_long_to_print_is_named_by_its_digit_count(build, error, message):
