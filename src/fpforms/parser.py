@@ -180,21 +180,22 @@ class _Parser:
     # grammar
 
     def parse(self) -> DiffForm:
-        """form := ['-'] term (('+' | '-') term)*, summed per index in place.
+        """form := ['-'] term (('+' | '-') term)*, summed per index.
 
-        Each index keeps its numerator as one reduced exponent -> residue
-        dict, and its denominator in dens, absent for a polynomial sum.  A
-        term that leaves the denominator as it is adds into the dict and
-        copies nothing: a term over the same one, or a polynomial term,
-        times the denominator of a nonzero sum.  A term that changes it
-        goes through RatFun +, which copies the running total.  A total
-        that is zero when a term comes takes that term as it is, of any
-        degree and kind; a zero result has the last term's degree."""
+        Each index keeps a list of (denominator, numerator dict) groups,
+        None the denominator of polynomial terms.  A term adds in place
+        into the group whose denominator equals its own, and one over a
+        new denominator starts a group with a copy of its numerator.  At
+        the end, each index adds its nonzero groups once, with +, in order
+        of first appearance, so each distinct denominator enters the
+        index's denominator once.  A total that is zero when a term of
+        another degree comes takes that term, of any kind; a zero result
+        has the last term's degree."""
         tokens = self.tokens
         if not tokens[0]:
             self.fail("empty expression", 0, ("a term",))
         p = self.p.p
-        sums, dens, degree = {}, {}, None
+        sums, degree = {}, None
         op = 0
         while True:
             if tokens[op] in ("+", "-"):
@@ -203,49 +204,45 @@ class _Parser:
                 break
             r, index, coeff = self.parse_term(-1 if tokens[op] == "-" else 1)
             if not coeff.is_zero():
-                if (r != degree or dens) and not any(
-                    any(acc.values()) for acc in sums.values()
-                ):
-                    sums, dens, degree = {}, {}, r
-                elif r != degree:
-                    message = "term of degree %d in a degree-%d expression"
-                    self.fail(message % (r, degree), op)
-                acc = sums.setdefault(index, {})
-                over = dens.get(index)
+                if r != degree:
+                    if sums and self._combine(sums):
+                        message = "term of degree %d in a degree-%d expression"
+                        self.fail(message % (r, degree), op)
+                    sums, degree = {}, r
+                num, den = coeff, None
                 if type(coeff) is RatFun:
-                    num = coeff.num if coeff.den == over else None
-                elif over is None:
-                    num = coeff
+                    num, den = coeff.num, coeff.den
+                groups = sums.setdefault(index, [])
+                for over, acc in groups:
+                    if over == den:
+                        get = acc.get
+                        for e, c in num.terms.items():
+                            acc[e] = (get(e, 0) + c) % p
+                        break
                 else:
-                    # a nonzero sum keeps its denominator; a zero one has 1
-                    num = coeff * over if any(acc.values()) else None
-                if num is not None:
-                    get = acc.get
-                    for e, c in num.terms.items():
-                        acc[e] = (get(e, 0) + c) % p
-                else:
-                    # a sum that cancelled adds as 0; the result's dict is
-                    # copied, as the next terms add into it
-                    total = self._sum(acc, over) + coeff if acc else coeff
-                    if type(total) is RatFun:
-                        dens[index] = total.den
-                        total = total.num
-                    sums[index] = dict(total.terms)
+                    groups.append((den, dict(num.terms)))
             op = self.pos
         if tokens[op]:
             self.fail("trailing input %r" % tokens[op], op, ("+", "-", "end of input"))
-        terms = {}
-        for index, acc in sorted(sums.items()):
-            coeff = self._sum(acc, dens.get(index))
-            if not coeff.is_zero():
-                terms[index] = _promote(coeff) if dens else coeff
+        terms = self._combine(sums)
         return DiffForm._trusted(self.p, self.n, degree if terms else r, terms)
 
-    def _sum(self, acc, den):
-        """A running coefficient, the exponent -> residue dict acc over
-        den (None for 1), as a MultiPoly or RatFun."""
-        num = MultiPoly._trusted(self.p, self.n, _nonzero(acc))
-        return num if den is None else RatFun._trusted(num, den)
+    def _combine(self, sums):
+        """The nonzero coefficients of sums, index -> groups, by index: a
+        form's terms, all RatFun if any is."""
+        terms = {}
+        for index, groups in sorted(sums.items()):
+            coeff = None
+            for den, acc in groups:
+                num = MultiPoly._trusted(self.p, self.n, _nonzero(acc))
+                if num.terms:
+                    part = num if den is None else RatFun._trusted(num, den)
+                    coeff = part if coeff is None else coeff + part
+            if coeff is not None and not coeff.is_zero():
+                terms[index] = coeff
+        if any(type(c) is RatFun for c in terms.values()):
+            terms = {index: _promote(c) for index, c in terms.items()}
+        return terms
 
     def parse_term(self, sign):
         """(degree, index, coefficient) of one term, its index sorted and

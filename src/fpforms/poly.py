@@ -527,8 +527,8 @@ class MultiPoly:
         and 0 otherwise.  That is residue_mask(I, sign=(-1)^|I|,
         lower=True); the projectors P_I, Q_r, O_I, the restricted slice and
         Cartier are the other sign, shift and pattern choices.  The
-        variables of index must be distinct and within range, sign is +1
-        or -1, and lower needs every=True (with every=False a kept monomial
+        variables of index must be distinct and within range, sign is the int
+        +1 or -1, and lower needs every=True (with every=False a kept monomial
         need not be divisible by z_index^(p-1)).
 
         This entry checks its arguments and hands them to _residue_mask,
@@ -536,7 +536,7 @@ class MultiPoly:
         call the kernel directly with a form's own multi-index, which the
         form already guarantees to be strictly increasing and in range.
         """
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1, got %s" % _shown(sign))
         if lower and not every:
             raise ValueError("lower=True needs every=True")

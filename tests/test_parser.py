@@ -317,22 +317,153 @@ _TERMS = [
 ]
 
 
+def _joined(signed):
+    """The text of (sign, term) pairs: the first sign '', '-' or '+' as a
+    prefix, each later one '+' or '-' between spaces."""
+    (lead, first), *rest = signed
+    return lead + first + "".join(" %s %s" % pair for pair in rest)
+
+
+def _termwise(signed, p, n):
+    """(outcome, denominators) of the term-wise reference for the text of
+    signed.  Each signed term is parsed alone by the frozen parser; per
+    index, terms over the same denominator sum, and the nonzero groups
+    add in order of first appearance.  A total that is zero when a term
+    of another degree comes takes that term; a nonzero one raises a
+    ParseError.  A failure's outcome is its error type alone, and
+    denominators lists every term's distinct one."""
+    parse = _frozen_parse(_FrozenParser)
+    sums, degree, dens = {}, None, []
+
+    def combined():
+        terms = {}
+        for index, groups in sorted(sums.items()):
+            coeff = None
+            for den, num in groups:
+                if not num.is_zero():
+                    part = num if den is None else RatFun(num, den)
+                    coeff = part if coeff is None else coeff + part
+            if coeff is not None and not coeff.is_zero():
+                terms[index] = coeff
+        if any(isinstance(c, RatFun) for c in terms.values()):
+            terms = {
+                index: RatFun(c) if isinstance(c, MultiPoly) else c
+                for index, c in terms.items()
+            }
+        return terms
+
+    try:
+        for sign, term in signed:
+            form = parse(sign.strip() + term, p, n)
+            r = form.r
+            if form.is_zero():
+                continue
+            if r != degree:
+                if combined():
+                    return ParseError, dens
+                sums, degree = {}, r
+            ((index, coeff),) = form.terms.items()
+            num, den = coeff, None
+            if isinstance(coeff, RatFun):
+                num, den = coeff.num, coeff.den
+                if den not in dens:
+                    dens.append(den)
+            groups = sums.setdefault(index, [])
+            for group in groups:
+                if group[0] == den:
+                    group[1] = group[1] + num
+                    break
+            else:
+                groups.append([den, num])
+        terms = combined()
+    except FpFormsError as err:
+        return type(err), dens
+    form = DiffForm(p, n, degree if terms else r, terms)
+    return (form.r, form_to_text(form), json.dumps(form_to_doc(form))), dens
+
+
+_TALLIES = ("identical", "equal", "newly parsed", "other failure")
+
+
+def _check_against_both(signed, p, n, limit, tally):
+    """parse_form against the frozen parser, which sums term by term with
+    form +, and against the term-wise reference, all three under the cap
+    limit; tallies how parse_form's outcome compares with the frozen
+    parser's, and returns the degree or the error type.  Values are
+    compared under the default cap."""
+    text = _joined(signed)
+    outcomes = []
+    with degree_limit(limit):
+        for parse in (parse_form, _frozen_parse(_FrozenParser)):
+            try:
+                form = parse(text, p, n)
+                doc = json.dumps(form_to_doc(form))
+                outcomes.append((form, (form.r, form_to_text(form), doc)))
+            except FpFormsError as err:
+                outcomes.append((None, (type(err), str(err))))
+        expected, dens = _termwise(signed, p, n)
+    (form, got), (frozen, frozen_got) = outcomes
+    if frozen is not None:
+        assert form == frozen, text
+    if got == frozen_got:
+        tally["identical"] += 1
+    elif frozen is not None:
+        # the same value, printed over a smaller denominator
+        tally["equal"] += 1
+    elif form is not None:
+        # a denominator grown past the cap, now met once
+        assert frozen_got[0] is DegreeOverflow, text
+        tally["newly parsed"] += 1
+    else:
+        assert frozen_got[0] in (got[0], DegreeOverflow), text
+        tally["other failure"] += 1
+    assert (got[0] if form is None else got) == expected, text
+    # each distinct denominator entered each coefficient's at most once
+    bound = sum(den.max_var_degree() for den in dens)
+    for coeff in form.terms.values() if form is not None else ():
+        if isinstance(coeff, RatFun):
+            assert coeff.den.max_var_degree() <= bound, text
+    return got[0]
+
+
 def test_sums_of_many_terms_parse_as_the_frozen_parser():
-    # terms summed per index in place: a total that cancels takes the next
-    # term of any degree and kind, a nonzero one refuses another degree,
-    # and a rational sum keeps its kind, as the frozen parser's + does
+    # terms summed per index and per denominator: the frozen parser's
+    # value wherever it has one, the term-wise reference's text and JSON
+    # everywhere, a nonzero total that refuses another degree, and
+    # denominators that meet once
     rng = random.Random(8005)
     kinds = set()
+    tally = dict.fromkeys(_TALLIES, 0)
     for _ in range(3000):
         p = rng.choice((2, 3, 5))
-        text = rng.choice(("", "-", "+")) + rng.choice(_TERMS)
+        signed = [(rng.choice(("", "-", "+")), rng.choice(_TERMS))]
         for _ in range(rng.randint(0, 6)):
-            text += rng.choice((" + ", " - ")) + rng.choice(_TERMS)
-        with degree_limit(rng.choice((64, 10, 6))):
-            got = _outcome(parse_form, text, p, 2)
-            assert got == _outcome(_frozen_parse(_FrozenParser), text, p, 2), text
-        kinds.add(got[0])
+            signed.append((rng.choice(("+", "-")), rng.choice(_TERMS)))
+        limit = rng.choice((64, 10, 6))
+        kinds.add(_check_against_both(signed, p, 2, limit, tally))
     assert {0, 1, 2, ParseError, DegreeOverflow} <= kinds
+    # at seed 8005, 28 values print over smaller denominators, 11 texts
+    # parse whose frozen denominators grew past the cap, and 12 fail on
+    # both sides with another exponent named, or a ParseError in place
+    # of a DegreeOverflow
+    assert tally == {
+        "identical": 2949, "equal": 28, "newly parsed": 11, "other failure": 12
+    }
+
+
+def test_a_denominator_whose_terms_cancel_drops_out():
+    # the terms over y^3 sum to 0, so the sum is x alone, a polynomial
+    form = parse_form("(1/y) dx + x dx - (1/y) dx", 3, 2)
+    assert form_to_text(form) == "z1 dz1" and form.is_polynomial
+
+
+def test_another_degree_reads_the_combined_total():
+    # 1/x and x/x^2 are kept over x^3 and x^6; together they are 0, so
+    # the term of degree 2 starts the sum again, while a nonzero total
+    # refuses it
+    assert form_to_text(parse_form("(1/x) dx - (x/x^2) dx + dx^dy", 3, 2)) == "dz1^dz2"
+    with pytest.raises(ParseError, match="term of degree 2 in a degree-1"):
+        parse_form("(1/x) dx - (1/x^2) dx + dx^dy", 3, 2)
 
 
 def test_same_index_terms_sum_without_copying_the_total(monkeypatch):
@@ -355,9 +486,9 @@ def test_same_index_terms_sum_without_copying_the_total(monkeypatch):
 
 
 def test_same_denominator_terms_sum_without_copying_the_total(monkeypatch):
-    # rational terms over the denominator of their index, and polynomial
-    # terms, add into one numerator dict; the terms that change a
-    # denominator, a fixed few, go through RatFun +
+    # rational terms over one denominator, and polynomial terms, add into
+    # one numerator dict per denominator; an index's k groups then make
+    # k - 1 merges by RatFun +, however many terms they hold
     copies = []
     for cls in (MultiPoly, RatFun, DiffForm):
         merge = cls._merge
@@ -365,20 +496,25 @@ def test_same_denominator_terms_sum_without_copying_the_total(monkeypatch):
             cls, "_merge", lambda *args, merge=merge: copies.append(1) or merge(*args)
         )
     counts = []
+    tally = dict.fromkeys(_TALLIES, 0)
     for size in (10, 100, 1000):
-        text = " + ".join(
-            "(x^%d*w^%d/y) dx - x^%d dy + %d*w^%d dx"
-            % (k % 40, k // 40, k % 4, k % 3, k % 6)
-            for k in range(size)
-        )
-        text += " + (1/x) dx - (x/y) dx + ((x + w)/y) dx"
+        signed = []
+        for k in range(size):
+            signed += [
+                ("+", "(x^%d*w^%d/y) dx" % (k % 40, k // 40)),
+                ("-", "x^%d dy" % (k % 4)),
+                ("+", "%d*w^%d dx" % (k % 3, k % 6)),
+            ]
+        signed[0] = ("", signed[0][1])
+        signed += [("+", "(1/x) dx"), ("-", "(x/y) dx"), ("+", "((x + w)/y) dx")]
+        text = _joined(signed)
         before = len(copies)
-        form = parse_form(text, 3, 4)
+        parse_form(text, 3, 4)
         counts.append(len(copies) - before)
-        expected = _frozen_parse(_FrozenParser)(text, 3, 4)
-        assert form_to_text(form) == form_to_text(expected)
-        assert form_to_doc(form) == form_to_doc(expected)
+        _check_against_both(signed, 3, 4, 64, tally)
     assert counts == [counts[0]] * 3
+    # the frozen parser multiplies y^3 in again after (1/x)
+    assert tally["equal"] == 3
 
 
 def _token_texts(tokenize, text):

@@ -266,6 +266,7 @@ def _index_and_count_slots():
         "variable": (IndexOutOfRange, lambda v: MultiPoly.variable(3, 2, v)),
         "substitute_pth shift": (ValueError, lambda v: f.substitute_pth((v, 0))),
         "residue_mask": (IndexOutOfRange, lambda v: f.residue_mask((v,))),
+        "residue_mask sign": (ValueError, lambda v: f.residue_mask((1,), sign=v)),
         "p_decompose_step": (IndexOutOfRange, lambda v: p_decompose_step(form, v)),
         "degree_limit": (ValueError, _enter_degree_limit),
     }
@@ -293,6 +294,13 @@ def test_every_int_slot_takes_a_long_int_and_reduces_it(slot):
 def test_a_power_refuses_every_exponent_but_an_int(value):
     with pytest.raises(ValueError, match="nonnegative int"):
         MultiPoly.variable(3, 1, 1) ** value
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0], ids=repr)
+def test_residue_mask_refuses_a_float_sign(value):
+    f = MultiPoly.variable(3, 2, 1) + 1
+    with pytest.raises(ValueError, match="sign must be"):
+        f.residue_mask((1,), sign=value)
 
 
 def test_a_power_takes_a_long_int_exponent():
