@@ -2,8 +2,8 @@
 
 A degree-r form is a map from strictly increasing r-tuples of variable
 indices (1-based) to nonzero coefficients; coefficients are MultiPoly or
-RatFun values, and a single form never mixes the two kinds: the constructor
-promotes everything to RatFun as soon as one rational coefficient appears.
+RatFun values, and a single form never mixes the two kinds: _one_kind, the
+one promotion rule, makes every coefficient a RatFun once one is rational.
 Degree 0 forms are keyed by the empty tuple.  Forms of degree above n can
 only be zero and are kept around so that d on top-degree forms stays total.
 
@@ -37,8 +37,9 @@ when none did.  A rational form is cleared first, by
 ratfun.clear_denominators, to omega = a / lam with a polynomial and lam
 a p-th power.  As d(lam) = 0, d(omega) = d(a) / lam, and with
 other = b / mu, omega ^ other = (a ^ b) / (lam * mu).  So d, wedge and
-poincare.integrate form no RatFun sum or product: the clearing is the
-one place where unequal denominators meet.
+poincare.integrate form no RatFun sum or product.  The clearing meets
+unequal denominators by ratfun's one rule, and so do + and == on the
+coefficients: a denominator that divides another adds no factor.
 
 As for polynomials, validation happens at the trust boundary.  The
 constructor DiffForm(p, n, r, terms) checks indices, coefficient types,
@@ -140,10 +141,11 @@ def _check_form_degree(r):
         raise DegreeMismatch("form degree must be a nonnegative int")
 
 
-def _promote(coeff):
-    if isinstance(coeff, RatFun):
-        return coeff
-    return RatFun(coeff)
+def _one_kind(terms, rational):
+    """terms, every coefficient a RatFun if rational: the one promotion rule."""
+    if not rational:
+        return terms
+    return {i: c if type(c) is RatFun else RatFun(c) for i, c in terms.items()}
 
 
 class DiffForm:
@@ -212,9 +214,7 @@ class DiffForm:
                         del clean[index]
                         continue
                 clean[index] = coeff
-        if rational:
-            clean = {i: _promote(c) for i, c in clean.items()}
-        self.terms = dict(sorted(clean.items()))
+        self.terms = dict(sorted(_one_kind(clean, rational).items()))
         self._d = None
 
     @classmethod
@@ -329,8 +329,7 @@ class DiffForm:
             out[index] = coeff
         if grew:
             out = dict(sorted(out.items()))
-        if self.is_polynomial != other.is_polynomial:
-            out = {i: _promote(c) for i, c in out.items()}
+        out = _one_kind(out, self.is_polynomial != other.is_polynomial)
         return _closed_by_construction(
             DiffForm._trusted(self.p, self.n, r, out), self, other
         )

@@ -33,7 +33,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError, VariableOutOfRange, ZeroDenominator
-from .forms import DiffForm, _promote, merge_indices
+from .forms import DiffForm, _one_kind, merge_indices
 from .poly import MultiPoly, _check_arity, _degree_overflow, _nonzero, max_degree_limit
 from .ratfun import RatFun
 from .scalar import Prime
@@ -240,9 +240,7 @@ class _Parser:
                     coeff = part if coeff is None else coeff + part
             if coeff is not None and not coeff.is_zero():
                 terms[index] = coeff
-        if any(type(c) is RatFun for c in terms.values()):
-            terms = {index: _promote(c) for index, c in terms.items()}
-        return terms
+        return _one_kind(terms, any(type(c) is RatFun for c in terms.values()))
 
     def parse_term(self, sign):
         """(degree, index, coefficient) of one term, its index sorted and

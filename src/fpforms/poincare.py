@@ -39,15 +39,12 @@ also gives the form its d when it has none, so a DegreeOverflow of the
 clearing comes before NotPClosed.  A cleared coefficient num * m, with
 m = lam / den a differential constant, keeps the residues of num's
 monomials, so the builder meets the same obstruction.  Closedness is
-checked at entry, p-closedness by the builder and d(potential) = form
+checked at entry, p-closedness by the builder and d(potential) == form
 once, at exit; a nonzero residual is a kernel bug and raises
-InternalResidual.  For rational input the numerators N of d(potential)
-are compared with the form over lam rather than by cross-multiplication:
-a coefficient num/den of the form must have N = num * m, where m * den =
-lam: m is den's entry in the table of ratfun._cofactors that the
-clearing applies too, constant den included.  No product of the check is
-larger than one the clearing built, so the check cannot outgrow the cap
-where the clearing did not.
+InternalResidual.  Every denominator of the form divides lam, so RatFun
+== meets each with lam by exact division: the check builds no product
+larger than one the clearing built, and cannot outgrow the cap where the
+clearing did not.
 
 exactness_oracle() decides bounded exactness by Gaussian elimination over
 F_p, one weight block w at a time, with no recourse to the integrator.
@@ -71,7 +68,7 @@ from .errors import (
 from .forms import DiffForm, _divided, _keep_cleared_d, _reduced_form, merge_indices
 from .operators import p_closed_failure
 from .poly import MultiPoly, max_degree_limit
-from .ratfun import _cofactors, clear_denominators
+from .ratfun import clear_denominators
 from .scalar import inv_mod
 
 DEFAULT_SYSTEM_CAP = 200_000
@@ -81,12 +78,10 @@ def integrate(form: DiffForm) -> DiffForm:
     """A potential eta with d(eta) = form, for p-closed forms of degree >= 1.
 
     The potential is polynomial for polynomial input; rational input
-    yields coefficients over the cleared denominator lam, and d of the
-    potential is checked against the form over lam (see the module
-    docstring), so the check raises no DegreeOverflow once the clearing
-    has succeeded.  d of the potential is kept on it for the caller's
-    own check.  Raises NotPClosed (naming the obstructed multi-index)
-    when no potential exists.
+    yields coefficients over the cleared denominator lam.  d of the
+    potential is kept on it, for the residual check (see the module
+    docstring) and the caller's own.  Raises NotPClosed (naming the
+    obstructed multi-index) when no potential exists.
 
     >>> from fpforms.parser import parse_form
     >>> omega = parse_form("(x^2 + y^2) dx^dy", 3, 2)
@@ -99,49 +94,20 @@ def integrate(form: DiffForm) -> DiffForm:
     if form.r == 0:
         raise DegreeZero("only forms of degree >= 1 have potentials")
     rational = not form.is_polynomial
+    lam, cleared = clear_denominators(form)
     if rational:
         # the one clearing gives the closedness test its d(form) too
-        lam, cleared = clear_denominators(form)
         _keep_cleared_d(form, lam, cleared)
     if not form.is_closed():
         raise NotPClosed("form is not closed")
-    if not rational:
-        potential = _homotopy_potential(form)
-        _check_residual(potential.d() == form)
-        return potential
-    inner = _homotopy_potential(cleared)
-    # d(inner / lam) = d(inner) / lam, and the potential keeps it
-    _check_residual(_equals_over(inner.d(), lam, form))
-    potential = _divided(inner, lam)
-    _keep_cleared_d(potential, lam, inner)
-    return potential
-
-
-def _check_residual(ok: bool) -> None:
-    if not ok:
+    potential = inner = _homotopy_potential(cleared)
+    if rational:
+        # d(inner / lam) = d(inner) / lam, and the potential keeps it
+        potential = _divided(inner, lam)
+        _keep_cleared_d(potential, lam, inner)
+    if potential.d() != form:
         raise InternalResidual("integration left a nonzero residual; this is a bug")
-
-
-def _equals_over(numerators: DiffForm, lam: MultiPoly, form: DiffForm) -> bool:
-    """Whether numerators / lam equals the rational form, coefficient-wise.
-
-    A coefficient num/den of form equals N/lam exactly when N = num * m
-    for some m with m * den = lam.  m is den's entry in the table of
-    ratfun._cofactors, rebuilt from form itself so that the check trusts
-    nothing of the clearing; m * den = lam is checked once per entry.
-    No product here is larger than one clear_denominators has built, so
-    the check cannot overflow where the clearing did not; for one
-    denominator it forms no product at all.
-    """
-    if numerators.terms.keys() != form.terms.keys():
-        return False
-    _, table = _cofactors(form)
-    if any(m * den != lam for den, m in table.items()):
-        return False
-    return all(
-        numerators.terms[index] == coeff.num * table[coeff.den]
-        for index, coeff in form.terms.items()
-    )
+    return potential
 
 
 def _homotopy_potential(form: DiffForm) -> DiffForm:

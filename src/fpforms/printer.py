@@ -26,7 +26,7 @@ the form from trusted parts.
 from __future__ import annotations
 
 from .errors import ParseError, PrimeOutOfRange, _shown
-from .forms import DiffForm
+from .forms import DiffForm, _one_kind
 from .poly import MAX_VARIABLES, MultiPoly, _check_degree
 from .ratfun import RatFun
 from .scalar import Prime
@@ -189,11 +189,4 @@ def doc_to_form(doc: dict) -> DiffForm:
         else:
             terms[key] = RatFun._trusted(num, den)
             rational = True
-    if rational:
-        # one rational coefficient makes every coefficient rational, as
-        # in the DiffForm constructor
-        terms = {
-            i: c if isinstance(c, RatFun) else RatFun._trusted(c, one)
-            for i, c in terms.items()
-        }
-    return DiffForm._trusted(p, n, r, terms)
+    return DiffForm._trusted(p, n, r, _one_kind(terms, rational))

@@ -14,9 +14,9 @@ constant (all exponents divisible by p) is kept as given, anything else is
 inflated by the identity above, with Q^(p-1) in closed form when Q is a
 monomial or binomial (_cofrobenius) and Q^p by Frobenius.  No reduction
 to lowest terms is attempted, so one value has many representations.
-Equality compares the numerators alone when the two denominators are the
-same polynomial, which is exact because F_p[z] is an integral domain,
-and cross-multiplies otherwise.
+Unequal denominators meet in one rule, _pair, in +, -, == and the
+clearing: their common multiple is the one that the other divides, found
+by exact division (_quotient), or else their product.
 
 As for polynomials and forms, validation happens at the trust boundary.
 The constructor RatFun(num, den) checks and normalizes whatever it is
@@ -26,16 +26,15 @@ it needs no normal form.  A product of differential constants is again
 one, so the results of +, -, *, the derivatives and the residue masks
 are clean by construction and are built by the unchecked _trusted
 constructor.  + and - merge only the numerators when the denominators
-are equal, and * by an int scales the numerator alone, building no
-RatFun for the int, and clear_denominators applies one multiplier per
+are equal, * by an int scales the numerator alone, building no RatFun
+for the int, and clear_denominators applies one multiplier per
 denominator, from _cofactors.  Mixed characteristics or arities still
 raise, from the MultiPoly operations underneath.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul, sub
+from operator import sub
 
 from .errors import ZeroDenominator
 from .poly import _ADD_KERNELS, MultiPoly, _check_power, _kernel
@@ -140,15 +139,9 @@ class RatFun:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
-        """True when the value lies in F_p, i.e. num = c * den."""
-        if self.num.is_zero():
-            return True
-        exps, a = next(iter(self.den.terms.items()))
-        b = self.num.coefficient(exps)
-        if b == 0:
-            return False
-        c = b * inv_mod(a, self.p.p) % self.p.p
-        return self.num == self.den * c
+        """True when the value lies in F_p: den divides num with a constant."""
+        q = _quotient(self.num, self.den)
+        return q is not None and q.is_constant()
 
     def is_differential_constant(self) -> bool:
         # d(num/den) = d(num)/den because the denominator is constant
@@ -168,12 +161,12 @@ class RatFun:
     # field operations
 
     def _merge(self, other, sign) -> "RatFun":
-        """self + sign * other, for sign +1 or -1."""
+        """self + sign * other, for sign +1 or -1, over the dens' _pair."""
         if self.den == other.den:
             return RatFun._trusted(self.num._merge(other.num, sign), self.den)
+        ma, mb = _pair(self.den, other.den)
         return RatFun._trusted(
-            (self.num * other.den)._merge(other.num * self.den, sign),
-            self.den * other.den,
+            (self.num * ma)._merge(other.num * mb, sign), self.den * ma
         )
 
     def __add__(self, other):
@@ -220,7 +213,8 @@ class RatFun:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        ma, mb = _pair(self.den, other.den)
+        return self.num * ma == other.num * mb
 
     def __hash__(self):
         raise TypeError(
@@ -268,31 +262,81 @@ class RatFun:
         return "RatFun(p=%d, n=%d, %s)" % (self.p.p, self.n, self)
 
 
-def _cofactors(form) -> tuple:
-    """(lam, table): the one place where a form's denominators combine.
+def _quotient(f, g):
+    """f / g when g divides f, else None, by long division by g's
+    lexicographically largest monomial; a constant g scales f.
 
-    table maps every distinct denominator of a rational form, in order of
-    first appearance, to an m with m * den == lam.  lam is the product of
-    the nonconstant ones, in that order, and each one's m the product of
-    the others; a constant c gets lam * c^-1, or the int c^-1, which
-    checks no cap, when lam = 1.  clear_denominators, which d, wedge and
-    poincare.integrate clear through, and the residual check of integrate
-    apply this table alone.
+    As F_p[z] is an integral domain, deg_i(q g) = deg_i q + deg_i g, so a
+    quotient monomial outside 0..deg_i f - deg_i g in some z_i proves that
+    g does not divide f: nothing is built past f's degrees, and nothing
+    checks the cap.
+    """
+    f._check(g)
+    p = f.p.p
+    if g.is_constant():
+        return f * inv_mod(g.constant_value(), p)
+    maxima = [map(max, zip(*h.terms)) for h in (f, g)]
+    room = [a - b for a, b in zip(*maxima)]
+    lead = max(g.terms)
+    inverse = inv_mod(g.terms[lead], p)
+    rest = [(e, c) for e, c in g.terms.items() if e != lead]
+    vector_add = _kernel(_ADD_KERNELS, f.n)
+    left = dict(f.terms)
+    out = {}
+    while left:
+        top = max(left)
+        step = tuple(map(sub, top, lead))
+        if any(e < 0 or e > r for e, r in zip(step, room)):
+            return None
+        c = out[step] = left.pop(top) * inverse % p
+        for e, b in rest:
+            e = vector_add(step, e)
+            left[e] = (left.get(e, 0) - c * b) % p
+            if not left[e]:
+                del left[e]
+    return MultiPoly._trusted(f.p, f.n, out)
+
+
+def _pair(a, b) -> tuple:
+    """(ma, mb) with ma * a == mb * b: the one rule where denominators meet.
+
+    The side that the other divides gets 1 and the other the quotient; when
+    neither divides the other, each side gets the other denominator.  The
+    quotient of two p-th powers is a p-th power, so ma * a stays one.
+    """
+    one = _unit(a.p, a.n)
+    q = _quotient(a, b)
+    if q is not None:
+        return one, q
+    q = _quotient(b, a)
+    return (b, a) if q is None else (q, one)
+
+
+def _cofactors(form) -> tuple:
+    """(lam, table): table maps every distinct denominator of a rational
+    form, in order of first appearance, to an m with m * den == lam.
+
+    lam folds _pair over the nonconstant ones, in that order, and each
+    earlier m takes the factor that lam takes.  lam is built first and
+    each m divides it, so the first lam that passes the cap raises.  A
+    constant c gets lam * c^-1, or the int c^-1, which checks no cap, when
+    lam = 1.  clear_denominators, which d, wedge and poincare.integrate
+    clear through, applies this table alone.
     """
     table = dict.fromkeys(coeff.den for coeff in form.terms.values())
-    listed = [den for den in table if not den.is_constant()]
     lam = _unit(form.p, form.n)
-    for k, den in enumerate(listed):
-        others = listed[:k] + listed[k + 1 :]
-        # each cofactor divides lam, so it overflows only where lam would
-        table[den] = reduce(mul, others) if others else lam
-    if listed:
-        # (d1 * ... * d(k-1)) * dk; for k = 1, dk itself, its cap checked
-        lam = table[listed[-1]] * listed[-1]
+    for den in table:
+        if not den.is_constant():
+            ma, mb = _pair(lam, den)
+            lam = lam * ma
+            for seen, m in table.items():
+                if m is not None:
+                    table[seen] = m * ma
+            table[den] = mb
     for den in table:
         if den.is_constant():
             inverse = inv_mod(den.constant_value(), form.p.p)
-            table[den] = lam * inverse if listed else inverse
+            table[den] = inverse if lam.is_constant() else lam * inverse
     return lam, table
 
 

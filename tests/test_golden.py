@@ -118,6 +118,8 @@ FORMS = [
      " + 7*z1^6 + 3*z1^5*z3^2 + 2*z1^5 + 6*z1^4*z3^2 + 8*z1^4"
      " + 11*z1^3*z3^2 + 6*z1^3 + 12*z1^2*z3^2 + 11*z1^2 + z1*z3^2 + 5*z1"
      " + 9*z3^2/z1^26 + 4*z1^13 + 7) dz1^dz3"),
+    # x^26 divides x^39, so the clearing takes lam = z1^39, not z1^65
+    (13, 2, "integrate", "(1/x^39) dx + (1/x^26) dy"),
 ]
 
 # (flags, p, n, command, form) invocations that must fail: the transcript
@@ -136,9 +138,10 @@ FAILURES = [
     ([], 3, 3, "integrate", "z1^2*z2^64 dz1^dz2"),
     ([], 3, 3, "integrate", "z1^64 dz1^dz2 + z1^2*z3^64 dz1^dz3"),
     # p-closed rational forms that still overflow inside integrate: the
-    # first while clear_denominators builds lam = z1^39 * z1^26, the
-    # second in the potential of the cleared form z1^64 dz1
-    ([], 13, 2, "integrate", "(1/x^39) dx + (1/x^26) dy"),
+    # first while clear_denominators builds lam = z1^39 * (z1 + 1)^26 of
+    # coprime factors, the second in the potential of the cleared form
+    # z1^64 dz1
+    ([], 13, 2, "integrate", "(1/x^39) dx + (1/(x^26 + 2*x^13 + 1)) dy"),
     ([], 3, 1, "integrate", "(z^64/z^3) dz"),
 ]
 

@@ -1,9 +1,10 @@
 """Every module of src/fpforms uses each name it imports, rebinds no name
 through global or nonlocal, writes into no module-level container from a
-function, leaves a form's kept derivative _d to forms.py and the
-message of a DegreeOverflow to poly.py and the parser's atoms, and
-generates code only in poly.py's kernel generator; every public name has
-a user, and every function a mention.  The frozen parser of the tests
+function, leaves a form's kept derivative _d to forms.py, the message of
+a DegreeOverflow to poly.py and the parser's atoms, and the meeting of
+two denominators to ratfun.py, and generates code only in poly.py's
+kernel generator; every public name has a user, and every function a
+mention.  The frozen parser of the tests
 borrows no code from fpforms.parser or fpforms.forms but the DiffForm
 class, so it stays put when they change.
 
@@ -330,6 +331,20 @@ def test_only_poly_and_parser_name_an_overflow(module):
         and "overflow" in node.id.lower()
     ]
     assert overflow_names == [], module
+
+
+_DENOMINATOR_RULES = {"_cofactors", "_pair", "_quotient"}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_ratfun_meets_two_denominators(module):
+    # where two denominators meet is decided in ratfun.py alone: the other
+    # modules add and compare through RatFun and clear through
+    # clear_denominators
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    names = _used_names(tree) | set(_imported_names(tree))
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert bool(names & _DENOMINATOR_RULES) == (module == "ratfun.py"), module
 
 
 _CODE_BUILTINS = {"eval", "exec", "compile"}

@@ -134,14 +134,23 @@ def test_integrate_raises_degree_zero_then_the_clearing_then_not_p_closed():
         tall = DiffForm(3, 1, 0, {(): RatFun(z**80, z**3)})
     with pytest.raises(DegreeZero):
         integrate(tall)
-    # lam = x^39 * x^26 passes the default cap, and d(x/x^26) = x^-26
-    # is not zero (mod 13)
-    omega = parse_form("(1/x^39) dx + (x/x^26) dy", 13, 2)
+    # lam = x^39 * (x + 1)^26, of coprime factors, passes the default
+    # cap, and d(x/(x + 1)^26) = (x + 1)^-26 is not zero (mod 13)
+    omega = parse_form("(1/x^39) dx + (x/(x^26 + 2*x^13 + 1)) dy", 13, 2)
     with pytest.raises(DegreeOverflow, match="^exponent 65 of z1 "):
         integrate(omega)
     with degree_limit(100):
         with pytest.raises(NotPClosed, match="^form is not closed$"):
             integrate(DiffForm(13, 2, 1, omega.terms))
+
+
+def test_a_denominator_that_divides_lam_adds_no_factor():
+    # x^26 divides x^39, so lam and the potential stay over z1^39
+    omega = parse_form("(1/x^39) dx + (1/x^26) dy", 13, 2)
+    theta = integrate(omega)
+    x, _ = variables(13, 2)
+    assert [c.den for c in theta.terms.values()] == [x**39]
+    assert theta.d() == omega
 
 
 # ----------------------------------------------------------------------
@@ -342,14 +351,12 @@ def test_residual_checks_catch_a_dropped_term(monkeypatch):
     ]:
         with pytest.raises(InternalResidual):
             integrate(parse_form(text, p, n))
-    # the rational side is checked over the cleared denominator, so the
-    # unaltered potential passes at the default cap; comparing it
-    # with omega by cross-multiplication needs a raised one
+    # == meets each denominator of omega with the cleared lam by exact
+    # division, so the unaltered potential passes at the default cap
     eta = parse_form("(4/z2) dz1 + (11*z1*z2*z3^2/6*z2) dz2", 13, 3)
     monkeypatch.setattr(poincare, "_homotopy_potential", build)
     theta = integrate(eta.d())
-    with degree_limit(256):
-        assert theta.d() == eta.d()
+    assert theta.d() == eta.d()
     monkeypatch.setattr(poincare, "_homotopy_potential", lossy)
     with pytest.raises(InternalResidual):
         integrate(eta.d())

@@ -15,7 +15,7 @@ from fpforms import (
     integrate,
     variables,
 )
-from fpforms.ratfun import _cofactors
+from fpforms.ratfun import _cofactors, _pair, _quotient
 from fpforms.sampling import random_form, random_poly, random_ratfun
 from test_poly import RAISED_CAP, cap_rule
 
@@ -431,8 +431,8 @@ def test_hash_is_refused():
 
 def test_trusted_results_match_their_validated_rebuild():
     rng = random.Random(3006)
-    # a - scaled cross-multiplies a.num * a.den by a.den^2, which at
-    # p = 13 can pass the default cap
+    # a + b over denominators that do not divide each other multiplies
+    # them, which at p = 13 can pass the default cap
     equal_dens = set()
     with degree_limit(256):
         for _ in range(TRIALS):
@@ -475,11 +475,17 @@ def test_trusted_results_match_their_validated_rebuild():
             for f in results:
                 assert_clean(f)
             assert (a - a).is_zero() and (a - scaled).is_zero()
-            # + and - against the pairwise formula, term for term
+            # + and - against the pairwise formula, term for term: over
+            # the denominator that the other divides, else over the product
             for g in (b, same, scaled):
                 equal_dens.add(a.den == g.den)
+                up, down = _quotient(a.den, g.den), _quotient(g.den, a.den)
                 if a.den == g.den:
                     left, right, den = a.num, g.num, a.den
+                elif up is not None:
+                    left, right, den = a.num, g.num * up, a.den
+                elif down is not None:
+                    left, right, den = a.num * down, g.num, a.den * down
                 else:
                     left, right, den = a.num * g.den, g.num * a.den, a.den * g.den
                 for result, num in ((a + g, left + right), (a - g, left - right)):
@@ -505,10 +511,9 @@ def test_rational_potentials_are_clean():
         integrated[p] += not theta.is_zero()
         rebuilt = DiffForm(p, n, r - 1, theta.terms)
         assert list(rebuilt.terms) == list(theta.terms)
-        # integrate checks over the cleared denominator; RatFun.__eq__
-        # cross-multiplies, which can pass the default cap
-        with degree_limit(256):
-            assert theta.d() == omega
+        # every denominator of omega divides the cleared lam, so ==
+        # stays below the default cap
+        assert theta.d() == omega
         for index, coeff in theta.terms.items():
             assert isinstance(coeff, RatFun) and not coeff.is_zero()
             assert_clean(coeff)
@@ -562,6 +567,105 @@ def test_mixed_characteristics_and_arities_still_raise():
                 left - right
             with pytest.raises(error):
                 left * right
-            # unequal denominators: == cross-multiplies
+            # unequal denominators: == pairs them
             with pytest.raises(error):
                 left == right
+
+
+# ----------------------------------------------------------------------
+# exact division, and the one rule where two denominators meet
+
+
+def test_quotient_divides_exactly_at_every_arity():
+    # n up to 9 passes the unrolled exponent kernels; f * g + c, c a
+    # nonzero constant, is not divisible by a nonconstant g
+    rng = random.Random(3013)
+    arities = set()
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 9)
+        f = random_poly(rng, p, n, max_degree=3, max_terms=4)
+        g = random_poly(rng, p, n, max_degree=3, max_terms=3, nonzero=True)
+        c = MultiPoly.constant(p, n, rng.randint(1, p - 1))
+        assert _quotient(f * g, g) == f
+        assert _quotient(f * g, c) * c == f * g
+        if not g.is_constant():
+            assert _quotient(f * g + c, g) is None
+            assert _quotient(c, g) is None
+        q = _quotient(f, g)
+        assert q is None or q * g == f
+        arities.add(n)
+    assert max(arities) == 9
+
+
+def test_quotient_never_raises_under_a_lowered_cap():
+    # long division builds nothing past the dividend's degrees, unchecked
+    rng = random.Random(3014)
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 9)
+        f = random_poly(rng, p, n, max_degree=6, max_terms=4, nonzero=True)
+        g = random_poly(rng, p, n, max_degree=6, max_terms=3, nonzero=True)
+        c = MultiPoly.constant(p, n, rng.randint(1, p - 1))
+        cases = [(f * g, g), (f * g + 1, g), (g, f * g + 1), (f, g), (g, f), (f, c)]
+        expected = [_quotient(a, b) for a, b in cases]
+        with degree_limit(rng.randint(1, 5)):
+            assert [_quotient(a, b) for a, b in cases] == expected
+
+
+def test_pair_meets_two_denominators_in_one_multiple():
+    # the side that the other divides gets 1, and else each side the
+    # other; the multiple stays a p-th power
+    rng = random.Random(3015)
+    kinds = set()
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 9)
+        one = MultiPoly.constant(p, n, 1)
+        u, v = (
+            random_poly(rng, p, n, max_degree=2, max_terms=2, nonzero=True).substitute_pth()
+            for _ in range(2)
+        )
+        for a, b in ((u, v), (u, u * v), (u * v, v), (u, u * rng.randint(1, p - 1))):
+            ma, mb = _pair(a, b)
+            assert ma * a == mb * b and (ma * a).is_differential_constant()
+            if _quotient(a, b) is not None:
+                kinds.add("b divides a")
+                assert ma == one and mb * b == a
+            elif _quotient(b, a) is not None:
+                kinds.add("a divides b")
+                assert mb == one and ma * a == b
+            else:
+                kinds.add("neither")
+                assert (ma, mb) == (b, a)
+    assert kinds == {"b divides a", "a divides b", "neither"}
+
+
+def _old_is_constant(f):
+    """RatFun.is_constant as it was: num == den * c, with c read off the
+    coefficients of den's first monomial."""
+    if f.num.is_zero():
+        return True
+    exps, a = next(iter(f.den.terms.items()))
+    b = f.num.coefficient(exps)
+    return b != 0 and f.num == f.den * (b * pow(a, -1, f.p.p) % f.p.p)
+
+
+def test_is_constant_agrees_with_the_old_definition():
+    rng = random.Random(3016)
+    values = set()
+    for _ in range(TRIALS):
+        p = rng.choice(TRUST_PRIMES)
+        n = rng.randint(1, 9)
+        den = random_poly(rng, p, n, max_degree=2, max_terms=2, nonzero=True)
+        c = rng.randint(0, p - 1)
+        for f in (
+            random_ratfun(rng, p, n),
+            RatFun(den * c, den),
+            RatFun(den * c + 1, den),
+            RatFun(MultiPoly.constant(p, n, c)),
+            RatFun(den, den * den),
+        ):
+            values.add(f.is_constant())
+            assert f.is_constant() == _old_is_constant(f)
+    assert values == {True, False}

@@ -1,17 +1,19 @@
-"""Work-count scaling guards for the parser.
+"""Work-count scaling guards for the parser and for form +.
 
-Each guard parses sums of N, 2N and 4N terms and counts the work done:
-the monomials built through MultiPoly's constructor and its unchecked
+Each guard sums N, 2N and 4N terms and counts the work done: the
+monomials built through MultiPoly's constructor and its unchecked
 _trusted one, plus the length of the canonical text of the result.  A
 count may grow at most 2.5 times per doubling of the terms, so a sum
 whose denominator is multiplied in again at every term, or whose total
 is copied at every term, fails.  No clock is read.
 
-The four routes are polynomial terms, terms over one denominator,
+The four parser routes are polynomial terms, terms over one denominator,
 polynomial terms after a rational one, and terms whose denominators
 alternate.  Each term brings a new monomial, so the result grows with
 the terms, and a parser that copies its running total at every term
-does work quadratic in them.
+does work quadratic in them.  Form + copies its operands, as forms are
+immutable, so its guard adds terms whose numerators repeat: the total
+stays as small as its denominator lets it.
 """
 
 import io
@@ -49,8 +51,8 @@ ROUTES = {
 }
 
 
-def _work(monkeypatch, text, p, n):
-    """Monomials built while parsing text, plus its result's text length."""
+def _work(monkeypatch, build):
+    """Monomials built by build(), plus its result's text length."""
     built = []
     init, trusted = MultiPoly.__init__, MultiPoly._trusted.__func__
 
@@ -65,7 +67,7 @@ def _work(monkeypatch, text, p, n):
     with monkeypatch.context() as patch:
         patch.setattr(MultiPoly, "__init__", counted_init)
         patch.setattr(MultiPoly, "_trusted", classmethod(counted_trusted))
-        form = parse_form(text, p, n)
+        form = build()
     return sum(built) + len(form_to_text(form))
 
 
@@ -75,9 +77,35 @@ def test_parse_work_grows_linearly_in_the_terms(monkeypatch, route):
     counts = []
     for size in (N, 2 * N, 4 * N):
         text = " + ".join(term(k) for k in range(size))
-        counts.append(_work(monkeypatch, text, 3, 3))
+        counts.append(_work(monkeypatch, lambda: parse_form(text, 3, 3)))
     for before, after in zip(counts, counts[1:]):
         assert after <= GROWTH * before, (route, counts)
+
+
+def _alternating(k):
+    """The k-th term of the alternating sums: over z2 + 1 or z2^2 + 1."""
+    return "(z1^%d/(z2^%d + 1)) dz1" % (k, k % 2 + 1)
+
+
+def test_form_sums_with_alternating_denominators_grow_linearly(monkeypatch):
+    counts = []
+    for size in (N, 2 * N, 4 * N):
+        forms = [parse_form(_alternating(k % 8), 3, 3) for k in range(size)]
+        counts.append(_work(monkeypatch, lambda: sum(forms[1:], forms[0])))
+    for before, after in zip(counts, counts[1:]):
+        assert after <= GROWTH * before, counts
+
+
+def test_form_sums_meet_each_denominator_once():
+    # adding the parser's alternating terms one form at a time keeps the
+    # z2-degree of the product of the two denominators
+    assert max_degree_limit() == 64
+    total = parse_form(_alternating(0), 3, 4)
+    for k in range(1, 40):
+        total = total + parse_form(_alternating(k), 3, 4)
+        if k + 1 in (10, 20, 40):
+            (coeff,) = total.terms.values()
+            assert coeff.den.max_var_degree() == 9, k + 1
 
 
 def test_alternating_denominators_meet_once():
@@ -85,9 +113,7 @@ def test_alternating_denominators_meet_once():
     # their product has z2-degree 9, however often they alternate
     assert max_degree_limit() == 64
     for size in (15, 40):
-        text = " + ".join(
-            "(z1^%d/(z2^%d + 1)) dz1" % (k, k % 2 + 1) for k in range(size)
-        )
+        text = " + ".join(_alternating(k) for k in range(size))
         (coeff,) = parse_form(text, 3, 4).terms.values()
         assert coeff.den.max_var_degree() == 9
         if size == 15:
