@@ -277,6 +277,8 @@ def _quotient(f, g):
         return f * inv_mod(g.constant_value(), p)
     maxima = [map(max, zip(*h.terms)) for h in (f, g)]
     room = [a - b for a, b in zip(*maxima)]
+    if min(room, default=0) < 0:
+        return None
     lead = max(g.terms)
     inverse = inv_mod(g.terms[lead], p)
     rest = [(e, c) for e, c in g.terms.items() if e != lead]
@@ -304,12 +306,11 @@ def _pair(a, b) -> tuple:
     neither divides the other, each side gets the other denominator.  The
     quotient of two p-th powers is a p-th power, so ma * a stays one.
     """
-    one = _unit(a.p, a.n)
     q = _quotient(a, b)
     if q is not None:
-        return one, q
+        return _unit(a.p, a.n), q
     q = _quotient(b, a)
-    return (b, a) if q is None else (q, one)
+    return (b, a) if q is None else (q, _unit(a.p, a.n))
 
 
 def _cofactors(form) -> tuple:
@@ -320,8 +321,7 @@ def _cofactors(form) -> tuple:
     earlier m takes the factor that lam takes.  lam is built first and
     each m divides it, so the first lam that passes the cap raises.  A
     constant c gets lam * c^-1, or the int c^-1, which checks no cap, when
-    lam = 1.  clear_denominators, which d, wedge and poincare.integrate
-    clear through, applies this table alone.
+    lam = 1.  clear_denominators, and so d, wedge and integrate, apply it.
     """
     table = dict.fromkeys(coeff.den for coeff in form.terms.values())
     lam = _unit(form.p, form.n)
