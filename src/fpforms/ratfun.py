@@ -16,7 +16,8 @@ monomial or binomial (_cofrobenius) and Q^p by Frobenius.  No reduction
 to lowest terms is attempted, so one value has many representations.
 Unequal denominators meet in one rule, _pair, in +, -, == and the
 clearing: their common multiple is the one that the other divides, found
-by exact division (_quotient), or else their product.
+by exact division (_quotient), or else their product; equal ones compare
+the numerators alone, which is exact as F_p[z] is an integral domain.
 
 As for polynomials and forms, validation happens at the trust boundary.
 The constructor RatFun(num, den) checks and normalizes whatever it is
@@ -26,8 +27,8 @@ it needs no normal form.  A product of differential constants is again
 one, so the results of +, -, *, the derivatives and the residue masks
 are clean by construction and are built by the unchecked _trusted
 constructor.  + and - merge only the numerators when the denominators
-are equal, * by an int scales the numerator alone, building no RatFun
-for the int, and clear_denominators applies one multiplier per
+are equal, and * by an int scales the numerator alone, building no
+RatFun for the int, and clear_denominators applies one multiplier per
 denominator, from _cofactors.  Mixed characteristics or arities still
 raise, from the MultiPoly operations underneath.
 """
@@ -266,10 +267,9 @@ def _quotient(f, g):
     """f / g when g divides f, else None, by long division by g's
     lexicographically largest monomial; a constant g scales f.
 
-    As F_p[z] is an integral domain, deg_i(q g) = deg_i q + deg_i g, so a
-    quotient monomial outside 0..deg_i f - deg_i g in some z_i proves that
-    g does not divide f: nothing is built past f's degrees, and nothing
-    checks the cap.
+    As F_p[z] is an integral domain, deg_i(q g) = deg_i q + deg_i g: a
+    quotient monomial outside 0..deg_i f - deg_i g proves that g does not
+    divide f, so nothing is built past f's degrees or checks the cap.
     """
     f._check(g)
     p = f.p.p
