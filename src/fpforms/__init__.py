@@ -41,7 +41,6 @@ from .errors import (
 )
 from .forms import (
     DiffForm,
-    is_closed,
     merge_indices,
     wedge,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "gamma0",
     "integrate",
     "irrational_part",
-    "is_closed",
     "is_p_closed",
     "is_prime",
     "max_degree_limit",

@@ -557,7 +557,3 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product a ^ b."""
     return a.wedge(b)
 
-
-def is_closed(form: DiffForm) -> bool:
-    return form.is_closed()
-

@@ -17,7 +17,8 @@ valid when its integer fields are JSON integers (true and false decode to
 Python bools, which are ints, hence the type(...) is int checks), residues
 lie in 1..p-1, indices are strictly increasing, the term list is sorted by
 index, monomial lists are sorted by exponent vector, and denominators are
-nonzero differential constants; valid documents round-trip byte for byte.
+1 or nonconstant differential constants, as RatFun keeps them; valid
+documents round-trip byte for byte.
 Decoding makes every check the validating constructors would make, the
 degree cap included and with their messages, in one pass, and then builds
 the form from trusted parts.
@@ -180,11 +181,12 @@ def doc_to_form(doc: dict) -> DiffForm:
         den = _monos_to_poly(coeff["den"], p, n, "denominator")
         if den.is_zero():
             raise ParseError("zero denominator")
-        if not den.is_differential_constant():
+        unit = den == one
+        if not unit and (den.is_constant() or not den.is_differential_constant()):
             raise ParseError("denominator %s is not in normal form" % den)
         if num.is_zero():
             raise ParseError("documents may not carry zero coefficients")
-        if den == one:
+        if unit:
             terms[key] = num
         else:
             terms[key] = RatFun._trusted(num, den)

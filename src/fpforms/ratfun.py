@@ -9,32 +9,36 @@ the denominator vanishes.  Derivatives of a RatFun therefore act on the
 numerator alone, which keeps the differential calculus of rational
 coefficients exactly as cheap as the polynomial one.
 
-The constructor normalizes: a denominator that is already a differential
-constant (all exponents divisible by p) is kept as given, anything else is
-inflated by the identity above, with Q^(p-1) in closed form when Q is a
-monomial or binomial (_cofrobenius) and Q^p by Frobenius.  No reduction
-to lowest terms is attempted, so one value has many representations.
-Unequal denominators meet in one rule, _pair, in +, -, == and the
-clearing: their common multiple is the one that the other divides, found
-by exact division (_quotient), or else their product; equal ones compare
-the numerators alone, which is exact as F_p[z] is an integral domain.
+The constructor normalizes: a constant denominator c becomes 1, with the
+numerator scaled by c^-1, so 1 is the only constant denominator; any other
+differential constant (all exponents divisible by p) is kept as given, and
+anything else is inflated by the identity above, with Q^(p-1) in closed
+form when Q is a monomial or binomial (_cofrobenius) and Q^p by Frobenius.
+No further reduction to lowest terms is attempted, so one value can still
+have many representations.  Unequal denominators meet in one rule, _pair,
+in +, -, == and the clearing: their common multiple is the one that the
+other divides, found by exact division (_quotient), or else their product;
+equal ones compare the numerators alone, which is exact as F_p[z] is an
+integral domain.
 
 As for polynomials and forms, validation happens at the trust boundary.
 The constructor RatFun(num, den) checks and normalizes whatever it is
 given; the parser, JSON documents, / and user calls go through it.
 RatFun(num) with no denominator gets the unit denominator directly, as
 it needs no normal form.  A product of differential constants is again
-one, so the results of +, -, *, the derivatives and the residue masks
-are clean by construction and are built by the unchecked _trusted
-constructor.  + and - merge only the numerators when the denominators
-are equal, and * by an int scales the numerator alone, building no
-RatFun for the int, and clear_denominators applies one multiplier per
-denominator, from _cofactors.  Mixed characteristics or arities still
+one, and a product with a nonconstant factor is nonconstant, so the
+results of +, -, *, the derivatives and the residue masks are clean by
+construction and are built by the unchecked _trusted constructor.  + and
+- merge only the numerators when the denominators are equal, * by an int
+scales the numerator alone, building no RatFun for the int, and
+clear_denominators folds _pair over the distinct denominators, 1 among
+them, for one multiplier each.  Mixed characteristics or arities still
 raise, from the MultiPoly operations underneath.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from operator import sub
 
 from .errors import ZeroDenominator
@@ -101,7 +105,10 @@ class RatFun:
         num._check(den)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
-        if num.is_zero():
+        if den.is_constant():
+            num = num * inv_mod(den.constant_value(), num.p.p)
+            den = _unit(num.p, num.n)
+        elif num.is_zero():
             den = _unit(num.p, num.n)
         elif not den.is_differential_constant():
             num = num * _cofrobenius(den)
@@ -115,8 +122,8 @@ class RatFun:
         """A quotient from parts that are clean by construction.
 
         num and den are MultiPoly values over the same p and n, and den is
-        a nonzero differential constant.  Nothing is checked; as in the
-        constructor, a zero numerator gets the denominator 1.
+        1 or a nonconstant differential constant.  Nothing is checked; as
+        in the constructor, a zero numerator gets the denominator 1.
         """
         self = object.__new__(cls)
         if not num.terms:
@@ -245,13 +252,10 @@ class RatFun:
             self.num._residue_mask(index, every, sign, lower), self.den
         )
 
-    def substitute_pth(self, shift=None) -> "RatFun":
-        """num(z^p) * z^shift / den(z^p)."""
-        return RatFun(self.num.substitute_pth(shift), self.den.substitute_pth())
-
     def _substituted(self, shift) -> "RatFun":
-        """substitute_pth on a trusted shift.  den(z^p) is a nonzero
-        differential constant, so the quotient is clean by construction."""
+        """num(z^p) * z^shift / den(z^p) on a trusted shift.  den(z^p) is
+        1 or a nonconstant differential constant, so the quotient is clean
+        by construction."""
         return RatFun._trusted(
             self.num._substituted(shift), self.den._substituted((0,) * self.n)
         )
@@ -265,7 +269,9 @@ class RatFun:
 
 def _quotient(f, g):
     """f / g when g divides f, else None, by long division by g's
-    lexicographically largest monomial; a constant g scales f.
+    lexicographically largest monomial; a constant g scales f.  The
+    dividend's monomials wait in a sorted list, so each leading term is
+    its last entry, and a cancelled one stays there with residue 0.
 
     As F_p[z] is an integral domain, deg_i(q g) = deg_i q + deg_i g: a
     quotient monomial outside 0..deg_i f - deg_i g proves that g does not
@@ -284,18 +290,23 @@ def _quotient(f, g):
     rest = [(e, c) for e, c in g.terms.items() if e != lead]
     vector_add = _kernel(_ADD_KERNELS, f.n)
     left = dict(f.terms)
+    order = sorted(left)
     out = {}
-    while left:
-        top = max(left)
+    while order:
+        top = order.pop()
+        c = left.pop(top)
+        if not c:
+            continue
         step = tuple(map(sub, top, lead))
         if any(e < 0 or e > r for e, r in zip(step, room)):
             return None
-        c = out[step] = left.pop(top) * inverse % p
+        c = out[step] = c * inverse % p
+        # step + e < top for every e < lead, so top never comes back
         for e, b in rest:
             e = vector_add(step, e)
+            if e not in left:
+                insort(order, e)
             left[e] = (left.get(e, 0) - c * b) % p
-            if not left[e]:
-                del left[e]
     return MultiPoly._trusted(f.p, f.n, out)
 
 
@@ -313,38 +324,15 @@ def _pair(a, b) -> tuple:
     return (b, a) if q is None else (q, _unit(a.p, a.n))
 
 
-def _cofactors(form) -> tuple:
-    """(lam, table): table maps every distinct denominator of a rational
-    form, in order of first appearance, to an m with m * den == lam.
-
-    lam folds _pair over the nonconstant ones, in that order, and each
-    earlier m takes the factor that lam takes.  lam is built first and
-    each m divides it, so the first lam that passes the cap raises.  A
-    constant c gets lam * c^-1, or the int c^-1, which checks no cap, when
-    lam = 1.  clear_denominators, and so d, wedge and integrate, apply it.
-    """
-    table = dict.fromkeys(coeff.den for coeff in form.terms.values())
-    lam = _unit(form.p, form.n)
-    for den in table:
-        if not den.is_constant():
-            ma, mb = _pair(lam, den)
-            lam = lam * ma
-            for seen, m in table.items():
-                if m is not None:
-                    table[seen] = m * ma
-            table[den] = mb
-    for den in table:
-        if den.is_constant():
-            inverse = inv_mod(den.constant_value(), form.p.p)
-            table[den] = inverse if lam.is_constant() else lam * inverse
-    return lam, table
-
-
 def clear_denominators(form):
     """Rewrite a form as (lam, lam * form), the second one polynomial.
 
-    lam and each coefficient's multiplier come from _cofactors.  lam is a
-    differential constant, so multiplying by it preserves closedness,
+    lam folds _pair over every distinct denominator, 1 included, in order
+    of first appearance, and a table maps each one to an m with
+    m * den == lam: each earlier m takes the factor that lam takes.  lam is
+    built first and each m divides it, so the first lam that passes the
+    cap raises; every cleared numerator, num * m, checks the cap too.  lam
+    is a differential constant, so multiplying by it preserves closedness,
     p-closedness and exactness in both directions.  A polynomial form
     comes back as itself with lam = 1.  With one distinct denominator,
     lam is that denominator and a coefficient over it keeps its
@@ -352,6 +340,14 @@ def clear_denominators(form):
     """
     if form.is_polynomial:
         return _unit(form.p, form.n), form
-    lam, table = _cofactors(form)
+    table = dict.fromkeys(coeff.den for coeff in form.terms.values())
+    lam = _unit(form.p, form.n)
+    for den in table:
+        ma, mb = _pair(lam, den)
+        lam = lam * ma
+        for seen, m in table.items():
+            if m is not None:
+                table[seen] = m * ma
+        table[den] = mb
     out = {index: c.num * table[c.den] for index, c in form.terms.items()}
     return lam, form._with_terms(out)

@@ -144,6 +144,8 @@ def test_cartier_guards():
         cartier(DiffForm(3, 2, 1, {(1,): y}))
     with pytest.raises(NonPolynomial):
         cartier(DiffForm(3, 2, 1, {(1,): RatFun(x, x**3)}))
+    with pytest.raises(NotClosed):
+        same_class(DiffForm(3, 2, 1, {(1,): x}), DiffForm(3, 2, 1, {(1,): y}))
 
 
 def test_class_representative_witness():

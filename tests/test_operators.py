@@ -81,6 +81,27 @@ def test_phi_on_closed_forms_is_differential_constant():
             assert coeff.is_differential_constant()
 
 
+def test_phi_on_closed_rational_forms_is_differential_constant():
+    # d of a rational form plus gamma0 of one is closed; phi of it has
+    # coefficients whose numerators have every exponent divisible by p
+    rng = random.Random(5002)
+    images = 0
+    for p in (2, 3, 5, 13):
+        for _ in range(15):
+            n = rng.randint(1, 3)
+            r = rng.randint(1, n)
+            with degree_limit(1024):
+                omega = random_form(
+                    rng, p, n, r - 1, max_degree=1, rational=True
+                ).d() + gamma0(random_form(rng, p, n, r, max_degree=1, rational=True))
+                assert omega.is_closed()
+                image = phi(omega)
+            for coeff in image.terms.values():
+                assert isinstance(coeff, RatFun) and coeff.is_differential_constant()
+            images += bool(image.terms)
+    assert images > 20
+
+
 def test_corollary_condition_strictly_stronger_than_p_closed():
     # the Remark's form: p-closed through cancellation, yet every single
     # (p-1)-fold derivative of the coefficient survives
@@ -303,8 +324,9 @@ def test_o_operator_expanded_agrees():
 
 def test_o_operator_rejects_rational_coefficients():
     x, _ = variables(3, 2)
-    with pytest.raises(NonPolynomial):
-        o_operator(RatFun(x, x**3), (1,))
+    for operator in (o_operator, o_operator_expanded):
+        with pytest.raises(NonPolynomial):
+            operator(RatFun(x, x**3), (1,))
 
 
 def restricted_slice(form):

@@ -57,15 +57,17 @@ def test_document_round_trip_is_bit_exact():
 
 
 def broken(mutate):
+    """The sample document, changed in place by mutate, or the value that
+    mutate returns in its place."""
     doc = sample_doc()
-    mutate(doc)
-    return doc
+    replaced = mutate(doc)
+    return doc if replaced is None else replaced
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda d: d.pop("degree"),
+        lambda d: d.__delitem__("degree"),
         lambda d: d.update(format=2),
         lambda d: d.update(p=4),
         lambda d: d.update(p="3"),
@@ -85,7 +87,16 @@ def broken(mutate):
         lambda d: d["terms"][0]["coeff"].update(
             den=[{"exps": [1, 0], "c": 1}]  # not a differential constant
         ),
-        lambda d: d["terms"][0]["coeff"].pop("den"),
+        lambda d: d["terms"][0]["coeff"].update(
+            den=[{"exps": [0, 0], "c": 2}]  # a constant other than 1
+        ),
+        lambda d: [d],
+        lambda d: d.update(terms={}),
+        lambda d: d["terms"][0]["coeff"].update(num={"exps": [0, 0], "c": 1}),
+        lambda d: d.update(
+            degree=2, terms=[{"index": [2, 1], "coeff": d["terms"][0]["coeff"]}]
+        ),
+        lambda d: d["terms"][0]["coeff"].__delitem__("den"),
         lambda d: d["terms"][0]["coeff"]["num"][0].update(extra=1),
         lambda d: d["terms"][0].update(extra=1),
         # JSON booleans are ints to Python; each would decode as 0 or 1
@@ -126,6 +137,11 @@ def broken(mutate):
         "negative-exponent",
         "empty-den",
         "non-constant-den",
+        "constant-den-of-2",
+        "array-document",
+        "object-terms",
+        "object-numerator",
+        "decreasing-index",
         "missing-den",
         "extra-monomial-key",
         "extra-term-key",
@@ -150,6 +166,17 @@ def broken(mutate):
 def test_strict_validation_rejects(mutate):
     with pytest.raises(ParseError):
         doc_to_form(broken(mutate))
+
+
+def test_a_constant_denominator_other_than_one_is_not_in_normal_form():
+    # RatFun keeps num/c as (c^-1 num)/1, so a document over 2 has no
+    # form to round-trip to
+    doc = sample_doc()
+    doc["terms"][0]["coeff"]["den"] = [{"exps": [0, 0], "c": 2}]
+    with pytest.raises(ParseError, match="^denominator 2 is not in normal form"):
+        doc_to_form(doc)
+    doc["terms"][0]["coeff"]["den"] = [{"exps": [0, 0], "c": 1}]
+    assert form_to_doc(doc_to_form(doc)) == doc
 
 
 def _parts(c):

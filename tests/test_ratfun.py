@@ -12,10 +12,13 @@ from fpforms import (
     ZeroDenominator,
     clear_denominators,
     degree_limit,
+    form_to_doc,
+    form_to_text,
     integrate,
+    parse_form,
     variables,
 )
-from fpforms.ratfun import _cofactors, _pair, _quotient
+from fpforms.ratfun import _pair, _quotient
 from fpforms.sampling import random_form, random_poly, random_ratfun
 from test_poly import RAISED_CAP, cap_rule
 
@@ -345,48 +348,51 @@ def _form_over(rng, p, nonconstant, constant):
 
 
 def test_every_denominator_has_one_multiplier():
-    # the table maps every distinct denominator, constant ones included,
-    # to an m with m * den = lam, and clearing applies it and nothing else
+    # constant denominators, however many were given, are one denominator,
+    # 1; clearing multiplies each coefficient by lam over its denominator
+    # and by nothing else
     rng = random.Random(3012)
     seen = set()
     for p in TRUST_PRIMES:
+        one = MultiPoly.constant(p, 4, 1)
         for nonconstant in range(4):
             for constant in range(min(3, p)):
                 if nonconstant + constant == 0:
                     continue
                 for _ in range(3):
                     omega = _form_over(rng, p, nonconstant, constant)
+                    dens = list(dict.fromkeys(c.den for c in omega.terms.values()))
+                    constants = [den for den in dens if den.is_constant()]
+                    assert constants == [one] * min(constant, 1)
+                    seen.add((len(dens) - len(constants), len(constants)))
                     with degree_limit(1024):
-                        lam, table = _cofactors(omega)
-                        dens = [c.den for c in omega.terms.values()]
-                        assert list(table) == list(dict.fromkeys(dens))
-                        kinds = [den.is_constant() for den in table]
-                        seen.add((kinds.count(False), kinds.count(True)))
-                        for den, m in table.items():
-                            assert m * den == lam
-                        cleared_lam, cleared = clear_denominators(omega)
-                        assert cleared_lam == lam and cleared.is_polynomial
+                        lam, cleared = clear_denominators(omega)
+                        assert cleared.is_polynomial
                         for index, c in omega.terms.items():
-                            assert cleared.terms[index] * c.den == c.num * lam
-    assert seen == {(k, c) for k in range(4) for c in range(3)} - {(0, 0)}
+                            m = _quotient(lam, c.den)
+                            assert m is not None
+                            assert cleared.terms[index] == c.num * m
+    assert seen == {(k, c) for k in range(4) for c in range(2)} - {(0, 0)}
 
 
-def test_constant_denominators_alone_check_no_cap():
-    # a constant denominator is folded in by an int scaling, which checks
-    # no cap; beside a nonconstant one it meets lam in a checked product
+def test_constant_denominators_check_the_cap():
+    # a constant denominator is 1, so its numerator is cleared by a
+    # product by 1, which checks the cap as any other denominator's does
     with degree_limit(100):
         x, y = variables(3, 2)
         two = MultiPoly.constant(3, 2, 2)
         tall = RatFun(x**80, two)
-    flat = DiffForm(3, 2, 1, {(1,): tall, (2,): RatFun(y, two + two)})
-    lam, cleared = clear_denominators(flat)
+        flat = DiffForm(3, 2, 1, {(1,): tall, (2,): RatFun(y, two + two)})
+        lam, cleared = clear_denominators(flat)
+        assert tall.den == 1 and tall.num == x**80 * 2
     assert lam == MultiPoly.constant(3, 2, 1)
-    assert cleared.terms[(1,)] == tall.num * 2
+    assert cleared.terms[(1,)] == tall.num
     mixed = DiffForm(3, 2, 1, {(1,): tall, (2,): RatFun(y, y**3)})
-    with pytest.raises(
-        DegreeOverflow, match="^exponent 80 of z1 exceeds the degree limit 64$"
-    ):
-        clear_denominators(mixed)
+    for omega in (flat, mixed):
+        with pytest.raises(
+            DegreeOverflow, match="^exponent 80 of z1 exceeds the degree limit 64$"
+        ):
+            clear_denominators(omega)
 
 
 def test_ratfun_times_int_scales_the_numerator(monkeypatch):
@@ -421,6 +427,63 @@ def test_closedness_invariant_under_differential_constants():
         omega = random_form(rng, p, n, r)
         lam = random_poly(rng, p, n, nonzero=True).substitute_pth()
         assert (omega * lam).d() == omega.d() * lam
+
+
+def test_constructor_refuses_parts_that_are_not_polynomials():
+    (z,) = variables(3, 1)
+    with pytest.raises(TypeError, match="^numerator must be a MultiPoly$"):
+        RatFun(1, z)
+    with pytest.raises(TypeError, match="^denominator must be a MultiPoly$"):
+        RatFun(z, 3)
+
+
+def test_a_constant_denominator_is_one():
+    # num/c is kept as (c^-1 num)/1, so 1 is the only constant denominator
+    for p in TRUST_PRIMES:
+        x, y = variables(p, 2)
+        one = MultiPoly.constant(p, 2, 1)
+        for c in range(1, p):
+            f = RatFun(x * y + 1, MultiPoly.constant(p, 2, c))
+            assert f.den == one
+            assert f.num * c == x * y + 1
+            assert_clean(f)
+        assert RatFun(x, y**p).den == y**p
+
+
+def test_a_sum_over_a_constant_denominator_prints_one_text():
+    # at p = 3 the sum kept the constant denominator of whichever side
+    # came first, so A - B and -B + A printed over 1 and over 2
+    a = parse_form("x^5 dx + (1/(y + 1)) dy", 3, 2)
+    b = parse_form("(x/2) dx", 3, 2)
+    joined = parse_form("x^5 dx + (1/(y + 1)) dy - (x/2) dx", 3, 2)
+    texts = {form_to_text(f) for f in (a - b, -b + a, joined)}
+    assert texts == {"(z1^5 + z1/1) dz1 + (z2^2 + 2*z2 + 1/z2^3 + 1) dz2"}
+
+
+@pytest.mark.parametrize("p", TRUST_PRIMES)
+def test_sums_with_constant_denominators_commute_in_print(p):
+    # constant denominators on either side, beside nonconstant ones that
+    # are monic and pairwise not associate: a + b and b + a print, and
+    # serialize, alike
+    rng = random.Random(3020 + p)
+    x, y = variables(p, 2)
+    nonconstant = (x + 1, y * y + x, x * y + 2)
+    for _ in range(TRIALS // 4):
+        forms = []
+        for _ in range(2):
+            terms = {}
+            for index in ((1,), (2,)):
+                num = random_poly(rng, p, 2, max_degree=2, nonzero=True)
+                if rng.random() < 0.6:
+                    den = MultiPoly.constant(p, 2, rng.randint(1, p - 1))
+                else:
+                    den = rng.choice(nonconstant)
+                terms[index] = RatFun(num, den)
+            forms.append(DiffForm(p, 2, 1, terms))
+        a, b = forms
+        assert str(a + b) == str(b + a)
+        assert form_to_doc(a + b) == form_to_doc(b + a)
+        assert str(a - b) == str(-b + a)
 
 
 def test_hash_is_refused():

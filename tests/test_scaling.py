@@ -14,9 +14,16 @@ the terms, and a parser that copies its running total at every term
 does work quadratic in them.  Form + copies its operands, as forms are
 immutable, so its guard adds terms whose numerators repeat: the total
 stays as small as its denominator lets it.
+
+Exact division, which meets two denominators, finds one leading term of
+the dividend per quotient monomial; its guard counts the entries that
+the ordering builtins and insertions of fpforms.ratfun examine to find
+them, for quotients of 200, 400 and 800 monomials.
 """
 
+import bisect
 import io
+import random
 
 import pytest
 
@@ -27,6 +34,7 @@ from fpforms import (
     max_degree_limit,
     parse_form,
 )
+from fpforms import ratfun
 from fpforms.cli import run_command
 from fpforms.printer import form_to_text
 
@@ -129,3 +137,48 @@ def test_the_cap_holds_for_the_product_of_the_denominators():
     with degree_limit(27):
         (coeff,) = parse_form(text, 3, 2).terms.values()
     assert coeff.den.max_var_degree() == 27
+
+
+def _leading_term_work(monkeypatch, divide):
+    """(divide(), entries it examined through ratfun's ordering routines):
+    k for max or min over k entries, k times k.bit_length() for sorted,
+    and k.bit_length() for an insertion by bisection into k."""
+    examined = []
+
+    def counted(real, cost):
+        def wrapper(entries, *args, **kwargs):
+            examined.append(cost(len(entries)))
+            return real(entries, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name, real, cost in (
+            ("max", max, lambda k: k),
+            ("min", min, lambda k: k),
+            ("sorted", sorted, lambda k: k * k.bit_length()),
+            ("insort", bisect.insort, int.bit_length),
+        ):
+            patch.setattr(ratfun, name, counted(real, cost), raising=False)
+        quotient = divide()
+    return quotient, sum(examined)
+
+
+def test_exact_division_finds_its_leading_terms_in_linear_time(monkeypatch):
+    # a rescan of the dividend for every leading term grows 4 times per
+    # doubling of the quotient
+    rng = random.Random(8801)
+    exponents = [(a, b, c) for a in range(20) for b in range(20) for c in range(20)]
+    rng.shuffle(exponents)
+    g = MultiPoly(3, 3, {(1, 1, 0): 1, (0, 0, 1): 2, (0, 0, 0): 1})
+    counts = []
+    for size in (200, 400, 800):
+        f = MultiPoly(3, 3, {e: rng.randint(1, 2) for e in exponents[:size]})
+        product = f * g
+        quotient, work = _leading_term_work(
+            monkeypatch, lambda: ratfun._quotient(product, g)
+        )
+        assert quotient == f
+        counts.append(work)
+    for before, after in zip(counts, counts[1:]):
+        assert after <= GROWTH * before, counts
