@@ -44,7 +44,7 @@ assert irrational_part(split.irrational) == split.irrational
 print()
 wit = class_representative(omega)
 print("representative       =", wit.representative)
-print("difference p-closed? ", wit.exact_difference_check)
+print("difference p-closed? ", wit.difference_p_closed)
 
 # perturbing by an exact form never moves the class
 rng = random.Random(7)

@@ -84,7 +84,7 @@ class CohomologyWitness(NamedTuple):
     """
 
     representative: DiffForm
-    exact_difference_check: bool
+    difference_p_closed: bool
 
 
 def class_representative(form: DiffForm) -> CohomologyWitness:
@@ -102,7 +102,7 @@ def class_representative(form: DiffForm) -> CohomologyWitness:
     rep.d()
     return CohomologyWitness(
         representative=rep,
-        exact_difference_check=is_p_closed(form - rep),
+        difference_p_closed=is_p_closed(form - rep),
     )
 
 

@@ -42,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _class(form):
-    witness = class_representative(form)
-    return {
-        "representative": witness.representative,
-        "difference_p_closed": witness.exact_difference_check,
-    }
-
-
 # every form subcommand in parser order: its number of form arguments and
 # its operation; each lambda looks its name up when it runs, so that a
 # name patched on this module takes effect
@@ -63,7 +55,7 @@ _COMMANDS = {
     "phi": (1, lambda f: phi(f)),
     "cartier": (1, lambda f: cartier(f)),
     "gamma0": (1, lambda f: gamma0(f)),
-    "class": (1, _class),
+    "class": (1, lambda f: class_representative(f)._asdict()),
     "wedge": (2, lambda f, g: wedge(f, g)),
     "same-class": (2, lambda f, g: same_class(f, g)),
 }

@@ -217,8 +217,6 @@ def exactness_oracle(
     if not form.is_polynomial:
         raise NonPolynomial("the oracle searches polynomial potentials only")
     p, n, r = form.p.p, form.n, form.r
-    if form.is_zero():
-        return DiffForm.zero(form.p, n, r - 1)
     margin = form.p.p if degree_margin is None else degree_margin
     if margin < 0:
         raise ValueError("degree_margin must be nonnegative")

@@ -17,8 +17,8 @@ valid when its integer fields are JSON integers (true and false decode to
 Python bools, which are ints, hence the type(...) is int checks), residues
 lie in 1..p-1, indices are strictly increasing, the term list is sorted by
 index, monomial lists are sorted by exponent vector, and denominators are
-1 or nonconstant differential constants, as RatFun keeps them; valid
-documents round-trip byte for byte.
+monic differential constants, as RatFun keeps them (so a constant one is
+1); valid documents round-trip byte for byte.
 Decoding makes every check the validating constructors would make, the
 degree cap included and with their messages, in one pass, and then builds
 the form from trusted parts.
@@ -29,7 +29,7 @@ from __future__ import annotations
 from .errors import ParseError, PrimeOutOfRange, _shown
 from .forms import DiffForm, _one_kind
 from .poly import MAX_VARIABLES, MultiPoly, _check_degree
-from .ratfun import RatFun
+from .ratfun import RatFun, _leading_coefficient
 from .scalar import Prime
 
 FORMAT_VERSION = 1
@@ -150,7 +150,6 @@ def doc_to_form(doc: dict) -> DiffForm:
         raise ParseError("bad degree %s" % _shown(r))
     if not isinstance(doc["terms"], list):
         raise ParseError("terms must be a list")
-    one = MultiPoly.constant(p, n, 1)
     terms = {}
     rational = False
     previous = None
@@ -181,12 +180,11 @@ def doc_to_form(doc: dict) -> DiffForm:
         den = _monos_to_poly(coeff["den"], p, n, "denominator")
         if den.is_zero():
             raise ParseError("zero denominator")
-        unit = den == one
-        if not unit and (den.is_constant() or not den.is_differential_constant()):
+        if _leading_coefficient(den) != 1 or not den.is_differential_constant():
             raise ParseError("denominator %s is not in normal form" % den)
         if num.is_zero():
             raise ParseError("documents may not carry zero coefficients")
-        if unit:
+        if den.is_constant():
             terms[key] = num
         else:
             terms[key] = RatFun._trusted(num, den)

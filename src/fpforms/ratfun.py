@@ -9,9 +9,11 @@ the denominator vanishes.  Derivatives of a RatFun therefore act on the
 numerator alone, which keeps the differential calculus of rational
 coefficients exactly as cheap as the polynomial one.
 
-The constructor normalizes: a constant denominator c becomes 1, with the
-numerator scaled by c^-1, so 1 is the only constant denominator; any other
-differential constant (all exponents divisible by p) is kept as given, and
+The constructor normalizes in one rule: num and den are scaled by the
+inverse of den's leading coefficient (_leading_coefficient, its
+coefficient at the lexicographically largest exponent vector), so every
+denominator is monic, a constant one is 1 and associates are equal.  A
+differential constant (all exponents divisible by p) is then kept, and
 anything else is inflated by the identity above, with Q^(p-1) in closed
 form when Q is a monomial or binomial (_cofrobenius) and Q^p by Frobenius.
 No further reduction to lowest terms is attempted, so one value can still
@@ -26,14 +28,15 @@ The constructor RatFun(num, den) checks and normalizes whatever it is
 given; the parser, JSON documents, / and user calls go through it.
 RatFun(num) with no denominator gets the unit denominator directly, as
 it needs no normal form.  A product of differential constants is again
-one, and a product with a nonconstant factor is nonconstant, so the
-results of +, -, *, the derivatives and the residue masks are clean by
-construction and are built by the unchecked _trusted constructor.  + and
-- merge only the numerators when the denominators are equal, * by an int
-scales the numerator alone, building no RatFun for the int, and
-clear_denominators folds _pair over the distinct denominators, 1 among
-them, for one multiplier each.  Mixed characteristics or arities still
-raise, from the MultiPoly operations underneath.
+one, and over F_p products, exact quotients and Frobenius images of
+monic polynomials are monic, so the results of +, -, *, the derivatives
+and the residue masks are clean by construction and are built by the
+unchecked _trusted constructor.  + and - merge only the numerators when
+the denominators are equal, * by an int scales the numerator alone,
+building no RatFun for the int, and clear_denominators folds _pair over
+the distinct denominators, 1 among them, for one multiplier each.  Mixed
+characteristics or arities still raise, from the MultiPoly operations
+underneath.
 """
 
 from __future__ import annotations
@@ -78,6 +81,12 @@ def _cofrobenius(den) -> MultiPoly:
     return MultiPoly._trusted(den.p, den.n, out)
 
 
+def _leading_coefficient(f) -> int:
+    """The coefficient of f's lexicographically largest monomial, the
+    first one the printer writes; a RatFun denominator has it equal to 1."""
+    return f.terms[max(f.terms)]
+
+
 class RatFun:
     """A quotient num/den with differential-constant denominator.
 
@@ -105,10 +114,9 @@ class RatFun:
         num._check(den)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
-        if den.is_constant():
-            num = num * inv_mod(den.constant_value(), num.p.p)
-            den = _unit(num.p, num.n)
-        elif num.is_zero():
+        inverse = inv_mod(_leading_coefficient(den), num.p.p)
+        num, den = num * inverse, den * inverse
+        if num.is_zero():
             den = _unit(num.p, num.n)
         elif not den.is_differential_constant():
             num = num * _cofrobenius(den)
@@ -122,8 +130,8 @@ class RatFun:
         """A quotient from parts that are clean by construction.
 
         num and den are MultiPoly values over the same p and n, and den is
-        1 or a nonconstant differential constant.  Nothing is checked; as
-        in the constructor, a zero numerator gets the denominator 1.
+        a monic differential constant.  Nothing is checked; as in the
+        constructor, a zero numerator gets the denominator 1.
         """
         self = object.__new__(cls)
         if not num.terms:
@@ -254,8 +262,8 @@ class RatFun:
 
     def _substituted(self, shift) -> "RatFun":
         """num(z^p) * z^shift / den(z^p) on a trusted shift.  den(z^p) is
-        1 or a nonconstant differential constant, so the quotient is clean
-        by construction."""
+        again a monic differential constant, so the quotient is clean by
+        construction."""
         return RatFun._trusted(
             self.num._substituted(shift), self.den._substituted((0,) * self.n)
         )

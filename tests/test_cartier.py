@@ -157,7 +157,7 @@ def test_class_representative_witness():
         omega = random_closed_form(rng, p, n, r)
         witness = class_representative(omega)
         assert witness.representative == irrational_part(omega)
-        assert witness.exact_difference_check
+        assert witness.difference_p_closed
         assert same_class(omega, witness.representative)
 
 

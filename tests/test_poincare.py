@@ -551,6 +551,19 @@ def test_oracle_frozen_cases():
     assert eta is not None and eta.d() == DiffForm(3, 1, 1, {(1,): z})
 
 
+def test_oracle_answers_the_zero_form_like_any_other():
+    # the zero form has no weight blocks: its potential is the zero form of
+    # one degree less, and a negative margin is refused for it as for all
+    for p, n, r in ((2, 1, 1), (3, 2, 1), (5, 3, 2), (13, 3, 3)):
+        zero = DiffForm.zero(p, n, r)
+        for margin in (None, 0, 1):
+            eta = exactness_oracle(zero, degree_margin=margin)
+            assert eta.is_zero() and (eta.p.p, eta.n, eta.r) == (p, n, r - 1)
+            assert eta.d() == zero
+        with pytest.raises(ValueError, match="^degree_margin must be nonnegative$"):
+            exactness_oracle(zero, degree_margin=-1)
+
+
 def test_oracle_system_cap(monkeypatch):
     x, y = variables(3, 2)
     omega = DiffForm(3, 2, 1, {(1,): x * y})

@@ -179,6 +179,25 @@ def test_a_constant_denominator_other_than_one_is_not_in_normal_form():
     assert form_to_doc(doc_to_form(doc)) == doc
 
 
+def test_a_denominator_that_is_not_monic_is_not_in_normal_form():
+    # RatFun scales num/den so that den's first printed coefficient is 1,
+    # so a document over 2*z2^3 + 2 has no form to round-trip to
+    doc = form_to_doc(parse_form("(x/(y^3 + 1)) dy", 3, 2))
+    assert doc["terms"][0]["coeff"]["den"] == [
+        {"exps": [0, 0], "c": 1},
+        {"exps": [0, 3], "c": 1},
+    ]
+    assert form_to_doc(doc_to_form(doc)) == doc
+    doc["terms"][0]["coeff"]["den"] = [
+        {"exps": [0, 0], "c": 2},
+        {"exps": [0, 3], "c": 2},
+    ]
+    with pytest.raises(
+        ParseError, match=r"^denominator 2\*z2\^3 \+ 2 is not in normal form"
+    ):
+        doc_to_form(doc)
+
+
 def _parts(c):
     return (c.num, c.den) if isinstance(c, RatFun) else (c,)
 

@@ -12,8 +12,10 @@ from fpforms import (
     ZeroDenominator,
     clear_denominators,
     degree_limit,
+    doc_to_form,
     form_to_doc,
     form_to_text,
+    gamma0,
     integrate,
     parse_form,
     variables,
@@ -27,15 +29,30 @@ TRIALS = 120
 TRUST_PRIMES = (2, 3, 5, 13)
 
 
+def _assert_monic(f):
+    """The denominator of f, or f itself, has 1 at its largest exponent
+    vector, the first one printed."""
+    den = f.den if isinstance(f, RatFun) else f
+    assert den.terms[max(den.terms)] == 1, den
+
+
 def assert_clean(f):
     """f is exactly what the validating constructor builds from its parts."""
     assert not f.den.is_zero() and f.den.is_differential_constant()
+    _assert_monic(f)
     if f.num.is_zero():
         assert f.den.terms == {(0,) * f.n: 1}
     rebuilt = RatFun(f.num, f.den)
     assert (rebuilt.p, rebuilt.n) == (f.p, f.n)
     assert list(rebuilt.num.terms.items()) == list(f.num.terms.items())
     assert list(rebuilt.den.terms.items()) == list(f.den.terms.items())
+
+
+def monic(num, den):
+    """num/den scaled by the inverse of den's coefficient at its largest
+    exponent vector: the associate that the constructor inflates."""
+    inverse = pow(den.terms[max(den.terms)], -1, num.p.p)
+    return num * inverse, den * inverse
 
 
 def test_normal_form_inflates_nonconstant_denominators():
@@ -62,6 +79,7 @@ def test_inflated_denominator_is_the_pth_power(p):
             if den.is_differential_constant():
                 continue
             f = RatFun(num, den)
+            num, den = monic(num, den)
             assert f.den.terms == (den**p).terms
             assert f.num == num * den ** (p - 1)
             inflated += 1
@@ -79,12 +97,16 @@ def _short_denominator(rng, p, n, max_degree, size):
 
 def _normal_forms(num, den):
     """The constructor's normal form of num/den and the one through
-    den ** (p-1), each as sorted terms or as its DegreeOverflow text."""
+    den ** (p-1) of its monic associate, each as sorted terms or as its
+    DegreeOverflow text."""
     p = num.p.p
     outcomes = []
+    scaled, monic_den = monic(num, den)
     for build in (
         lambda: RatFun(num, den),
-        lambda: RatFun._trusted(num * den ** (p - 1), den.substitute_pth()),
+        lambda: RatFun._trusted(
+            scaled * monic_den ** (p - 1), monic_den.substitute_pth()
+        ),
     ):
         try:
             f = build()
@@ -484,6 +506,56 @@ def test_sums_with_constant_denominators_commute_in_print(p):
         assert str(a + b) == str(b + a)
         assert form_to_doc(a + b) == form_to_doc(b + a)
         assert str(a - b) == str(-b + a)
+
+
+def test_associate_denominators_sum_to_one_text():
+    # at p = 3, (y + 1)^3 and (2y + 2)^3 are associates; the sum kept the
+    # one of whichever side came first, so the two orders printed
+    # different numerators over different denominators
+    texts = ("(x/(y + 1)) dy", "(1/(2*y + 2)) dy")
+    forms = [parse_form(" + ".join(order), 3, 2) for order in (texts, texts[::-1])]
+    assert {form_to_text(f) for f in forms} == {
+        "(z1*z2^2 + 2*z1*z2 + z1 + 2*z2^2 + z2 + 2/z2^3 + 1) dz2"
+    }
+    assert form_to_doc(forms[0]) == form_to_doc(forms[1])
+
+
+@pytest.mark.parametrize("p", TRUST_PRIMES)
+def test_sums_over_associate_denominators_commute_in_print(p):
+    # a over Q and b over c*Q on one index, c in 2..p-1 (p = 2 has no
+    # such c, and keeps the equal-denominator case), beside a random term
+    rng = random.Random(3040 + p)
+    for _ in range(TRIALS // 4):
+        n = rng.randint(1, 3)
+        index = (rng.randint(1, n),)
+        den = random_poly(rng, p, n, max_degree=2, max_terms=3, nonzero=True)
+        c = rng.randint(2, p - 1) if p > 2 else 1
+        a = DiffForm(p, n, 1, {index: RatFun(random_poly(rng, p, n, 2), den)})
+        b = DiffForm(p, n, 1, {index: RatFun(random_poly(rng, p, n, 2), den * c)})
+        b = b + random_form(rng, p, n, 1, max_degree=2, max_terms=2, rational=True)
+        assert str(a + b) == str(b + a)
+        assert form_to_doc(a + b) == form_to_doc(b + a)
+
+
+def test_every_denominator_is_monic():
+    rng = random.Random(3050)
+    with degree_limit(4096):
+        for _ in range(TRIALS // 4):
+            p = rng.choice(TRUST_PRIMES)
+            n = rng.randint(1, 3)
+            a, b = random_ratfun(rng, p, n), random_ratfun(rng, p, n)
+            results = [a, b, a + b, a - b, -a, a * b, a * 2]
+            if not b.is_zero():
+                results.append(a / b)
+            for f in results:
+                _assert_monic(f)
+            form = random_form(rng, p, n, rng.randint(0, n), 2, 2, rational=True)
+            lam, _ = clear_denominators(form)
+            _assert_monic(lam)
+            for built in (form, gamma0(form), doc_to_form(form_to_doc(form))):
+                for coeff in built.terms.values():
+                    if isinstance(coeff, RatFun):
+                        _assert_monic(coeff)
 
 
 def test_hash_is_refused():
